@@ -129,12 +129,9 @@ pub fn boot_encrypted_guest(
                 .domain(dom)?
                 .frame_of(gplayout::KERNEL_PAGE + i)
                 .ok_or(XenError::OutOfMemory)?;
-            let mut chunk = vec![0u8; PAGE_SIZE as usize];
-            sys.plat.machine.mc.dram().read_raw(frame, &mut chunk).map_err(XenError::Hw)?;
-            sys.plat.firmware.receive_update_page(
+            sys.plat.firmware.receive_update_page_in_place(
                 &mut sys.plat.machine,
                 handle,
-                &chunk,
                 i,
                 frame,
             )?;

@@ -15,7 +15,9 @@
 //! - [`modes`] — CTR, CBC, a tweaked sector mode for disk images, and the
 //!   physical-address-tweaked block mode used by the simulated SME/SEV
 //!   memory-encryption engine.
-//! - [`sha256`], [`hmac`] — hashing and MACs for SEV measurements.
+//! - [`sha256`], [`hmac`] — hashing and MACs for SEV measurements, with
+//!   the SHA-NI compress dispatched at run time behind the same `aesni`
+//!   feature.
 //! - [`x25519`] — the ECDH key agreement used by the SEV SEND/RECEIVE
 //!   protocol between guest owner and firmware.
 //! - [`keywrap`] — AES key wrap for the transport keys (`Kwrap` = wrapped
@@ -38,10 +40,11 @@
 //! assert_eq!(block, original);
 //! ```
 
-// The crate is `unsafe`-free except for the AES-NI intrinsics: with the
-// `aesni` feature off, `unsafe` stays forbidden outright; with it on, it is
-// denied everywhere and allowed only inside `aes_ni` (each site carries an
-// explicit `#[allow(unsafe_code)]` + SAFETY comment).
+// The crate is `unsafe`-free except for the x86 crypto-instruction
+// intrinsics: with the `aesni` feature off, `unsafe` stays forbidden
+// outright; with it on, it is denied everywhere and allowed only inside
+// `aes_ni` and `sha_ni` (each site carries an explicit
+// `#[allow(unsafe_code)]` + SAFETY comment).
 #![cfg_attr(not(all(feature = "aesni", target_arch = "x86_64")), forbid(unsafe_code))]
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +60,8 @@ pub mod keywrap;
 pub mod modes;
 pub mod rng;
 pub mod sha256;
+#[cfg(all(feature = "aesni", target_arch = "x86_64"))]
+mod sha_ni;
 pub mod x25519;
 
 pub use error::CryptoError;

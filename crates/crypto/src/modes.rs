@@ -34,13 +34,6 @@ impl Ctr128 {
         Ctr128 { cipher: Aes128::new(key), nonce }
     }
 
-    /// Creates a CTR context around an already-expanded cipher, so callers
-    /// that derive many per-stream nonces from one key (the SEV I/O
-    /// transform) pay for key expansion once instead of once per call.
-    pub fn from_cipher(cipher: Aes128, nonce: u64) -> Self {
-        Ctr128 { cipher, nonce }
-    }
-
     /// Encrypts or decrypts `data` starting at block offset `block_offset`.
     /// CTR is an involution, so the same call performs both directions.
     pub fn apply(&self, block_offset: u64, data: &mut [u8]) {
@@ -375,20 +368,6 @@ mod tests {
         let sc = SectorCipher::new(&[0u8; 16]);
         let mut bad = vec![0u8; SECTOR_SIZE + 1];
         sc.encrypt_sectors(0, &mut bad);
-    }
-
-    /// `from_cipher` must be indistinguishable from `new` with the same key
-    /// — it only skips the redundant key expansion.
-    #[test]
-    fn ctr_from_cipher_matches_new() {
-        let key = [0x5Du8; 16];
-        let a = Ctr128::new(&key, 42);
-        let b = Ctr128::from_cipher(crate::aes::Aes128::new(&key), 42);
-        let mut da = vec![0xEEu8; 48];
-        let mut db = da.clone();
-        a.apply(3, &mut da);
-        b.apply(3, &mut db);
-        assert_eq!(da, db);
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! SHA-256, used for SEV launch/send measurements (`Mvm` in the paper).
+//!
+//! The compression function has two implementations: the portable core
+//! below, and — with the `aesni` cargo feature on x86-64 hosts that have
+//! the SHA extensions — the SHA-NI core in `sha_ni`. [`Sha256::update`]
+//! picks one per run of whole 64-byte blocks (never per block); the
+//! choice is detected once per process and never changes a digest.
 
 /// Incremental SHA-256 hasher.
 ///
@@ -20,7 +26,7 @@ pub struct Sha256 {
     total_len: u64,
 }
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -55,46 +61,59 @@ impl Sha256 {
     }
 
     /// Feeds more data into the hash.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress_blocks);
+    }
+
+    /// Consumes the hasher and returns the digest.
+    pub fn finalize(self) -> [u8; 32] {
+        self.finish(compress_blocks)
+    }
+
+    /// One-shot digest on the portable compress, whatever the host
+    /// supports: the oracle the dispatched path is tested against.
+    #[doc(hidden)]
+    pub fn digest_portable(data: &[u8]) -> [u8; 32] {
+        let mut h = Self::new();
+        h.absorb(data, compress_portable);
+        h.finish(compress_portable)
+    }
+
+    /// Buffers `data`, handing every run of whole blocks to `compress` in
+    /// one call.
+    fn absorb(&mut self, mut data: &[u8], compress: fn(&mut [u32; 8], &[u8])) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffer_len > 0 {
             let take = (64 - self.buffer_len).min(data.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-            if data.is_empty() {
-                // Nothing left; do not fall through to the tail copy, which
-                // would clobber the partially filled buffer.
+            if self.buffer_len < 64 {
+                // Still partial (so `data` is empty): keep the buffer as is.
                 return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("length checked");
-            self.compress(&block);
-            data = &data[64..];
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            compress(&mut self.state, &data[..whole]);
         }
-        self.buffer[..data.len()].copy_from_slice(data);
-        self.buffer_len = data.len();
+        let tail = &data[whole..];
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
-    /// Consumes the hasher and returns the digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    /// Appends the FIPS 180-4 padding and length, returning the digest.
+    fn finish(mut self, compress: fn(&mut [u32; 8], &[u8])) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` counted the padding byte; undo that for the length field.
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        self.total_len = 0; // irrelevant from here on
-        let block_start = self.buffer_len;
-        self.buffer[block_start..block_start + 8].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        // 0x80, zeros up to 56 mod 64, then the 64-bit length.
+        let zeros = (119 - self.buffer_len) % 64;
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.absorb(&pad[..9 + zeros], compress);
+        debug_assert_eq!(self.buffer_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -108,12 +127,12 @@ impl Sha256 {
     // is pure ALU work on registers with no shuffling or 64-word spill.
     // Same FIPS 180-4 math, ~1.3x the textbook loop on the measurement-heavy
     // SEND/RECEIVE paths.
-    fn compress(&mut self, block: &[u8; 64]) {
+    fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 16];
         for (i, item) in w.iter_mut().enumerate() {
             *item = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         macro_rules! round {
             ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
                 let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
@@ -164,9 +183,26 @@ impl Sha256 {
             i += 8;
         }
         let words = [a, b, c, d, e, f, g, h];
-        for (s, v) in self.state.iter_mut().zip(words) {
+        for (s, v) in state.iter_mut().zip(words) {
             *s = s.wrapping_add(v);
         }
+    }
+}
+
+/// Compresses every whole block of `blocks` on the fastest core this host
+/// has. One dispatch per call, so a page costs one check, not 64.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
+    if crate::sha_ni::available() {
+        return crate::sha_ni::compress_blocks(state, blocks);
+    }
+    compress_portable(state, blocks);
+}
+
+/// The portable compress over every whole block of `blocks`.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        Sha256::compress_block(state, block.try_into().expect("64-byte chunk"));
     }
 }
 

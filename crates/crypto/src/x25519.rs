@@ -154,8 +154,20 @@ impl Fe {
         Fe::carry_wide([r0, r1, r2, r3, r4])
     }
 
+    /// `self · self`: `mul`'s 20 cross products pair up into 10 doubled
+    /// ones, so 15 limb products instead of 25, with the same sums.
     fn square(self) -> Fe {
-        self.mul(self)
+        let a = self.0;
+        let m = |x: u64, y: u64| (x as u128) * (y as u128);
+        let (a0_2, a1_2) = (a[0] * 2, a[1] * 2);
+        let (a1_38, a2_38, a3_19, a3_38, a4_19) =
+            (a[1] * 38, a[2] * 38, a[3] * 19, a[3] * 38, a[4] * 19);
+        let r0 = m(a[0], a[0]) + m(a1_38, a[4]) + m(a2_38, a[3]);
+        let r1 = m(a0_2, a[1]) + m(a2_38, a[4]) + m(a3_19, a[3]);
+        let r2 = m(a0_2, a[2]) + m(a[1], a[1]) + m(a3_38, a[4]);
+        let r3 = m(a0_2, a[3]) + m(a1_2, a[2]) + m(a4_19, a[4]);
+        let r4 = m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]);
+        Fe::carry_wide([r0, r1, r2, r3, r4])
     }
 
     fn mul_small(self, k: u32) -> Fe {
@@ -364,6 +376,19 @@ mod tests {
         let k = hex32("0900000000000000000000000000000000000000000000000000000000000000");
         let out = scalar_mult(&k, &k);
         assert_eq!(out, hex32("422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"));
+    }
+
+    // RFC 7748 §5.2 iterated test, 1000 iterations: k, u ← k·u, k.
+    #[test]
+    fn rfc7748_iterated_thousand() {
+        let mut k = hex32("0900000000000000000000000000000000000000000000000000000000000000");
+        let mut u = k;
+        for _ in 0..1000 {
+            let next = scalar_mult(&k, &u);
+            u = k;
+            k = next;
+        }
+        assert_eq!(k, hex32("684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"));
     }
 
     #[test]

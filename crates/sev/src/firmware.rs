@@ -14,6 +14,14 @@ use fidelius_hw::{Asid, Hpa, PAGE_SIZE};
 use fidelius_trace::{ArgValue, SpanKind};
 use std::collections::{HashMap, HashSet};
 
+/// CTR nonce of the `SEND`/`RECEIVE_UPDATE_DATA` page stream (and of the
+/// owner-packaged images that `RECEIVE` boots); the page index selects the
+/// counter block.
+pub(crate) const PAGE_NONCE: u64 = 0x7EC0_0000_0000_0000;
+/// CTR nonce base of the I/O helper streams, XORed with the stream
+/// (sector) number.
+const IO_NONCE: u64 = 0x10_0000_0000_0000;
+
 /// Platform-wide firmware state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlatformState {
@@ -166,15 +174,15 @@ fn unwrap_transport_keys(kek: &Key128, wrapped: &[u8]) -> Result<(Key128, Key128
 /// at creation and handles are never reused, so the engine schedule can
 /// never go stale; the transport schedule is cached once the context holds
 /// a `Ktek` and the whole entry is dropped by `SEND_START`, the only
-/// command that rotates transport keys on a live handle.
-#[derive(Clone)]
+/// command that rotates transport keys on a live handle. Page and sector
+/// commands borrow the entry; nothing clones a schedule per call.
 struct IoCiphers {
     /// The guest's memory-encryption engine cipher (`Kvek`).
     engine: PaTweakCipher,
     /// The expanded I/O transport cipher (`Ktek`) when the context holds
-    /// one; per-sector CTR contexts borrow this schedule via
-    /// [`Ctr128::from_cipher`]. `None` for contexts without transport keys
-    /// (e.g. `Launching` guests).
+    /// one; CTR runs borrow this schedule via [`Ctr128::apply_with`].
+    /// `None` for contexts without transport keys (e.g. `Launching`
+    /// guests).
     tek: Option<Aes128>,
 }
 
@@ -330,12 +338,12 @@ impl Firmware {
         len: u64,
     ) -> Result<(), SevError> {
         self.require_init()?;
-        let ciphers = self.cached_ciphers(h, GuestState::Launching)?;
+        let (ciphers, ctx) = self.cached_ciphers(h, GuestState::Launching)?;
         assert_eq!(pa.0 % 16, 0, "launch data must be block aligned");
         assert_eq!(len % 16, 0, "launch data length must be block aligned");
         let mut buf = vec![0u8; len as usize];
         machine.mc.dram().read_raw(pa, &mut buf).map_err(SevError::Hw)?;
-        self.guest_mut(h).expect("validated above").measurement.update(&buf);
+        ctx.measurement.update(&buf);
         ciphers.engine.encrypt_blocks(pa.0, &mut buf);
         machine.mc.dram_mut().write_raw(pa, &buf).map_err(SevError::Hw)?;
         let lines = len.div_ceil(fidelius_hw::CACHE_LINE);
@@ -497,7 +505,7 @@ impl Firmware {
         src_pa: Hpa,
         page_index: u64,
     ) -> Result<Vec<u8>, SevError> {
-        let ciphers = self.cached_ciphers(h, GuestState::Sending)?;
+        let (ciphers, ctx) = self.cached_ciphers(h, GuestState::Sending)?;
         let span = machine.span_open(
             SpanKind::CryptoRun,
             "crypto:send_update",
@@ -509,10 +517,9 @@ impl Firmware {
             return Err(SevError::Hw(e));
         }
         ciphers.engine.decrypt_blocks(src_pa.0, &mut page);
-        self.guest_mut(h).expect("validated above").measurement.update(&page);
-        let tek = ciphers.tek.expect("sending state implies transport keys");
-        let ctr = Ctr128::from_cipher(tek, 0x7EC0_0000_0000_0000);
-        ctr.apply(page_index * (PAGE_SIZE / 16), &mut page);
+        ctx.measurement.update(&page);
+        let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
+        Ctr128::apply_with(tek, PAGE_NONCE, page_index * (PAGE_SIZE / 16), &mut page);
         let lines = PAGE_SIZE.div_ceil(fidelius_hw::CACHE_LINE);
         machine.cycles.charge_as(
             fidelius_hw::cycles::CycleCategory::CryptoEngine,
@@ -589,20 +596,52 @@ impl Firmware {
         page_index: u64,
         dst_pa: Hpa,
     ) -> Result<(), SevError> {
-        let ciphers = self.cached_ciphers(h, GuestState::Receiving)?;
         assert_eq!(chunk.len() as u64, PAGE_SIZE, "receive chunks are pages");
+        let mut page = [0u8; PAGE_SIZE as usize];
+        page.copy_from_slice(chunk);
+        self.receive_update(machine, h, &mut page, page_index, dst_pa)
+    }
+
+    /// `RECEIVE_UPDATE_DATA` in place: the transport ciphertext of one page
+    /// already sits at `pa` (the encrypted-boot image load) and is
+    /// re-encrypted there under the guest's `Kvek`.
+    ///
+    /// # Errors
+    ///
+    /// Requires the `Receiving` state.
+    pub fn receive_update_page_in_place(
+        &mut self,
+        machine: &mut Machine,
+        h: Handle,
+        page_index: u64,
+        pa: Hpa,
+    ) -> Result<(), SevError> {
+        let mut page = [0u8; PAGE_SIZE as usize];
+        machine.mc.dram().read_raw(pa, &mut page).map_err(SevError::Hw)?;
+        self.receive_update(machine, h, &mut page, page_index, pa)
+    }
+
+    /// The body of both `RECEIVE_UPDATE_DATA` forms: `page` holds the
+    /// transport ciphertext and is consumed as scratch.
+    fn receive_update(
+        &mut self,
+        machine: &mut Machine,
+        h: Handle,
+        page: &mut [u8; PAGE_SIZE as usize],
+        page_index: u64,
+        dst_pa: Hpa,
+    ) -> Result<(), SevError> {
+        let (ciphers, ctx) = self.cached_ciphers(h, GuestState::Receiving)?;
         let span = machine.span_open(
             SpanKind::CryptoRun,
             "crypto:receive_update",
             &[("page", ArgValue::U64(page_index))],
         );
-        let tek = ciphers.tek.expect("receiving state implies transport keys");
-        let mut page = chunk.to_vec();
-        let ctr = Ctr128::from_cipher(tek, 0x7EC0_0000_0000_0000);
-        ctr.apply(page_index * (PAGE_SIZE / 16), &mut page);
-        self.guest_mut(h).expect("validated above").measurement.update(&page);
-        ciphers.engine.encrypt_blocks(dst_pa.0, &mut page);
-        if let Err(e) = machine.mc.dram_mut().write_raw(dst_pa, &page) {
+        let tek = ciphers.tek.as_ref().expect("receiving state implies transport keys");
+        Ctr128::apply_with(tek, PAGE_NONCE, page_index * (PAGE_SIZE / 16), page);
+        ctx.measurement.update(page);
+        ciphers.engine.encrypt_blocks(dst_pa.0, page);
+        if let Err(e) = machine.mc.dram_mut().write_raw(dst_pa, page) {
             machine.span_close(span);
             return Err(SevError::Hw(e));
         }
@@ -693,15 +732,14 @@ impl Firmware {
         len: u64,
         stream: u64,
     ) -> Result<(), SevError> {
-        let ciphers = self.cached_ciphers(sdom, GuestState::Sending)?;
+        let (ciphers, _) = self.cached_ciphers(sdom, GuestState::Sending)?;
         assert_eq!(len % 16, 0, "io length must be block aligned");
         assert_eq!(src_pa.0 % 16, 0, "io buffers must be block aligned");
         let mut buf = vec![0u8; len as usize];
         machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
         ciphers.engine.decrypt_blocks(src_pa.0, &mut buf);
-        let tek = ciphers.tek.expect("sending state implies transport keys");
-        let ctr = Ctr128::from_cipher(tek, 0x10_0000_0000_0000 ^ stream);
-        ctr.apply(0, &mut buf);
+        let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
+        Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, &mut buf);
         machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
         let lines = len.div_ceil(fidelius_hw::CACHE_LINE).max(1);
         machine.cycles.charge_as(
@@ -727,14 +765,13 @@ impl Firmware {
         len: u64,
         stream: u64,
     ) -> Result<(), SevError> {
-        let ciphers = self.cached_ciphers(rdom, GuestState::Receiving)?;
+        let (ciphers, _) = self.cached_ciphers(rdom, GuestState::Receiving)?;
         assert_eq!(len % 16, 0, "io length must be block aligned");
         assert_eq!(dst_pa.0 % 16, 0, "io buffers must be block aligned");
         let mut buf = vec![0u8; len as usize];
         machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
-        let tek = ciphers.tek.expect("receiving state implies transport keys");
-        let ctr = Ctr128::from_cipher(tek, 0x10_0000_0000_0000 ^ stream);
-        ctr.apply(0, &mut buf);
+        let tek = ciphers.tek.as_ref().expect("receiving state implies transport keys");
+        Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, &mut buf);
         ciphers.engine.encrypt_blocks(dst_pa.0, &mut buf);
         machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
         let lines = len.div_ceil(fidelius_hw::CACHE_LINE).max(1);
@@ -751,21 +788,25 @@ impl Firmware {
     /// The `Ktek` schedule is expanded the first time the context is seen
     /// holding transport keys; `SEND_START` — the only command that
     /// rotates a live handle's `Ktek` — evicts the entry first.
-    fn cached_ciphers(&mut self, h: Handle, expected: GuestState) -> Result<IoCiphers, SevError> {
-        let ctx = self.guest(h)?;
+    ///
+    /// Returns the entry borrowed next to the context itself, so a page
+    /// command can extend the measurement while it transforms the page
+    /// under the cached schedules.
+    fn cached_ciphers(
+        &mut self,
+        h: Handle,
+        expected: GuestState,
+    ) -> Result<(&IoCiphers, &mut GuestContext), SevError> {
+        let ctx = self.guests.get_mut(&h).ok_or(SevError::UnknownHandle(h.0))?;
         ctx.require(expected)?;
-        let kvek = ctx.kvek;
-        let tek = ctx.tek;
         let entry = self
             .io_ciphers
             .entry(h)
-            .or_insert_with(|| IoCiphers { engine: PaTweakCipher::new(&kvek), tek: None });
+            .or_insert_with(|| IoCiphers { engine: PaTweakCipher::new(&ctx.kvek), tek: None });
         if entry.tek.is_none() {
-            if let Some(k) = tek {
-                entry.tek = Some(Aes128::new(&k));
-            }
+            entry.tek = ctx.tek.as_ref().map(Aes128::new);
         }
-        Ok(entry.clone())
+        Ok((entry, ctx))
     }
 
     /// Batched I/O write path: byte- and cycle-identical to `sectors`
@@ -773,9 +814,9 @@ impl Firmware {
     /// (sector `s` at `src_pa + 512·s` → `dst_pa + 512·s` with stream
     /// `first_stream + s`), but the whole run moves through one DRAM read,
     /// one streaming XEX pass over the cached `Kvek` schedule, per-sector
-    /// CTR contexts cloned from the cached `Ktek` schedule, and one DRAM
-    /// write. The source and destination runs must not overlap (they are
-    /// the disjoint `Md` and shared-buffer windows).
+    /// CTR runs over the borrowed `Ktek` schedule, and one DRAM write. The
+    /// source and destination runs must not overlap (they are the disjoint
+    /// `Md` and shared-buffer windows).
     ///
     /// # Errors
     ///
@@ -789,8 +830,8 @@ impl Firmware {
         sectors: u64,
         first_stream: u64,
     ) -> Result<(), SevError> {
-        let ciphers = self.cached_ciphers(sdom, GuestState::Sending)?;
-        let tek = ciphers.tek.expect("sending state implies transport keys");
+        let (ciphers, _) = self.cached_ciphers(sdom, GuestState::Sending)?;
+        let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
         assert_eq!(src_pa.0 % 16, 0, "io buffers must be block aligned");
         if sectors == 0 {
             return Ok(());
@@ -805,7 +846,7 @@ impl Firmware {
         ciphers.engine.decrypt_blocks(src_pa.0, &mut buf);
         for (s, sector) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
             let stream = first_stream.wrapping_add(s as u64);
-            Ctr128::apply_with(&tek, 0x10_0000_0000_0000 ^ stream, 0, sector);
+            Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, sector);
         }
         machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
         let lines = len.div_ceil(fidelius_hw::CACHE_LINE).max(1);
@@ -831,8 +872,8 @@ impl Firmware {
         sectors: u64,
         first_stream: u64,
     ) -> Result<(), SevError> {
-        let ciphers = self.cached_ciphers(rdom, GuestState::Receiving)?;
-        let tek = ciphers.tek.expect("receiving state implies transport keys");
+        let (ciphers, _) = self.cached_ciphers(rdom, GuestState::Receiving)?;
+        let tek = ciphers.tek.as_ref().expect("receiving state implies transport keys");
         assert_eq!(dst_pa.0 % 16, 0, "io buffers must be block aligned");
         if sectors == 0 {
             return Ok(());
@@ -846,7 +887,7 @@ impl Firmware {
         machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
         for (s, sector) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
             let stream = first_stream.wrapping_add(s as u64);
-            Ctr128::apply_with(&tek, 0x10_0000_0000_0000 ^ stream, 0, sector);
+            Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, sector);
         }
         ciphers.engine.encrypt_blocks(dst_pa.0, &mut buf);
         machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;

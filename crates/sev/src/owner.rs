@@ -8,7 +8,7 @@
 //! untrusted hypervisor wholesale: only the target firmware can unwrap the
 //! keys, and `RECEIVE_FINISH` will catch any tampering.
 
-use crate::firmware::{derive_session_kek, wrap_transport_keys, SessionBlob};
+use crate::firmware::{derive_session_kek, wrap_transport_keys, SessionBlob, PAGE_NONCE};
 use fidelius_crypto::hmac::hmac_sha256;
 use fidelius_crypto::modes::{Ctr128, SectorCipher, SECTOR_SIZE};
 use fidelius_crypto::rng::Xoshiro256;
@@ -83,7 +83,7 @@ impl GuestOwner {
         padded.resize(npages * page, 0);
 
         let mut hasher = Sha256::new();
-        let ctr = Ctr128::new(&tek, 0x7EC0_0000_0000_0000);
+        let ctr = Ctr128::new(&tek, PAGE_NONCE);
         let mut pages = Vec::with_capacity(npages);
         for (idx, chunk) in padded.chunks(page).enumerate() {
             hasher.update(chunk);

@@ -10,13 +10,25 @@
 //! expansion); the hot loops below must add zero expansions and zero
 //! clones.
 //!
+//! The same holds for the SEV firmware's page and sector commands
+//! (`SEND`/`RECEIVE_UPDATE_DATA`, the I/O helpers): they borrow the
+//! schedules cached per firmware context.
+//!
 //! This file deliberately contains a single `#[test]`: the counters are
 //! process-global, and Rust runs tests in one process with a shared
 //! thread pool. An integration-test file gets its own process, and one
 //! test in it gets deterministic counter deltas.
 
+use fidelius::core::lifecycle::boot_encrypted_guest;
+use fidelius::core::migrate::{migrate_in, migrate_out};
+use fidelius::core::Fidelius;
 use fidelius::crypto::aes::{key_expansions, schedule_clones, Aes128, AesBackend, KeySchedule};
 use fidelius::crypto::modes::{Ctr128, PaTweakCipher, SectorCipher, SECTOR_SIZE};
+use fidelius::sev::GuestOwner;
+use fidelius::xen::blkif::BlkStatus;
+use fidelius::xen::frontend::IoPath;
+use fidelius::xen::system::BatchOp;
+use fidelius::xen::System;
 
 #[test]
 fn streaming_paths_never_reexpand_or_clone_schedules() {
@@ -75,4 +87,51 @@ fn streaming_paths_never_reexpand_or_clone_schedules() {
         0,
         "steady-state streaming cloned a key schedule"
     );
+
+    // --- Firmware page and sector commands borrow the cached schedules. ---
+    // Each firmware context expands its `Kvek`/`Ktek` schedules once, on
+    // its first page or sector command; the commands themselves must not
+    // clone or re-expand. Two round trips of guests with different page
+    // counts therefore cost the same number of expansions.
+    const DRAM: u64 = 32 * 1024 * 1024;
+    let mut src = System::new(DRAM, 0xA0D1, Box::new(Fidelius::new())).unwrap();
+    let mut dst = System::new(DRAM, 0xA0D2, Box::new(Fidelius::new())).unwrap();
+    let mut round_trip = |mem_pages: u64| {
+        let mut owner = GuestOwner::new(mem_pages);
+        let image = owner.package_image(b"audit kernel", &src.plat.firmware.pdh_public());
+        let dom = boot_encrypted_guest(&mut src, &image, mem_pages).unwrap();
+        src.ensure_host().unwrap();
+        let (expansions, clones) = (key_expansions(), schedule_clones());
+        let package = migrate_out(&mut src, dom, &dst.plat.firmware.pdh_public()).unwrap();
+        assert_eq!(package.pages.len() as u64, mem_pages);
+        migrate_in(&mut dst, &package).unwrap();
+        (key_expansions() - expansions, schedule_clones() - clones)
+    };
+    let (small_expansions, small_clones) = round_trip(192);
+    let (large_expansions, large_clones) = round_trip(256);
+    assert_eq!(small_clones, 0, "a 192-page round trip cloned a key schedule");
+    assert_eq!(large_clones, 0, "a 256-page round trip cloned a key schedule");
+    assert_eq!(
+        small_expansions, large_expansions,
+        "migration key expansions grew with the page count (192 vs 256 pages)"
+    );
+
+    // One SEV-API `disk_batch` window after a warm-up window (which builds
+    // the I/O helpers' schedules): zero expansions, zero clones.
+    let mut owner = GuestOwner::new(0xA0D3);
+    let image = owner.package_image(b"audit kernel", &src.plat.firmware.pdh_public());
+    let dom = boot_encrypted_guest(&mut src, &image, 192).unwrap();
+    src.setup_block_device(dom, vec![0u8; 64 * SECTOR_SIZE], IoPath::SevApi, None).unwrap();
+    let window = [
+        BatchOp::Write { sector: 0, data: vec![0x5Au8; 8 * SECTOR_SIZE] },
+        BatchOp::Read { sector: 0, count: 8 },
+        BatchOp::Write { sector: 24, data: vec![0xA5u8; 2 * SECTOR_SIZE] },
+    ];
+    src.disk_batch(dom, 0, &window).unwrap();
+    let (expansions, clones) = (key_expansions(), schedule_clones());
+    let results = src.disk_batch(dom, 0, &window).unwrap();
+    assert!(results.iter().all(|(status, _)| *status == BlkStatus::Ok), "{results:?}");
+    assert_eq!(results[1].1.as_deref(), Some(&[0x5Au8; 8 * SECTOR_SIZE][..]));
+    assert_eq!(key_expansions() - expansions, 0, "a SEV-API disk window re-expanded a schedule");
+    assert_eq!(schedule_clones() - clones, 0, "a SEV-API disk window cloned a key schedule");
 }
