@@ -564,6 +564,14 @@ impl KeySchedule {
         &self.dec
     }
 
+    /// The fused AES-NI mode kernels, present iff this schedule was pinned
+    /// to [`AesBackend::AesNi`]. The modes dispatch on this once per call.
+    #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
+    #[inline]
+    pub(crate) fn fused(&self) -> Option<&crate::aes_ni::NiKeys> {
+        self.ni.as_ref()
+    }
+
     /// Encrypts one 16-byte block in place. Dispatches to the schedule's
     /// backend even for a single block, so the constant-time guarantee of
     /// [`AesBackend::Bitsliced`] holds on every path.

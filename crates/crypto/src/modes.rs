@@ -13,12 +13,36 @@
 //!   ciphertext *replayed in place* decrypts fine, which is exactly the
 //!   replay weakness the paper's §2.2 describes and Fidelius closes.
 //!
-//! All three modes route bulk traffic through
-//! [`crate::aes::KeySchedule::xor_keystream`] or the batched
-//! `encrypt_blocks`/`decrypt_blocks` entry points so large buffers pay one
-//! dispatch per 16-byte block into the T-table core and nothing else.
+//! Each mode makes one backend dispatch per call. On AES-NI schedules a
+//! whole buffer goes through one fused kernel (`aes_ni`: CTR or XEX with
+//! the round keys loaded once and counters or tweaks built in registers).
+//! The T-table and bitsliced schedules run the portable loops over
+//! [`crate::aes::KeySchedule::xor_keystream`] and the batched
+//! `encrypt_blocks`/`decrypt_blocks` entry points; they are the fallback
+//! and the oracle the fused kernels are tested against.
 
-use crate::aes::Aes128;
+use crate::aes::{Aes128, AesBackend};
+use crate::CryptoError;
+
+/// XORs `data` with the CTR keystream whose block `i` encrypts
+/// `hi ‖ lo` for `(hi, lo) = block(i)`, both halves big-endian; the final
+/// chunk may be short.
+fn ctr64(cipher: &Aes128, block: impl Fn(u64) -> (u64, u64), data: &mut [u8]) {
+    #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
+    if let Some(ni) = cipher.schedule().fused() {
+        return ni.ctr_xor(block, data);
+    }
+    cipher.schedule().xor_keystream(
+        |i| {
+            let (hi, lo) = block(i);
+            let mut ks = [0u8; 16];
+            ks[..8].copy_from_slice(&hi.to_be_bytes());
+            ks[8..].copy_from_slice(&lo.to_be_bytes());
+            ks
+        },
+        data,
+    );
+}
 
 /// AES-128 counter mode.
 #[derive(Debug, Clone)]
@@ -45,18 +69,10 @@ impl Ctr128 {
     /// nonce per 512-byte sector from one shared key (the SEV I/O
     /// transform) would otherwise clone the whole key schedule — two heap
     /// allocations — per sector; this is the same keystream with no
-    /// context constructed at all.
+    /// context constructed at all. The 64-bit counter wraps like
+    /// `u64::wrapping_add`.
     pub fn apply_with(cipher: &Aes128, nonce: u64, block_offset: u64, data: &mut [u8]) {
-        let nonce = nonce.to_be_bytes();
-        cipher.schedule().xor_keystream(
-            |i| {
-                let mut ks = [0u8; 16];
-                ks[..8].copy_from_slice(&nonce);
-                ks[8..].copy_from_slice(&block_offset.wrapping_add(i).to_be_bytes());
-                ks
-            },
-            data,
-        );
+        ctr64(cipher, |i| (nonce, block_offset.wrapping_add(i)), data);
     }
 }
 
@@ -73,10 +89,25 @@ pub struct SectorCipher {
 /// Size of one disk sector in bytes.
 pub const SECTOR_SIZE: usize = 512;
 
+/// CTR blocks per sector.
+const SECTOR_BLOCKS: u64 = (SECTOR_SIZE / 16) as u64;
+
 impl SectorCipher {
     /// Creates a sector cipher from the disk key `Kblk`.
     pub fn new(kblk: &[u8; 16]) -> Self {
         SectorCipher { cipher: Aes128::new(kblk) }
+    }
+
+    /// Creates a sector cipher pinned to an explicit host AES engine (for
+    /// the backend oracle tests).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::BackendUnavailable`] if `backend` cannot run
+    /// in this build on this host.
+    #[doc(hidden)]
+    pub fn with_backend(kblk: &[u8; 16], backend: AesBackend) -> Result<Self, CryptoError> {
+        Ok(SectorCipher { cipher: Aes128::with_backend(kblk, backend)? })
     }
 
     /// Encrypts one sector in place.
@@ -119,25 +150,20 @@ impl SectorCipher {
         self.apply_sectors(first_sector, data);
     }
 
+    /// The whole run in one keystream pass: block `i` of the run is block
+    /// `i mod 32` of sector `first_sector + i / 32`.
     fn apply_sectors(&self, first_sector: u64, data: &mut [u8]) {
         assert_eq!(data.len() % SECTOR_SIZE, 0, "run must be whole sectors");
-        for (i, sector) in data.chunks_exact_mut(SECTOR_SIZE).enumerate() {
-            self.apply(first_sector.wrapping_add(i as u64), sector);
-        }
+        ctr64(
+            &self.cipher,
+            |i| (first_sector.wrapping_add(i / SECTOR_BLOCKS), i % SECTOR_BLOCKS),
+            data,
+        );
     }
 
     fn apply(&self, sector_no: u64, sector: &mut [u8]) {
         assert_eq!(sector.len(), SECTOR_SIZE, "sector must be {SECTOR_SIZE} bytes");
-        let sector_be = sector_no.to_be_bytes();
-        self.cipher.schedule().xor_keystream(
-            |i| {
-                let mut ks = [0u8; 16];
-                ks[..8].copy_from_slice(&sector_be);
-                ks[8..].copy_from_slice(&i.to_be_bytes());
-                ks
-            },
-            sector,
-        );
+        ctr64(&self.cipher, |i| (sector_no, i), sector);
     }
 }
 
@@ -152,6 +178,18 @@ impl PaTweakCipher {
     /// host key).
     pub fn new(key: &[u8; 16]) -> Self {
         PaTweakCipher { cipher: Aes128::new(key) }
+    }
+
+    /// Creates the engine cipher pinned to an explicit host AES engine
+    /// (for the backend oracle tests).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::BackendUnavailable`] if `backend` cannot run
+    /// in this build on this host.
+    #[doc(hidden)]
+    pub fn with_backend(key: &[u8; 16], backend: AesBackend) -> Result<Self, CryptoError> {
+        Ok(PaTweakCipher { cipher: Aes128::with_backend(key, backend)? })
     }
 
     /// The two 64-bit halves of the tweak for physical address `pa`.
@@ -219,35 +257,17 @@ impl PaTweakCipher {
     }
 
     /// Encrypts consecutive 16-byte blocks in place, the block at offset
-    /// `16 * i` being located at physical address `base_pa + 16 * i`. The
-    /// tweak advances with the running address instead of being re-derived
-    /// through a fresh call per block, and whole 8-block runs are whitened
-    /// in one pass and encrypted through the interleaved round loop — this
-    /// is the memory controller's streaming write path.
+    /// `16 * i` being located at physical address `base_pa + 16 * i` — the
+    /// memory controller's streaming write path. The whole run is one
+    /// backend dispatch: on AES-NI one fused XEX kernel call, elsewhere
+    /// the portable loop that whitens 8-block runs in one pass around one
+    /// interleaved AES call.
     ///
     /// # Panics
     ///
     /// Panics if `data.len()` is not a multiple of 16.
     pub fn encrypt_blocks(&self, base_pa: u64, data: &mut [u8]) {
-        assert_eq!(data.len() % 16, 0, "streaming tweak path needs whole blocks");
-        let schedule = self.cipher.schedule();
-        let mut pa = base_pa;
-        let mut wide = data.chunks_exact_mut(crate::aes::INTERLEAVE_BYTES);
-        for chunk in &mut wide {
-            let run: &mut [u8; crate::aes::INTERLEAVE_BYTES] =
-                chunk.try_into().expect("chunk is INTERLEAVE_BYTES");
-            Self::xor_tweak_run(pa, run);
-            schedule.encrypt_blocks(run);
-            Self::xor_tweak_run(pa, run);
-            pa = pa.wrapping_add(crate::aes::INTERLEAVE_BYTES as u64);
-        }
-        for chunk in wide.into_remainder().chunks_exact_mut(16) {
-            let block: &mut [u8; 16] = chunk.try_into().expect("chunk is 16 bytes");
-            Self::xor_tweak(pa, block);
-            schedule.encrypt_block(block);
-            Self::xor_tweak(pa, block);
-            pa = pa.wrapping_add(16);
-        }
+        self.xex::<true>(base_pa, None, data);
     }
 
     /// Decrypts consecutive 16-byte blocks in place; see
@@ -257,7 +277,52 @@ impl PaTweakCipher {
     ///
     /// Panics if `data.len()` is not a multiple of 16.
     pub fn decrypt_blocks(&self, base_pa: u64, data: &mut [u8]) {
-        assert_eq!(data.len() % 16, 0, "streaming tweak path needs whole blocks");
+        self.xex::<false>(base_pa, None, data);
+    }
+
+    /// Encrypts the plaintext blocks of `src`, located at `base_pa`
+    /// onward, into `dst` — byte-identical to copying `src` into `dst` and
+    /// calling [`PaTweakCipher::encrypt_blocks`], without the copy. The
+    /// memory controller writes guest data straight into DRAM this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or are not a multiple of 16.
+    pub fn encrypt_blocks_to(&self, base_pa: u64, src: &[u8], dst: &mut [u8]) {
+        self.xex::<true>(base_pa, Some(src), dst);
+    }
+
+    /// Decrypts the ciphertext blocks of `src`, located at `base_pa`
+    /// onward, into `dst`; see [`PaTweakCipher::encrypt_blocks_to`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or are not a multiple of 16.
+    pub fn decrypt_blocks_to(&self, base_pa: u64, src: &[u8], dst: &mut [u8]) {
+        self.xex::<false>(base_pa, Some(src), dst);
+    }
+
+    /// The one backend dispatch behind the four streaming entry points:
+    /// `src` of `None` means in place.
+    fn xex<const ENC: bool>(&self, base_pa: u64, src: Option<&[u8]>, dst: &mut [u8]) {
+        assert_eq!(dst.len() % 16, 0, "streaming tweak path needs whole blocks");
+        if let Some(src) = src {
+            assert_eq!(src.len(), dst.len(), "source and destination lengths differ");
+        }
+        #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
+        if let Some(ni) = self.cipher.schedule().fused() {
+            return ni.xex::<ENC>(Self::tweak_halves, base_pa, src, dst);
+        }
+        if let Some(src) = src {
+            dst.copy_from_slice(src);
+        }
+        self.xex_portable::<ENC>(base_pa, dst);
+    }
+
+    /// The portable in-place XEX loop: the tweak advances with the running
+    /// address, whole 8-block runs are whitened in one pass around one
+    /// interleaved AES call, and the tail goes block by block.
+    fn xex_portable<const ENC: bool>(&self, base_pa: u64, data: &mut [u8]) {
         let schedule = self.cipher.schedule();
         let mut pa = base_pa;
         let mut wide = data.chunks_exact_mut(crate::aes::INTERLEAVE_BYTES);
@@ -265,14 +330,22 @@ impl PaTweakCipher {
             let run: &mut [u8; crate::aes::INTERLEAVE_BYTES] =
                 chunk.try_into().expect("chunk is INTERLEAVE_BYTES");
             Self::xor_tweak_run(pa, run);
-            schedule.decrypt_blocks(run);
+            if ENC {
+                schedule.encrypt_blocks(run);
+            } else {
+                schedule.decrypt_blocks(run);
+            }
             Self::xor_tweak_run(pa, run);
             pa = pa.wrapping_add(crate::aes::INTERLEAVE_BYTES as u64);
         }
         for chunk in wide.into_remainder().chunks_exact_mut(16) {
             let block: &mut [u8; 16] = chunk.try_into().expect("chunk is 16 bytes");
             Self::xor_tweak(pa, block);
-            schedule.decrypt_block(block);
+            if ENC {
+                schedule.encrypt_block(block);
+            } else {
+                schedule.decrypt_block(block);
+            }
             Self::xor_tweak(pa, block);
             pa = pa.wrapping_add(16);
         }

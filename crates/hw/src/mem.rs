@@ -41,11 +41,13 @@ impl Dram {
         self.size() / PAGE_SIZE
     }
 
-    fn check(&self, pa: Hpa, len: u64) -> Result<(), HwError> {
-        if pa.0.checked_add(len).is_none_or(|end| end > self.size()) {
-            return Err(HwError::BadPhysicalAddress { pa, len });
+    /// The one bounds check every raw access goes through: the byte range
+    /// `[pa, pa + len)` as indices into the cell vector.
+    fn range(&self, pa: Hpa, len: usize) -> Result<std::ops::Range<usize>, HwError> {
+        match pa.0.checked_add(len as u64) {
+            Some(end) if end <= self.size() => Ok(pa.0 as usize..end as usize),
+            _ => Err(HwError::BadPhysicalAddress { pa, len: len as u64 }),
         }
-        Ok(())
     }
 
     /// Reads raw cells (ciphertext for encrypted pages). This is the
@@ -55,8 +57,7 @@ impl Dram {
     ///
     /// Fails with [`HwError::BadPhysicalAddress`] when out of range.
     pub fn read_raw(&self, pa: Hpa, buf: &mut [u8]) -> Result<(), HwError> {
-        self.check(pa, buf.len() as u64)?;
-        buf.copy_from_slice(&self.bytes[pa.0 as usize..pa.0 as usize + buf.len()]);
+        buf.copy_from_slice(self.raw_span(pa, buf.len())?);
         Ok(())
     }
 
@@ -67,9 +68,30 @@ impl Dram {
     ///
     /// Fails with [`HwError::BadPhysicalAddress`] when out of range.
     pub fn write_raw(&mut self, pa: Hpa, data: &[u8]) -> Result<(), HwError> {
-        self.check(pa, data.len() as u64)?;
-        self.bytes[pa.0 as usize..pa.0 as usize + data.len()].copy_from_slice(data);
+        self.raw_span_mut(pa, data.len())?.copy_from_slice(data);
         Ok(())
+    }
+
+    /// Borrows `len` raw cells at `pa` — [`Dram::read_raw`] without the
+    /// copy, so the engine can decrypt straight out of DRAM.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`HwError::BadPhysicalAddress`] when out of range.
+    pub fn raw_span(&self, pa: Hpa, len: usize) -> Result<&[u8], HwError> {
+        let range = self.range(pa, len)?;
+        Ok(&self.bytes[range])
+    }
+
+    /// Mutably borrows `len` raw cells at `pa` — [`Dram::write_raw`]
+    /// without the copy, so the engine can encrypt straight into DRAM.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`HwError::BadPhysicalAddress`] when out of range.
+    pub fn raw_span_mut(&mut self, pa: Hpa, len: usize) -> Result<&mut [u8], HwError> {
+        let range = self.range(pa, len)?;
+        Ok(&mut self.bytes[range])
     }
 
     /// Flips a single bit — the Rowhammer primitive.
@@ -78,8 +100,7 @@ impl Dram {
     ///
     /// Fails with [`HwError::BadPhysicalAddress`] when out of range.
     pub fn flip_bit(&mut self, pa: Hpa, bit: u8) -> Result<(), HwError> {
-        self.check(pa, 1)?;
-        self.bytes[pa.0 as usize] ^= 1 << (bit & 7);
+        self.raw_span_mut(pa, 1)?[0] ^= 1 << (bit & 7);
         Ok(())
     }
 }
@@ -188,6 +209,20 @@ mod tests {
         assert!(d.read_raw(Hpa(PAGE_SIZE), &mut buf).is_err());
         // Overflow-safe.
         assert!(d.read_raw(Hpa(u64::MAX), &mut buf).is_err());
+    }
+
+    #[test]
+    fn raw_spans_share_the_raw_bounds_check() {
+        let mut d = Dram::new(PAGE_SIZE);
+        d.raw_span_mut(Hpa(8), 3).unwrap().copy_from_slice(b"xyz");
+        assert_eq!(d.raw_span(Hpa(8), 3).unwrap(), b"xyz");
+        assert!(d.raw_span(Hpa(PAGE_SIZE), 0).is_ok(), "empty span at the end");
+        for (pa, len) in [(PAGE_SIZE - 2, 3), (PAGE_SIZE, 1), (u64::MAX, 1)] {
+            let want = HwError::BadPhysicalAddress { pa: Hpa(pa), len: len as u64 };
+            assert_eq!(d.raw_span(Hpa(pa), len).unwrap_err(), want);
+            assert_eq!(d.raw_span_mut(Hpa(pa), len).unwrap_err(), want);
+            assert_eq!(d.read_raw(Hpa(pa), &mut vec![0; len]).unwrap_err(), want);
+        }
     }
 
     #[test]

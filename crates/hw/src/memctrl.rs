@@ -21,8 +21,9 @@
 //! the guest-visible outcome.
 //!
 //! Accesses whose block span lies inside DRAM take a streaming path: one
-//! raw DRAM transfer plus one batched cipher call over the aligned
-//! interior, with at most one read-modify-write block at each end.
+//! batched cipher call transforms the aligned interior straight between
+//! DRAM and the caller's buffer, so each DRAM byte is read or written
+//! once, with at most one read-modify-write block at each end.
 //! Accesses that cross the end of DRAM fall back to a block-at-a-time
 //! loop so the partial-write prefix and the exact
 //! [`HwError::BadPhysicalAddress`] the first bad block raises stay
@@ -49,10 +50,6 @@ pub enum EncSel {
 }
 
 const BLOCK: u64 = 16;
-
-/// Stack buffer for the streaming write path: data is encrypted in
-/// page-sized chunks so arbitrarily large writes never heap-allocate.
-const WRITE_CHUNK: usize = 4096;
 
 impl EncSel {
     /// The telemetry key label for an engine-engaged selection (`None` for
@@ -252,9 +249,10 @@ impl MemoryController {
     }
 }
 
-/// Streaming read: decrypt the aligned interior in place in `buf` with one
-/// batched cipher call; at most one partial block at each end is handled
-/// via a 16-byte bounce buffer. Caller has verified the span is in DRAM.
+/// Streaming read: decrypt the aligned interior from DRAM straight into
+/// `buf` with one batched cipher call; at most one partial block at each
+/// end is handled via a 16-byte bounce buffer. Caller has verified the
+/// span is in DRAM.
 fn read_stream(
     dram: &Dram,
     engine: &PaTweakCipher,
@@ -296,8 +294,7 @@ fn read_stream(
     let mid_end = if tail_len == BLOCK { end } else { tail_blk };
     if mid_end > cursor {
         let mid = &mut buf[out..out + (mid_end - cursor) as usize];
-        dram.read_raw(Hpa(cursor), mid)?;
-        engine.decrypt_blocks(cursor, mid);
+        engine.decrypt_blocks_to(cursor, dram.raw_span(Hpa(cursor), mid.len())?, mid);
         out += mid.len();
     }
     if tail_len != BLOCK {
@@ -310,9 +307,9 @@ fn read_stream(
 }
 
 /// Streaming write: RMW at most one partial block at each end, then
-/// encrypt the aligned interior through a fixed stack chunk so large
-/// writes cost one batched cipher pass and no heap traffic. Caller has
-/// verified the span is in DRAM and `data` is non-empty.
+/// encrypt the aligned interior from `data` straight into DRAM with one
+/// batched cipher call. Caller has verified the span is in DRAM and `data`
+/// is non-empty.
 fn write_stream(
     dram: &mut Dram,
     engine: &PaTweakCipher,
@@ -348,15 +345,11 @@ fn write_stream(
         cursor = head_blk + BLOCK;
     }
     let mid_end = if tail_len == BLOCK { end } else { tail_blk };
-    let mut chunk = [0u8; WRITE_CHUNK];
-    while cursor < mid_end {
-        let take = ((mid_end - cursor) as usize).min(WRITE_CHUNK);
-        let chunk = &mut chunk[..take];
-        chunk.copy_from_slice(&data[consumed..consumed + take]);
-        engine.encrypt_blocks(cursor, chunk);
-        dram.write_raw(Hpa(cursor), chunk)?;
+    if mid_end > cursor {
+        let take = (mid_end - cursor) as usize;
+        let mid = &data[consumed..consumed + take];
+        engine.encrypt_blocks_to(cursor, mid, dram.raw_span_mut(Hpa(cursor), take)?);
         consumed += take;
-        cursor += take as u64;
     }
     if tail_len != BLOCK {
         rmw(dram, tail_blk, 0..tail_len as usize, &data[consumed..])?;
@@ -686,15 +679,16 @@ mod tests {
         m.write(Hpa(PAGE_SIZE), &[], EncSel::Sme).unwrap();
     }
 
-    /// Large writes cross the stack-chunk boundary; the round trip and the
-    /// ciphertext must both survive chunking.
+    /// A multi-page unaligned write: the round trip and the ciphertext
+    /// must both match the blockwise oracle.
     #[test]
     fn multi_chunk_write_roundtrips() {
         let key = [0x09u8; 16];
         let engine = PaTweakCipher::new(&key);
         let mut m = MemoryController::new(Dram::new(16 * PAGE_SIZE));
         m.install_sme_key(&key);
-        let data: Vec<u8> = (0..3 * WRITE_CHUNK + 40).map(|i| (i * 31 % 251) as u8).collect();
+        let len = 3 * PAGE_SIZE as usize + 40;
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
         m.write(Hpa(8), &data, EncSel::Sme).unwrap();
         let mut back = vec![0u8; data.len()];
         m.read(Hpa(8), &mut back, EncSel::Sme).unwrap();

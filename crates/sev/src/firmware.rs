@@ -341,11 +341,9 @@ impl Firmware {
         let (ciphers, ctx) = self.cached_ciphers(h, GuestState::Launching)?;
         assert_eq!(pa.0 % 16, 0, "launch data must be block aligned");
         assert_eq!(len % 16, 0, "launch data length must be block aligned");
-        let mut buf = vec![0u8; len as usize];
-        machine.mc.dram().read_raw(pa, &mut buf).map_err(SevError::Hw)?;
-        ctx.measurement.update(&buf);
-        ciphers.engine.encrypt_blocks(pa.0, &mut buf);
-        machine.mc.dram_mut().write_raw(pa, &buf).map_err(SevError::Hw)?;
+        let cells = machine.mc.dram_mut().raw_span_mut(pa, len as usize).map_err(SevError::Hw)?;
+        ctx.measurement.update(cells);
+        ciphers.engine.encrypt_blocks(pa.0, cells);
         let lines = len.div_ceil(fidelius_hw::CACHE_LINE);
         machine.cycles.charge_as(
             fidelius_hw::cycles::CycleCategory::CryptoEngine,
@@ -512,11 +510,14 @@ impl Firmware {
             &[("page", ArgValue::U64(page_index))],
         );
         let mut page = vec![0u8; PAGE_SIZE as usize];
-        if let Err(e) = machine.mc.dram().read_raw(src_pa, &mut page) {
-            machine.span_close(span);
-            return Err(SevError::Hw(e));
-        }
-        ciphers.engine.decrypt_blocks(src_pa.0, &mut page);
+        let ciphertext = match machine.mc.dram().raw_span(src_pa, page.len()) {
+            Ok(ciphertext) => ciphertext,
+            Err(e) => {
+                machine.span_close(span);
+                return Err(SevError::Hw(e));
+            }
+        };
+        ciphers.engine.decrypt_blocks_to(src_pa.0, ciphertext, &mut page);
         ctx.measurement.update(&page);
         let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
         Ctr128::apply_with(tek, PAGE_NONCE, page_index * (PAGE_SIZE / 16), &mut page);
@@ -736,8 +737,8 @@ impl Firmware {
         assert_eq!(len % 16, 0, "io length must be block aligned");
         assert_eq!(src_pa.0 % 16, 0, "io buffers must be block aligned");
         let mut buf = vec![0u8; len as usize];
-        machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
-        ciphers.engine.decrypt_blocks(src_pa.0, &mut buf);
+        let ciphertext = machine.mc.dram().raw_span(src_pa, buf.len()).map_err(SevError::Hw)?;
+        ciphers.engine.decrypt_blocks_to(src_pa.0, ciphertext, &mut buf);
         let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
         Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, &mut buf);
         machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
@@ -842,8 +843,8 @@ impl Firmware {
             "batched io runs must not overlap"
         );
         let mut buf = vec![0u8; len as usize];
-        machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
-        ciphers.engine.decrypt_blocks(src_pa.0, &mut buf);
+        let ciphertext = machine.mc.dram().raw_span(src_pa, buf.len()).map_err(SevError::Hw)?;
+        ciphers.engine.decrypt_blocks_to(src_pa.0, ciphertext, &mut buf);
         for (s, sector) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
             let stream = first_stream.wrapping_add(s as u64);
             Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, sector);

@@ -224,6 +224,18 @@ impl Metrics {
         }
     }
 
+    /// Adds engine bytes under an already-built `crypto_bytes` key — the
+    /// [`Event::Crypto`] arm of [`Metrics::observe`] without rendering the
+    /// key label on every call.
+    pub(crate) fn add_crypto_bytes(&mut self, key: &(String, CryptoDir), bytes: u64) {
+        match self.crypto_bytes.get_mut(key) {
+            Some(total) => *total += bytes,
+            None => {
+                self.crypto_bytes.insert(key.clone(), bytes);
+            }
+        }
+    }
+
     /// Records a finished coalesced crypto run into the size histogram.
     pub(crate) fn record_crypto_run(&mut self, dir: CryptoDir, bytes: u64) {
         self.crypto_run_bytes.entry(dir).or_default().record(bytes);

@@ -5,7 +5,7 @@
 use crate::event::{CryptoDir, EncKey, Event};
 use crate::json::Json;
 use crate::metrics::Metrics;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -43,6 +43,10 @@ struct Inner {
     metrics: Metrics,
     /// An open coalesced crypto run: `(key, dir, bytes_so_far)`.
     open_crypto: Option<(EncKey, CryptoDir, u64)>,
+    /// The `crypto_bytes` registry key of each `(key, dir)` seen, built
+    /// once: the label is a `String`, and the memory controller reports
+    /// every engine pass.
+    crypto_labels: HashMap<(EncKey, CryptoDir), (String, CryptoDir)>,
 }
 
 impl Inner {
@@ -98,6 +102,7 @@ impl Tracer {
                 dropped: 0,
                 metrics: Metrics::default(),
                 open_crypto: None,
+                crypto_labels: HashMap::new(),
             })),
         }
     }
@@ -125,8 +130,9 @@ impl Tracer {
         }
         let mut guard = self.inner.lock().expect("tracer lock");
         let inner = &mut *guard;
+        let label = inner.crypto_labels.entry((key, dir)).or_insert_with(|| (key.label(), dir));
+        inner.metrics.add_crypto_bytes(label, bytes);
         let event = Event::Crypto { key, dir, bytes, ops: 1 };
-        inner.metrics.observe(&event, bytes, 1);
         match (&mut inner.open_crypto, inner.ring.back_mut()) {
             (
                 Some((open_key, open_dir, run_bytes)),
@@ -251,6 +257,54 @@ mod tests {
         // Three closed runs → three histogram samples across directions.
         let samples: u64 = m.crypto_run_bytes.values().map(|h| h.count()).sum();
         assert_eq!(samples, 3);
+    }
+
+    /// The cached registry keys must leave the metrics and their JSON
+    /// exactly as folding each call through `Metrics::observe` does, with
+    /// labels that sort as strings (`asid10` before `asid2`), across a
+    /// `clear`.
+    #[test]
+    fn cached_crypto_labels_match_observed_metrics() {
+        use CryptoDir::{Decrypt, Encrypt};
+        let calls = [
+            (EncKey::Guest(2), Encrypt, 64),
+            (EncKey::Guest(2), Encrypt, 16),
+            (EncKey::Guest(10), Decrypt, 32),
+            (EncKey::Sme, Decrypt, 8),
+            (EncKey::Guest(10), Encrypt, 128),
+            (EncKey::Guest(2), Decrypt, 4096),
+        ];
+        let t = Tracer::new(64);
+        for pass in 0..2 {
+            let mut want = Metrics::default();
+            let mut open: Option<(EncKey, CryptoDir, u64)> = None;
+            for round in 0..3 {
+                for &(key, dir, bytes) in &calls {
+                    t.crypto(key, dir, bytes + round);
+                    want.observe(&Event::Crypto { key, dir, bytes, ops: 1 }, bytes + round, 1);
+                    match &mut open {
+                        Some((k, d, run)) if *k == key && *d == dir => *run += bytes + round,
+                        _ => {
+                            if let Some((_, d, run)) = open.replace((key, dir, bytes + round)) {
+                                want.record_crypto_run(d, run);
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some((_, d, run)) = open {
+                want.record_crypto_run(d, run);
+            }
+            let got = t.metrics();
+            assert_eq!(got, want, "pass {pass}");
+            let (mut got_json, mut want_json) = (String::new(), String::new());
+            got.to_json().write(&mut got_json);
+            want.to_json().write(&mut want_json);
+            assert_eq!(got_json, want_json, "pass {pass}");
+            let order: Vec<_> = got.crypto_bytes.keys().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(order, ["asid10", "asid10", "asid2", "asid2", "sme"]);
+            t.clear();
+        }
     }
 
     #[test]
