@@ -61,6 +61,38 @@ struct DomMeta {
     sealed: bool,
 }
 
+/// One domain's GPA-page → frame assignments and their inverse.
+///
+/// `npt_write` keeps them one-to-one: a second frame for a GPA is
+/// `RemapPopulatedGpa`, a second GPA for a frame is `InDomainPageShuffle`
+/// or `FrameAlreadyBacksGpa`. So the inverse answers "does this frame back
+/// another GPA?" in one lookup, where a scan of the forward map made
+/// populating a guest quadratic in its size.
+#[derive(Debug, Default)]
+struct Assignments {
+    by_gpa: HashMap<u64, Hpa>,
+    by_frame: HashMap<Hpa, u64>,
+}
+
+impl Assignments {
+    fn frame_of(&self, gpa_page: u64) -> Option<Hpa> {
+        self.by_gpa.get(&gpa_page).copied()
+    }
+
+    /// Whether `frame` already backs a GPA page other than `gpa_page`.
+    fn backs_other_gpa(&self, gpa_page: u64, frame: Hpa) -> bool {
+        self.by_frame.get(&frame).is_some_and(|&g| g != gpa_page)
+    }
+
+    /// Records `gpa_page → frame`; the only insert, so both directions
+    /// always agree.
+    fn claim(&mut self, gpa_page: u64, frame: Hpa) {
+        debug_assert!(self.frame_of(gpa_page).is_none() && !self.backs_other_gpa(gpa_page, frame));
+        self.by_gpa.insert(gpa_page, frame);
+        self.by_frame.insert(frame, gpa_page);
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct SevMeta {
     handle: Handle,
@@ -88,7 +120,7 @@ pub struct Fidelius {
     gates: Option<Gates>,
     once: OncePolicy,
     shadows: HashMap<DomainId, ShadowCtx>,
-    assignments: HashMap<DomainId, HashMap<u64, Hpa>>,
+    assignments: HashMap<DomainId, Assignments>,
     npt_pages: HashMap<u64, NptPageInfo>, // keyed by pfn
     doms: HashMap<DomainId, DomMeta>,
     sev_meta: HashMap<DomainId, SevMeta>,
@@ -186,8 +218,7 @@ impl Fidelius {
         let frame = self
             .assignments
             .get(&dom)
-            .and_then(|m| m.get(&gpa_page))
-            .copied()
+            .and_then(|a| a.frame_of(gpa_page))
             .ok_or(GuardError::Policy("write-once target not populated"))?;
         if !self.once.tracks(frame) {
             self.once.track(frame, PAGE_SIZE);
@@ -354,10 +385,7 @@ impl Fidelius {
     }
 
     fn frame_assigned_elsewhere(&self, dom: DomainId, gpa_page: u64, frame: Hpa) -> bool {
-        self.assignments
-            .get(&dom)
-            .map(|m| m.iter().any(|(g, f)| *f == frame && *g != gpa_page))
-            .unwrap_or(false)
+        self.assignments.get(&dom).is_some_and(|a| a.backs_other_gpa(gpa_page, frame))
     }
 
     fn grant_authorizes_foreign_map(
@@ -627,7 +655,7 @@ impl Guardian for Fidelius {
                 let gpa_page = (info.gpa_prefix >> 12) + idx;
                 let frame = pte.addr().page_base();
                 let entry = self.pit.query(frame, &mut plat.machine.cycles);
-                let assigned = self.assignments.get(&dom).and_then(|m| m.get(&gpa_page)).copied();
+                let assigned = self.assignments.get(&dom).and_then(|a| a.frame_of(gpa_page));
                 match assigned {
                     Some(f) if f == frame => {} // permission / C-bit update
                     Some(_) => {
@@ -726,7 +754,7 @@ impl Guardian for Fidelius {
         if let Some((frame, gpa_page)) = claim {
             let asid = self.doms.get(&dom).map(|m| m.asid).unwrap_or(0);
             self.pit.set(frame, PitEntry::new(Usage::GuestPage, dom.0, asid, false));
-            self.assignments.entry(dom).or_default().insert(gpa_page, frame);
+            self.assignments.entry(dom).or_default().claim(gpa_page, frame);
             if sealed {
                 self.unmap_dm(plat, frame)?;
             }
@@ -765,8 +793,7 @@ impl Guardian for Fidelius {
                     DenialReason::GrantNotAuthorized,
                 ));
             }
-            let assigned =
-                self.assignments.get(&owner).and_then(|m| m.get(&entry.gpa_page)).copied();
+            let assigned = self.assignments.get(&owner).and_then(|a| a.frame_of(entry.gpa_page));
             if assigned != Some(entry.frame) {
                 return Err(self.refuse(
                     plat,
@@ -1127,7 +1154,7 @@ impl Guardian for Fidelius {
                 sealed: false,
             },
         );
-        self.assignments.insert(dom.id, HashMap::new());
+        self.assignments.insert(dom.id, Assignments::default());
         self.pit.set(dom.vmcb_pa, PitEntry::new(Usage::Vmcb, dom.id.0, dom.asid.0, false));
         self.pit.set(dom.npt_root, PitEntry::new(Usage::NptPage, dom.id.0, 0, false));
         self.npt_pages
@@ -1142,7 +1169,7 @@ impl Guardian for Fidelius {
         let frames: Vec<Hpa> = self
             .assignments
             .get(&dom.id)
-            .map(|m| m.values().copied().collect())
+            .map(|a| a.by_gpa.values().copied().collect())
             .unwrap_or_default();
         for f in frames {
             if !self.pit.peek(f).shared() {
@@ -1177,7 +1204,7 @@ impl Guardian for Fidelius {
         self.git.remove_domain(dom);
         // Return frames: PIT → Free, hypervisor mappings restored.
         if let Some(assign) = self.assignments.remove(&dom) {
-            for (_gpa, frame) in assign {
+            for frame in assign.by_gpa.into_values() {
                 self.pit.clear(frame);
                 self.remap_dm(plat, frame, true)?;
             }
@@ -1198,5 +1225,89 @@ impl Guardian for Fidelius {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lifecycle::fidelius_mut;
+    use fidelius_hw::paging::PTE_WRITABLE;
+    use fidelius_xen::{System, XenError};
+
+    fn system() -> System {
+        System::new(32 * 1024 * 1024, 41, Box::new(Fidelius::new())).unwrap()
+    }
+
+    fn map(sys: &mut System, dom: DomainId, gpa_page: u64, frame: Hpa) -> Result<(), XenError> {
+        sys.xen.npt_map(&mut sys.plat, &mut *sys.guardian, dom, gpa_page, frame, PTE_WRITABLE)
+    }
+
+    fn new_domain(sys: &mut System) -> DomainId {
+        sys.xen.create_domain(&mut sys.plat, &mut *sys.guardian, 64).unwrap()
+    }
+
+    fn assert_refused(result: Result<(), XenError>, reason: DenialReason) {
+        match result {
+            Err(XenError::Guard(GuardError::Policy(msg))) => assert_eq!(msg, reason.as_str()),
+            other => panic!("expected {reason:?}, got {other:?}"),
+        }
+    }
+
+    /// Every domain's inverse map is exactly the inverse of its forward map.
+    fn assert_inverse(sys: &mut System) {
+        let fid = fidelius_mut(sys).unwrap();
+        for (dom, a) in &fid.assignments {
+            assert_eq!(a.by_frame.len(), a.by_gpa.len(), "{dom:?}");
+            for (&gpa, &frame) in &a.by_gpa {
+                assert_eq!(a.by_frame.get(&frame), Some(&gpa), "{dom:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_index_tracks_every_claim_and_destroy() {
+        let mut sys = system();
+        let frames: Vec<Hpa> = (0..24).map(|_| sys.xen.guest_pool.alloc().unwrap()).collect();
+        let mut doms: Vec<DomainId> = (0..3).map(|_| new_domain(&mut sys)).collect();
+        let (mut x, mut claims) = (0x2545_f491_4f6c_dd1du64, 0);
+        for step in 0..600 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if step % 97 == 96 {
+                let victim = (x % 3) as usize;
+                sys.xen.destroy_domain(&mut sys.plat, &mut *sys.guardian, doms[victim]).unwrap();
+                let fid = fidelius_mut(&mut sys).unwrap();
+                assert!(!fid.assignments.contains_key(&doms[victim]), "entry outlived its domain");
+                doms[victim] = new_domain(&mut sys);
+            } else {
+                let dom = doms[(x % 3) as usize];
+                let frame = frames[((x >> 8) % frames.len() as u64) as usize];
+                claims += u32::from(map(&mut sys, dom, (x >> 20) % 32, frame).is_ok());
+            }
+            assert_inverse(&mut sys);
+        }
+        assert!(claims > 50, "the sequence must exercise claims, saw {claims}");
+    }
+
+    /// A `Free` PIT entry for a frame that still backs a GPA arises only from
+    /// crafted state; the inverse index must still refuse a second GPA.
+    #[test]
+    fn frame_already_backing_a_gpa_is_refused_when_pit_says_free() {
+        let mut sys = system();
+        let dom = new_domain(&mut sys);
+        let frame = sys.xen.guest_pool.alloc().unwrap();
+        map(&mut sys, dom, 1, frame).unwrap();
+        assert_refused(map(&mut sys, dom, 2, frame), DenialReason::InDomainPageShuffle);
+        fidelius_mut(&mut sys).unwrap().pit.clear(frame);
+        assert_refused(map(&mut sys, dom, 2, frame), DenialReason::FrameAlreadyBacksGpa);
+        let last = sys.plat.machine.trace.events().into_iter().rev().find_map(|t| match t.event {
+            Event::Denial { reason } => Some(reason),
+            _ => None,
+        });
+        assert_eq!(last, Some(DenialReason::FrameAlreadyBacksGpa));
+        // Re-mapping the GPA it backs is still a permission update.
+        map(&mut sys, dom, 1, frame).unwrap();
     }
 }

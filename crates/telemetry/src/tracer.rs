@@ -5,7 +5,7 @@
 use crate::event::{CryptoDir, EncKey, Event};
 use crate::json::Json;
 use crate::metrics::Metrics;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -43,13 +43,52 @@ struct Inner {
     metrics: Metrics,
     /// An open coalesced crypto run: `(key, dir, bytes_so_far)`.
     open_crypto: Option<(EncKey, CryptoDir, u64)>,
-    /// The `crypto_bytes` registry key of each `(key, dir)` seen, built
-    /// once: the label is a `String`, and the memory controller reports
-    /// every engine pass.
-    crypto_labels: HashMap<(EncKey, CryptoDir), (String, CryptoDir)>,
+    /// Engine bytes per `(key, dir)` not yet folded into
+    /// `metrics.crypto_bytes`, indexed by [`crypto_slot`]: the memory
+    /// controller reports every engine pass, and this keeps that path free
+    /// of hashing and string compares.
+    crypto_tallies: Vec<Option<CryptoTally>>,
+}
+
+/// One `(key, dir)`'s `crypto_bytes` registry key, built once, and its
+/// bytes since the last fold (`None`: nothing to fold).
+#[derive(Debug)]
+struct CryptoTally {
+    label: (String, CryptoDir),
+    unfolded: Option<u64>,
+}
+
+/// The dense index of a `(key, dir)` pair: the SME key first, then guest
+/// keys by ASID, two directions each.
+fn crypto_slot(key: EncKey, dir: CryptoDir) -> usize {
+    let key = match key {
+        EncKey::Sme => 0,
+        EncKey::Guest(asid) => usize::from(asid) + 1,
+    };
+    2 * key + usize::from(dir == CryptoDir::Decrypt)
 }
 
 impl Inner {
+    fn add_crypto_bytes(&mut self, key: EncKey, dir: CryptoDir, bytes: u64) {
+        let slot = crypto_slot(key, dir);
+        if slot >= self.crypto_tallies.len() {
+            self.crypto_tallies.resize_with(slot + 1, || None);
+        }
+        let tally = self.crypto_tallies[slot]
+            .get_or_insert_with(|| CryptoTally { label: (key.label(), dir), unfolded: None });
+        *tally.unfolded.get_or_insert(0) += bytes;
+    }
+
+    /// Folds the unfolded engine bytes into the registry, so a snapshot
+    /// reads exactly what adding each call directly would have.
+    fn fold_crypto_bytes(&mut self) {
+        for tally in self.crypto_tallies.iter_mut().flatten() {
+            if let Some(bytes) = tally.unfolded.take() {
+                self.metrics.add_crypto_bytes(&tally.label, bytes);
+            }
+        }
+    }
+
     fn close_crypto_run(&mut self) {
         if let Some((_, dir, bytes)) = self.open_crypto.take() {
             self.metrics.record_crypto_run(dir, bytes);
@@ -102,7 +141,7 @@ impl Tracer {
                 dropped: 0,
                 metrics: Metrics::default(),
                 open_crypto: None,
-                crypto_labels: HashMap::new(),
+                crypto_tallies: Vec::new(),
             })),
         }
     }
@@ -130,8 +169,7 @@ impl Tracer {
         }
         let mut guard = self.inner.lock().expect("tracer lock");
         let inner = &mut *guard;
-        let label = inner.crypto_labels.entry((key, dir)).or_insert_with(|| (key.label(), dir));
-        inner.metrics.add_crypto_bytes(label, bytes);
+        inner.add_crypto_bytes(key, dir, bytes);
         let event = Event::Crypto { key, dir, bytes, ops: 1 };
         match (&mut inner.open_crypto, inner.ring.back_mut()) {
             (
@@ -167,6 +205,7 @@ impl Tracer {
     pub fn metrics(&self) -> Metrics {
         let mut inner = self.inner.lock().expect("tracer lock");
         inner.close_crypto_run();
+        inner.fold_crypto_bytes();
         inner.metrics.clone()
     }
 
@@ -184,6 +223,7 @@ impl Tracer {
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("tracer lock");
         inner.ring.clear();
+        inner.fold_crypto_bytes();
         inner.metrics = Metrics::default();
         inner.open_crypto = None;
     }
@@ -305,6 +345,43 @@ mod tests {
             assert_eq!(order, ["asid10", "asid10", "asid2", "asid2", "sme"]);
             t.clear();
         }
+    }
+
+    /// Unfolded engine bytes reach every snapshot and none survive a
+    /// `clear`; a key whose first call carries zero bytes still gets its
+    /// entry, as adding each call to the registry directly gives.
+    #[test]
+    fn crypto_tallies_fold_at_snapshots_and_reset_on_clear() {
+        use std::collections::BTreeMap;
+        let t = Tracer::new(8);
+        let mut want: BTreeMap<(String, CryptoDir), u64> = BTreeMap::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..600u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = match x % 5 {
+                0 => EncKey::Sme,
+                4 => EncKey::Guest(u16::MAX),
+                k => EncKey::Guest(k as u16 * 7),
+            };
+            let dir = if (x >> 8) & 1 == 0 { CryptoDir::Encrypt } else { CryptoDir::Decrypt };
+            let bytes = (x >> 16) % 5 * 64;
+            t.crypto(key, dir, bytes);
+            *want.entry((key.label(), dir)).or_default() += bytes;
+            if step % 37 == 0 {
+                t.emit(Event::Vmrun { asid: 1, sev: true });
+                assert_eq!(t.metrics().crypto_bytes, want, "step {step}");
+            }
+            if step % 250 == 249 {
+                t.clear();
+                want.clear();
+                assert!(t.metrics().crypto_bytes.is_empty(), "step {step}");
+                t.crypto(EncKey::Guest(3), CryptoDir::Encrypt, 0);
+                want.insert(("asid3".to_string(), CryptoDir::Encrypt), 0);
+            }
+        }
+        assert_eq!(t.metrics().crypto_bytes, want);
     }
 
     #[test]
