@@ -22,7 +22,7 @@
 //! # Backend-keyed floors
 //!
 //! Throughput entries may carry an `"aes_backend"` field naming the host
-//! AES engine that produced them (`ttable`/`bitsliced`/`aesni`). Floors
+//! AES engine that produced them (`ttable`/`aesni`). Floors
 //! only bind when baseline and current ran the *same* backend: a baseline
 //! recorded on hardware AES describes that hardware, and holding a
 //! T-table host to it would fail CI for owning the wrong CPU. On a
@@ -30,7 +30,7 @@
 //! `cycles_per_byte` figure is still required to match exactly — modeled
 //! cost is backend-independent by construction, so it is precisely the
 //! check that must *not* be skipped. A scenario that exists only on
-//! hardware AES (`soft_aes_aesni`) may be absent from the current run;
+//! hardware AES (`aes_ni_blocks`) may be absent from the current run;
 //! that is a skip, not a failure, iff the baseline marked it `aesni`.
 //!
 //! Usage:

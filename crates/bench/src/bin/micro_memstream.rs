@@ -16,16 +16,10 @@
 //!   consecutive blocks with an incrementally derived tweak.
 //! - `ctr128`               — transport CTR mode (SEND/RECEIVE payloads).
 //! - `sector_cipher`        — the `Kblk` disk path, sector by sector.
-//! - `soft_aes_ctr`         — CTR over the software AES the paper
-//!   charges >20x for. Since the raw-speed pass it delegates its bulk
-//!   work to the interleaved T-table engine (same FIPS-197 bytes; the
-//!   modeled `soft_aes_line` charge is what stays >20x).
-//! - `soft_aes_interleaved` — the 8-way interleaved T-table block path
+//! - `aes_ttable_blocks`    — the 8-way interleaved T-table block path
 //!   alone (consecutive blocks, no mode overhead): the ceiling the
 //!   interleaving buys every cipher built on it.
-//! - `soft_aes_bitsliced`   — the same block stream on the constant-time
-//!   bitsliced backend: what the side-channel-free engine costs.
-//! - `soft_aes_aesni`       — the same block stream on the hardware AES
+//! - `aes_ni_blocks`        — the same block stream on the hardware AES
 //!   backend; present only when the `aesni` feature is compiled in *and*
 //!   the host CPU has the instructions.
 //!
@@ -60,7 +54,6 @@
 
 use fidelius_bench::{arg_u64, emit_throughput, measure_throughput, note, Throughput};
 use fidelius_crypto::aes::{default_backend, Aes128, AesBackend};
-use fidelius_crypto::aes_soft::SoftAes128;
 use fidelius_crypto::modes::{Ctr128, PaTweakCipher, SectorCipher, SECTOR_SIZE};
 use fidelius_hw::cpu::{Machine, PrivOp};
 use fidelius_hw::mem::{Dram, FrameAllocator};
@@ -130,45 +123,24 @@ fn sector_cipher(iters: u32, len: usize) -> Throughput {
     .with_aes_backend(default_backend().name())
 }
 
-/// The software AES the paper's >20x slowdown models.
-fn soft_aes_ctr(iters: u32, len: usize) -> Throughput {
-    let mut buf = vec![0xA5u8; len];
-    let soft = SoftAes128::new(&[7; 16]);
-    measure_throughput("soft_aes_ctr", len as u64, iters, || {
-        soft.ctr_apply(0x1234, &mut buf);
-    })
-    .with_aes_backend(default_backend().name())
-}
-
 /// The interleaved T-table block path by itself: 8 blocks in flight per
 /// round-loop iteration, consecutive blocks, no mode around it. Pinned
 /// to the T-table backend so the number stays comparable across builds.
-fn soft_aes_interleaved(iters: u32, len: usize) -> Throughput {
+fn aes_ttable_blocks(iters: u32, len: usize) -> Throughput {
     let mut buf = vec![0xA5u8; len];
     let aes = Aes128::with_backend(&[7; 16], AesBackend::TTable).expect("always available");
-    measure_throughput("soft_aes_interleaved", len as u64, iters, || {
+    measure_throughput("aes_ttable_blocks", len as u64, iters, || {
         aes.encrypt_blocks(&mut buf);
     })
     .with_aes_backend(AesBackend::TTable.name())
 }
 
-/// The same block stream on the constant-time bitsliced backend: the
-/// price of the no-secret-indexed-loads guarantee, measured.
-fn soft_aes_bitsliced(iters: u32, len: usize) -> Throughput {
-    let mut buf = vec![0xA5u8; len];
-    let aes = Aes128::with_backend(&[7; 16], AesBackend::Bitsliced).expect("always available");
-    measure_throughput("soft_aes_bitsliced", len as u64, iters, || {
-        aes.encrypt_blocks(&mut buf);
-    })
-    .with_aes_backend(AesBackend::Bitsliced.name())
-}
-
 /// The same block stream on the hardware AES instructions. Only run when
 /// the backend is actually available (see `main`).
-fn soft_aes_aesni(iters: u32, len: usize) -> Throughput {
+fn aes_ni_blocks(iters: u32, len: usize) -> Throughput {
     let mut buf = vec![0xA5u8; len];
     let aes = Aes128::with_backend(&[7; 16], AesBackend::AesNi).expect("availability checked");
-    measure_throughput("soft_aes_aesni", len as u64, iters, || {
+    measure_throughput("aes_ni_blocks", len as u64, iters, || {
         aes.encrypt_blocks(&mut buf);
     })
     .with_aes_backend(AesBackend::AesNi.name())
@@ -304,14 +276,12 @@ fn main() {
         pa_tweak_stream,
         ctr128,
         sector_cipher,
-        soft_aes_ctr,
-        soft_aes_interleaved,
-        soft_aes_bitsliced,
+        aes_ttable_blocks,
     ];
     if AesBackend::AesNi.available() {
-        scenarios.push(soft_aes_aesni);
+        scenarios.push(aes_ni_blocks);
     } else {
-        note!("  (soft_aes_aesni skipped: hardware AES backend unavailable in this build/host)");
+        note!("  (aes_ni_blocks skipped: hardware AES backend unavailable in this build/host)");
     }
     scenarios.extend([
         guest_gpa_stream,

@@ -1,8 +1,9 @@
 //! Shared helpers for the benchmark/reproduction binaries.
 //!
 //! Each paper table/figure has a binary in `src/bin/` that regenerates
-//! it; the plain timing harnesses in `benches/` measure the wall-clock
-//! cost of the implementation itself.
+//! it; `micro_memstream` and `io_stream` measure the wall-clock cost of
+//! the implementation itself, and the separate `fbench` package times the
+//! whole pipeline end to end.
 //!
 //! Every binary supports `--json`: tables are then emitted as one
 //! JSON-lines object per table (`{"table": ..., "headers": [...],
@@ -174,8 +175,8 @@ pub struct Throughput {
     /// so `bench_guard` asserts it *unchanged* against the baseline,
     /// separating modeled-cost regressions from wall-clock noise.
     pub cycles_per_byte: Option<f64>,
-    /// Host AES backend the scenario ran on (`"ttable"`, `"bitsliced"`,
-    /// `"aesni"`), when AES dominates its wall clock. `bench_guard` keys
+    /// Host AES backend the scenario ran on (`"ttable"` or `"aesni"`),
+    /// when AES dominates its wall clock. `bench_guard` keys
     /// its throughput floors on this: a baseline recorded on `aesni`
     /// must not fail CI on a host without the instructions.
     pub aes_backend: Option<&'static str>,
@@ -257,15 +258,14 @@ pub fn emit_throughput(t: &Throughput) {
     }
 }
 
-/// Per-iteration timing statistics from [`time_iter_stats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IterStats {
+/// Per-iteration timing statistics behind [`measure_throughput`].
+struct IterStats {
     /// Median nanoseconds per iteration (the headline number).
-    pub median_ns: u64,
+    median_ns: u64,
     /// Fastest iteration, nanoseconds.
-    pub min_ns: u64,
+    min_ns: u64,
     /// Slowest iteration, nanoseconds.
-    pub max_ns: u64,
+    max_ns: u64,
 }
 
 fn sample_iters(iters: u32, mut f: impl FnMut()) -> IterStats {
@@ -284,45 +284,6 @@ fn sample_iters(iters: u32, mut f: impl FnMut()) -> IterStats {
     }
 }
 
-/// Times `f` per iteration (after one warm-up call) and returns the
-/// median/min/max spread — the min/max answer "was that slow run the
-/// code or the machine?" in CI triage.
-///
-/// Iterations are timed in up to 32 equal batches (so the clock-read
-/// overhead stays amortized even for nanosecond-scale bodies); each
-/// sample is the per-iteration average of one batch.
-pub fn time_iter_stats<R>(iters: u32, mut f: impl FnMut() -> R) -> IterStats {
-    std::hint::black_box(f());
-    let iters = iters.max(1);
-    let batches = iters.min(32);
-    let per_batch = iters / batches;
-    let mut samples: Vec<u64> = (0..batches)
-        .map(|b| {
-            // The last batch absorbs the remainder.
-            let n = if b == batches - 1 { iters - per_batch * (batches - 1) } else { per_batch };
-            let start = std::time::Instant::now();
-            for _ in 0..n {
-                std::hint::black_box(f());
-            }
-            (start.elapsed().as_nanos() / u128::from(n)) as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    IterStats {
-        median_ns: samples[samples.len() / 2],
-        min_ns: samples[0],
-        max_ns: samples[samples.len() - 1],
-    }
-}
-
-/// Times `f` over `iters` iterations (after one warm-up call) and returns
-/// the *median* nanoseconds per iteration. The plain replacement for the
-/// external benchmark harness in `benches/`; use [`time_iter_stats`] when
-/// the min/max spread matters.
-pub fn time_ns_per_iter<R>(iters: u32, f: impl FnMut() -> R) -> f64 {
-    time_iter_stats(iters, f).median_ns as f64
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -332,16 +293,6 @@ mod tests {
             &["a", "b"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
-    }
-
-    #[test]
-    fn timer_returns_positive() {
-        let mut x = 0u64;
-        let ns = super::time_ns_per_iter(10, || {
-            x = x.wrapping_add(1);
-            x
-        });
-        assert!(ns >= 0.0);
     }
 
     #[test]
@@ -357,9 +308,8 @@ mod tests {
     #[test]
     fn iter_stats_order_and_throughput_spread() {
         let mut x = 0u64;
-        let stats = super::time_iter_stats(100, || {
-            x = x.wrapping_add(1);
-            x
+        let stats = super::sample_iters(100, || {
+            x = std::hint::black_box(x.wrapping_add(1));
         });
         assert!(stats.min_ns <= stats.median_ns && stats.median_ns <= stats.max_ns);
 

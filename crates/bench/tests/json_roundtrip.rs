@@ -90,7 +90,7 @@ fn micro_memstream_json_round_trips() {
     let lines = run_json(env!("CARGO_BIN_EXE_micro_memstream"), &["--iters", "3", "--mb", "1"]);
     let benches: Vec<&str> =
         lines.iter().filter_map(|j| j.get("bench").and_then(Json::as_str)).collect();
-    // `soft_aes_aesni` only appears when the binary was built with the
+    // `aes_ni_blocks` only appears when the binary was built with the
     // `aesni` feature AND the host CPU has the instructions.
     let mut expected = vec![
         "memctrl_guest_stream",
@@ -98,12 +98,10 @@ fn micro_memstream_json_round_trips() {
         "pa_tweak_stream",
         "ctr128",
         "sector_cipher",
-        "soft_aes_ctr",
-        "soft_aes_interleaved",
-        "soft_aes_bitsliced",
+        "aes_ttable_blocks",
     ];
     if fidelius_crypto::aes::AesBackend::AesNi.available() {
-        expected.push("soft_aes_aesni");
+        expected.push("aes_ni_blocks");
     }
     expected.extend([
         "guest_gpa_stream",
@@ -119,7 +117,7 @@ fn micro_memstream_json_round_trips() {
     }
     // Cipher-backed scenarios record which AES engine produced them so
     // bench_guard can key its floors on the backend.
-    for cipher_bench in ["soft_aes_ctr", "soft_aes_interleaved", "soft_aes_bitsliced"] {
+    for cipher_bench in ["ctr128", "sector_cipher", "aes_ttable_blocks"] {
         let line = lines
             .iter()
             .find(|j| j.get("bench").and_then(Json::as_str) == Some(cipher_bench))

@@ -118,44 +118,6 @@ impl AuditLog {
     }
 }
 
-/// Classifies a denial reason string into an [`AuditKind`] with substring
-/// heuristics.
-#[deprecated(
-    note = "denials are typed now; use `DenialReason::kind()` instead of string classification"
-)]
-pub fn classify(reason: &str) -> AuditKind {
-    if reason.contains("grant") || reason.contains("pre_sharing") {
-        AuditKind::GitViolation
-    } else if reason.contains("CR0")
-        || reason.contains("CR3")
-        || reason.contains("CR4")
-        || reason.contains("SMEP")
-        || reason.contains("NXE")
-        || reason.contains("SVME")
-        || reason.contains("VMRUN")
-        || reason.contains("vmrun")
-    {
-        AuditKind::InstrViolation
-    } else if reason.contains("once") {
-        AuditKind::OnceViolation
-    } else if reason.contains("tampered")
-        || reason.contains("mismatch")
-        || reason.contains("diverted")
-    {
-        AuditKind::IntegrityViolation
-    } else if reason.contains("page")
-        || reason.contains("frame")
-        || reason.contains("NPT")
-        || reason.contains("PIT")
-        || reason.contains("replay")
-        || reason.contains("mappable")
-    {
-        AuditKind::PitViolation
-    } else {
-        AuditKind::Other
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,17 +173,6 @@ mod tests {
         assert!(!log.ingest(&Event::Vmrun { asid: 1, sev: true }));
         assert_eq!(log.total(), 2);
         assert_eq!(log.count(AuditKind::IntegrityViolation), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn classification_heuristics_shim() {
-        assert_eq!(classify("grant not authorized by pre_sharing (GIT)"), AuditKind::GitViolation);
-        assert_eq!(classify("CR0.WP cannot be cleared"), AuditKind::InstrViolation);
-        assert_eq!(classify("remapping a populated GPA (replay)"), AuditKind::PitViolation);
-        assert_eq!(classify("vmcb field tampered"), AuditKind::IntegrityViolation);
-        assert_eq!(classify("write-once page already initialized"), AuditKind::OnceViolation);
-        assert_eq!(classify("???"), AuditKind::Other);
     }
 
     #[test]

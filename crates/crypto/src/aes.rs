@@ -289,9 +289,6 @@ pub enum AesBackend {
     /// table loads are indexed by secret state bytes (a cache-timing
     /// side channel on real silicon — see THREAT_MODEL.md).
     TTable,
-    /// Constant-time bitsliced core (`aes_bitsliced` module): no tables,
-    /// no secret-dependent loads or branches; slower than the T-tables.
-    Bitsliced,
     /// Hardware AES instructions via `std::arch::x86_64`. Requires the
     /// `aesni` cargo feature *and* runtime `is_x86_feature_detected!("aes")`.
     AesNi,
@@ -299,13 +296,12 @@ pub enum AesBackend {
 
 impl AesBackend {
     /// Every backend variant, in preference order for sweeps.
-    pub const ALL: [AesBackend; 3] = [AesBackend::TTable, AesBackend::Bitsliced, AesBackend::AesNi];
+    pub const ALL: [AesBackend; 2] = [AesBackend::TTable, AesBackend::AesNi];
 
     /// Stable lowercase name, matching the `FIDELIUS_AES_BACKEND` values.
     pub fn name(self) -> &'static str {
         match self {
             AesBackend::TTable => "ttable",
-            AesBackend::Bitsliced => "bitsliced",
             AesBackend::AesNi => "aesni",
         }
     }
@@ -314,7 +310,6 @@ impl AesBackend {
     pub fn parse(s: &str) -> Option<AesBackend> {
         match s {
             "ttable" => Some(AesBackend::TTable),
-            "bitsliced" => Some(AesBackend::Bitsliced),
             "aesni" => Some(AesBackend::AesNi),
             _ => None,
         }
@@ -323,7 +318,7 @@ impl AesBackend {
     /// Whether this backend can run in this build on this host.
     pub fn available(self) -> bool {
         match self {
-            AesBackend::TTable | AesBackend::Bitsliced => true,
+            AesBackend::TTable => true,
             #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
             AesBackend::AesNi => crate::aes_ni::available(),
             #[cfg(not(all(feature = "aesni", target_arch = "x86_64")))]
@@ -346,7 +341,7 @@ fn forced_backend() -> Option<AesBackend> {
         let backend = AesBackend::parse(&raw).unwrap_or_else(|| {
             panic!(
                 "FIDELIUS_AES_BACKEND={raw:?} is not a known backend \
-                 (expected one of: ttable, bitsliced, aesni)"
+                 (expected one of: ttable, aesni)"
             )
         });
         assert!(
@@ -361,9 +356,7 @@ fn forced_backend() -> Option<AesBackend> {
 
 /// The backend new [`KeySchedule`]s use when none is requested explicitly:
 /// the `FIDELIUS_AES_BACKEND` override if set, otherwise AES-NI when it is
-/// compiled in and detected, otherwise the portable T-table core. The
-/// constant-time bitsliced core is never auto-selected — it is opt-in for
-/// callers (or hosts) that value the side-channel guarantee over speed.
+/// compiled in and detected, otherwise the portable T-table core.
 pub fn default_backend() -> AesBackend {
     if let Some(forced) = forced_backend() {
         return forced;
@@ -400,9 +393,9 @@ pub fn schedule_clones() -> u64 {
 /// schedule is exposed for the few places (e.g. the memory controller) that
 /// select a key size at runtime.
 ///
-/// The key is expanded exactly once; backend-specific key forms (bitsliced
-/// planes, AES-NI byte keys) are derived from that single expansion at
-/// construction and shared for the schedule's lifetime.
+/// The key is expanded exactly once; the AES-NI byte keys are derived from
+/// that single expansion at construction and shared for the schedule's
+/// lifetime.
 pub struct KeySchedule {
     /// Encryption round keys as column words.
     enc: Vec<[u32; 4]>,
@@ -412,8 +405,6 @@ pub struct KeySchedule {
     rounds: usize,
     /// Engine chosen at construction; dispatched per batch, never per block.
     backend: AesBackend,
-    /// Bitsliced key planes, present iff `backend == Bitsliced`.
-    bitsliced: Option<crate::aes_bitsliced::BitslicedKeys>,
     /// Byte-form round keys for the AES instructions, present iff
     /// `backend == AesNi`.
     #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
@@ -428,7 +419,6 @@ impl Clone for KeySchedule {
             dec: self.dec.clone(),
             rounds: self.rounds,
             backend: self.backend,
-            bitsliced: self.bitsliced.clone(),
             #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
             ni: self.ni.clone(),
         }
@@ -457,8 +447,8 @@ impl KeySchedule {
 
     /// Expands `key` and pins the schedule to an explicit `backend`.
     ///
-    /// The expansion runs once; the backend's key form (bitsliced planes,
-    /// AES-NI byte keys) is derived from it rather than re-expanding.
+    /// The expansion runs once; the AES-NI byte keys are derived from it
+    /// rather than re-expanding.
     ///
     /// # Errors
     ///
@@ -471,18 +461,9 @@ impl KeySchedule {
         }
         let mut ks = Self::expand(key)?;
         ks.backend = backend;
-        match backend {
-            AesBackend::TTable => {}
-            AesBackend::Bitsliced => {
-                ks.bitsliced =
-                    Some(crate::aes_bitsliced::BitslicedKeys::from_enc_schedule(ks.enc_words()));
-            }
-            AesBackend::AesNi => {
-                #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
-                {
-                    ks.ni = Some(crate::aes_ni::NiKeys::from_words(ks.enc_words(), ks.dec_words()));
-                }
-            }
+        #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
+        if backend == AesBackend::AesNi {
+            ks.ni = Some(crate::aes_ni::NiKeys::from_words(ks.enc_words(), ks.dec_words()));
         }
         Ok(ks)
     }
@@ -536,7 +517,6 @@ impl KeySchedule {
             dec,
             rounds,
             backend: AesBackend::TTable,
-            bitsliced: None,
             #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
             ni: None,
         })
@@ -552,8 +532,8 @@ impl KeySchedule {
         self.backend
     }
 
-    /// The expanded encryption round keys as big-endian column words (for
-    /// sibling backend modules deriving their key forms).
+    /// The expanded encryption round keys as big-endian column words.
+    #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
     pub(crate) fn enc_words(&self) -> &[[u32; 4]] {
         &self.enc
     }
@@ -572,13 +552,11 @@ impl KeySchedule {
         self.ni.as_ref()
     }
 
-    /// Encrypts one 16-byte block in place. Dispatches to the schedule's
-    /// backend even for a single block, so the constant-time guarantee of
-    /// [`AesBackend::Bitsliced`] holds on every path.
+    /// Encrypts one 16-byte block in place on the schedule's backend.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         match self.backend {
             AesBackend::TTable => self.ttable_encrypt_block(block),
-            _ => self.encrypt_batch_dispatch(block.as_mut_slice()),
+            AesBackend::AesNi => self.encrypt_batch_dispatch(block.as_mut_slice()),
         }
     }
 
@@ -587,7 +565,7 @@ impl KeySchedule {
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
         match self.backend {
             AesBackend::TTable => self.ttable_decrypt_block(block),
-            _ => self.decrypt_batch_dispatch(block.as_mut_slice()),
+            AesBackend::AesNi => self.decrypt_batch_dispatch(block.as_mut_slice()),
         }
     }
 
@@ -701,12 +679,6 @@ impl KeySchedule {
                     self.ttable_encrypt_block(block);
                 }
             }
-            AesBackend::Bitsliced => {
-                self.bitsliced
-                    .as_ref()
-                    .expect("bitsliced keys built at construction")
-                    .encrypt_blocks(blocks);
-            }
             AesBackend::AesNi => {
                 #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
                 self.ni.as_ref().expect("aesni keys built at construction").encrypt_blocks(blocks);
@@ -730,12 +702,6 @@ impl KeySchedule {
                     self.ttable_decrypt_block(block);
                 }
             }
-            AesBackend::Bitsliced => {
-                self.bitsliced
-                    .as_ref()
-                    .expect("bitsliced keys built at construction")
-                    .decrypt_blocks(blocks);
-            }
             AesBackend::AesNi => {
                 #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
                 self.ni.as_ref().expect("aesni keys built at construction").decrypt_blocks(blocks);
@@ -752,7 +718,7 @@ impl KeySchedule {
     ///
     /// The keystream is generated [`INTERLEAVE`] counter blocks at a time
     /// into a stack scratch and encrypted through the schedule's backend
-    /// (interleaved T-tables, bitsliced planes or AES instructions); whole-
+    /// (interleaved T-tables or AES instructions); whole-
     /// block tails use the single-block path and the final short chunk XORs
     /// from one stack keystream block sliced to `chunk.len()` — no per-byte
     /// length branching.
@@ -1019,15 +985,25 @@ mod tests {
     }
 
     #[test]
+    fn only_two_backends_parse() {
+        assert_eq!(AesBackend::ALL.len(), 2);
+        // A stale `FIDELIUS_AES_BACKEND` naming a removed engine must not
+        // parse, so forcing it panics instead of falling back.
+        assert_eq!(AesBackend::parse("bitsliced"), None);
+    }
+
+    #[test]
     fn typed_variants_expose_backend_pinning() {
-        let cipher = Aes256::with_backend(&[0x11u8; 32], AesBackend::Bitsliced).unwrap();
-        assert_eq!(cipher.backend(), AesBackend::Bitsliced);
-        let mut block = [0xA5u8; 16];
         let reference = Aes256::with_backend(&[0x11u8; 32], AesBackend::TTable).unwrap();
-        let mut expect = block;
-        cipher.encrypt_block(&mut block);
-        reference.encrypt_block(&mut expect);
-        assert_eq!(block, expect);
+        for backend in AesBackend::ALL.into_iter().filter(|b| b.available()) {
+            let cipher = Aes256::with_backend(&[0x11u8; 32], backend).unwrap();
+            assert_eq!(cipher.backend(), backend);
+            let mut block = [0xA5u8; 16];
+            let mut expect = block;
+            cipher.encrypt_block(&mut block);
+            reference.encrypt_block(&mut expect);
+            assert_eq!(block, expect, "{} diverged from ttable", backend.name());
+        }
     }
 
     #[test]

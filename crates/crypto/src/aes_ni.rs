@@ -16,8 +16,8 @@
 //! Eight blocks are kept in flight per loop iteration: `AESENC` has a
 //! multi-cycle latency but pipelines one per cycle, so independent states
 //! are what turn ~4 cycles/byte into ~0.3. This mirrors the eight-state
-//! interleave of the T-table core and the eight-lane batch of the
-//! bitsliced core, so every backend digests the same 128-byte batches.
+//! interleave of the T-table core, so both backends digest the same
+//! 128-byte batches.
 //!
 //! Besides the plain block runs, two fused mode kernels serve the modes in
 //! [`crate::modes`] whole-buffer per call: CTR over `prefix ‖ counter`

@@ -1,22 +1,17 @@
-//! Bit-level "software emulated encryption", now table-accelerated on the
-//! host.
+//! Bit-level "software emulated encryption": the textbook AES the paper's
+//! micro-benchmark 3 charges >20× for, kept as the crate's AES oracle.
 //!
-//! The paper's micro-benchmark 3 compares three ways of encrypting I/O
-//! buffers: AES-NI (+11.49%), the SEV/SME engine (+8.69%) and *software
-//! emulated encryption* (>20×). This module is that third contender. The
-//! ">20×" is a *modeled* property — `fidelius-hw::cycles` charges
-//! `soft_aes_line` cycles per line for it — so the host does not also have
-//! to pay it in wall-clock time: the GF(2⁸) field math (inverse by Fermat
+//! The paper compares three ways of encrypting I/O buffers: AES-NI
+//! (+11.49%), the SEV/SME engine (+8.69%) and *software emulated
+//! encryption* (>20×). The ">20×" is a *modeled* property —
+//! `fidelius-hw::cycles` charges `soft_aes_line` cycles per line for it —
+//! so no host code path has to pay it in wall-clock time. What remains
+//! here is [`reference::RefAes128`], which recomputes every field
+//! operation from first principles on every call (inverse by Fermat
 //! exponentiation, affine transform bit by bit, MixColumns by generic
-//! shift-and-add multiplication) runs once per possible byte inside
-//! `const fn`s, and [`SoftAes128`] consumes the resulting compile-time
-//! tables. The derivation shares nothing with [`crate::aes`] (which walks
-//! the multiplicative group with generator 3), so the two stay independent
-//! cross-check oracles for each other.
-//!
-//! The original run-per-byte implementation is retained verbatim in
-//! [`mod@reference`] and asserted equivalent in tests, keeping the textbook
-//! math reviewable next to the tables it generates.
+//! shift-and-add multiplication). Its derivation shares nothing with
+//! [`crate::aes`] (which walks the multiplicative group with generator 3),
+//! so every fast backend is tested against it.
 
 /// Bit-level GF(2⁸) multiply (no tables).
 const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
@@ -90,163 +85,7 @@ const fn inv_sub_byte(b: u8) -> u8 {
     gf_inv(x)
 }
 
-/// S-box table, derived at compile time from the first-principles math
-/// above (Fermat inversion + bitwise affine transform).
-const SOFT_SBOX: [u8; 256] = {
-    let mut t = [0u8; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        t[i] = sub_byte(i as u8);
-        i += 1;
-    }
-    t
-};
-
-/// Inverse S-box table.
-const SOFT_INV_SBOX: [u8; 256] = {
-    let mut t = [0u8; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        t[i] = inv_sub_byte(i as u8);
-        i += 1;
-    }
-    t
-};
-
-/// GF(2⁸) multiplication tables for the MixColumns coefficients, again from
-/// the generic shift-and-add multiply.
-const fn gf_mul_table(coeff: u8) -> [u8; 256] {
-    let mut t = [0u8; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        t[i] = gf_mul(coeff, i as u8);
-        i += 1;
-    }
-    t
-}
-
-const MUL2: [u8; 256] = gf_mul_table(2);
-const MUL3: [u8; 256] = gf_mul_table(3);
-const MUL9: [u8; 256] = gf_mul_table(9);
-const MUL11: [u8; 256] = gf_mul_table(11);
-const MUL13: [u8; 256] = gf_mul_table(13);
-const MUL14: [u8; 256] = gf_mul_table(14);
-
 const RCON: [u8; 11] = [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36];
-
-/// Software AES-128 used as the "no hardware support" baseline. Its modeled
-/// cycle cost stays >20× the engine's; its host cost no longer is.
-///
-/// Per-block encryption keeps the byte-table form below (the reviewable
-/// "software-shaped" pipeline). The *bulk* entry points
-/// ([`SoftAes128::ctr_apply`], [`SoftAes128::encrypt_blocks`]) ride the
-/// interleaved T-table core from [`crate::aes`] instead: both compute
-/// FIPS-197 AES-128, so the bytes are identical — the tests here prove the
-/// byte-table, T-table and GF-math forms agree — and only the host pays
-/// differently. The modeled `soft_aes_line` charge is unaffected.
-#[derive(Clone)]
-pub struct SoftAes128 {
-    round_keys: [[u8; 16]; 11],
-    /// The interleaved T-table schedule the bulk paths dispatch into.
-    bulk: crate::aes::KeySchedule,
-}
-
-impl std::fmt::Debug for SoftAes128 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SoftAes128").finish_non_exhaustive()
-    }
-}
-
-impl SoftAes128 {
-    /// Expands a 128-bit key.
-    pub fn new(key: &[u8; 16]) -> Self {
-        let bulk = crate::aes::KeySchedule::new(key).expect("key length enforced by type");
-        SoftAes128 { round_keys: expand_key(key), bulk }
-    }
-
-    /// Encrypts one block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        xor16(block, &self.round_keys[0]);
-        for r in 1..10 {
-            for b in block.iter_mut() {
-                *b = SOFT_SBOX[*b as usize];
-            }
-            shift_rows(block);
-            mix_columns(block);
-            xor16(block, &self.round_keys[r]);
-        }
-        for b in block.iter_mut() {
-            *b = SOFT_SBOX[*b as usize];
-        }
-        shift_rows(block);
-        xor16(block, &self.round_keys[10]);
-    }
-
-    /// Decrypts one block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        xor16(block, &self.round_keys[10]);
-        inv_shift_rows(block);
-        for b in block.iter_mut() {
-            *b = SOFT_INV_SBOX[*b as usize];
-        }
-        for r in (1..10).rev() {
-            xor16(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            for b in block.iter_mut() {
-                *b = SOFT_INV_SBOX[*b as usize];
-            }
-        }
-        xor16(block, &self.round_keys[0]);
-    }
-
-    /// Encrypts consecutive 16-byte blocks in place (batched ECB) through
-    /// the interleaved T-table core — byte-identical to per-block
-    /// [`SoftAes128::encrypt_block`] calls, which the tests assert.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len()` is not a multiple of 16.
-    pub fn encrypt_blocks(&self, blocks: &mut [u8]) {
-        self.bulk.encrypt_blocks(blocks);
-    }
-
-    /// Encrypts a buffer in counter mode with a 128-bit starting counter.
-    /// Provided so the I/O micro-benchmark can stream through large buffers.
-    /// The keystream is generated eight counter blocks at a time through
-    /// the interleaved core; the final short chunk XORs from one stack
-    /// keystream block sliced to `chunk.len()`.
-    pub fn ctr_apply(&self, counter0: u128, data: &mut [u8]) {
-        self.bulk.xor_keystream(|i| counter0.wrapping_add(i as u128).to_be_bytes(), data);
-    }
-}
-
-fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
-    let mut w = [[0u8; 4]; 44];
-    for i in 0..4 {
-        w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
-    }
-    for i in 4..44 {
-        let mut temp = w[i - 1];
-        if i % 4 == 0 {
-            temp.rotate_left(1);
-            for b in &mut temp {
-                *b = SOFT_SBOX[*b as usize];
-            }
-            temp[0] ^= RCON[i / 4];
-        }
-        for j in 0..4 {
-            w[i][j] = w[i - 4][j] ^ temp[j];
-        }
-    }
-    let mut round_keys = [[0u8; 16]; 11];
-    for (r, rk) in round_keys.iter_mut().enumerate() {
-        for c in 0..4 {
-            rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-        }
-    }
-    round_keys
-}
 
 #[inline]
 fn xor16(state: &mut [u8; 16], rk: &[u8; 16]) {
@@ -273,42 +112,10 @@ fn inv_shift_rows(state: &mut [u8; 16]) {
     }
 }
 
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        state[4 * c] = MUL2[col[0] as usize] ^ MUL3[col[1] as usize] ^ col[2] ^ col[3];
-        state[4 * c + 1] = col[0] ^ MUL2[col[1] as usize] ^ MUL3[col[2] as usize] ^ col[3];
-        state[4 * c + 2] = col[0] ^ col[1] ^ MUL2[col[2] as usize] ^ MUL3[col[3] as usize];
-        state[4 * c + 3] = MUL3[col[0] as usize] ^ col[1] ^ col[2] ^ MUL2[col[3] as usize];
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        state[4 * c] = MUL14[col[0] as usize]
-            ^ MUL11[col[1] as usize]
-            ^ MUL13[col[2] as usize]
-            ^ MUL9[col[3] as usize];
-        state[4 * c + 1] = MUL9[col[0] as usize]
-            ^ MUL14[col[1] as usize]
-            ^ MUL11[col[2] as usize]
-            ^ MUL13[col[3] as usize];
-        state[4 * c + 2] = MUL13[col[0] as usize]
-            ^ MUL9[col[1] as usize]
-            ^ MUL14[col[2] as usize]
-            ^ MUL11[col[3] as usize];
-        state[4 * c + 3] = MUL11[col[0] as usize]
-            ^ MUL13[col[1] as usize]
-            ^ MUL9[col[2] as usize]
-            ^ MUL14[col[3] as usize];
-    }
-}
-
-/// The original per-byte GF-math implementation, retained as the oracle the
-/// table-based [`SoftAes128`] is proven against. Every field operation is
-/// recomputed from first principles on every call — exactly the "textbook"
-/// software implementation the paper's >20× number describes.
+/// The per-byte GF-math implementation, the oracle every host AES backend
+/// is proven against. Every field operation is recomputed from first
+/// principles on every call — exactly the "textbook" software
+/// implementation the paper's >20× number describes.
 pub mod reference {
     use super::RCON;
 
@@ -427,69 +234,26 @@ pub mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::RefAes128;
-    use super::*;
+    use super::reference::{self, RefAes128};
     use crate::aes::{Aes128, INV_SBOX, SBOX};
 
-    #[test]
-    fn soft_tables_match_per_byte_reference() {
-        for b in 0..=255u8 {
-            assert_eq!(SOFT_SBOX[b as usize], reference::sub_byte(b), "sbox mismatch at {b:#x}");
-            assert_eq!(
-                SOFT_INV_SBOX[b as usize],
-                reference::inv_sub_byte(b),
-                "inv sbox mismatch at {b:#x}"
-            );
-        }
-    }
-
+    /// The Fermat-derived S-boxes equal the generator-walk tables in
+    /// [`crate::aes`]: two independent derivations, checked on all bytes.
     #[test]
     fn sub_byte_matches_table() {
         for b in 0..=255u8 {
-            assert_eq!(SOFT_SBOX[b as usize], SBOX[b as usize], "sbox mismatch at {b:#x}");
+            assert_eq!(reference::sub_byte(b), SBOX[b as usize], "sbox mismatch at {b:#x}");
             assert_eq!(
-                SOFT_INV_SBOX[b as usize], INV_SBOX[b as usize],
+                reference::inv_sub_byte(b),
+                INV_SBOX[b as usize],
                 "inv sbox mismatch at {b:#x}"
             );
         }
     }
 
-    #[test]
-    fn mul_tables_match_runtime_gf_mul() {
-        for b in 0..=255u8 {
-            assert_eq!(MUL2[b as usize], reference::gf_mul(2, b));
-            assert_eq!(MUL3[b as usize], reference::gf_mul(3, b));
-            assert_eq!(MUL9[b as usize], reference::gf_mul(9, b));
-            assert_eq!(MUL11[b as usize], reference::gf_mul(11, b));
-            assert_eq!(MUL13[b as usize], reference::gf_mul(13, b));
-            assert_eq!(MUL14[b as usize], reference::gf_mul(14, b));
-        }
-    }
-
-    #[test]
-    fn matches_fast_aes_on_fips_vector() {
-        let key: [u8; 16] = [
-            0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-            0x0e, 0x0f,
-        ];
-        let plain: [u8; 16] = [
-            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
-            0xee, 0xff,
-        ];
-        let soft = SoftAes128::new(&key);
-        let fast = Aes128::new(&key);
-        let mut a = plain;
-        let mut b = plain;
-        soft.encrypt_block(&mut a);
-        fast.encrypt_block(&mut b);
-        assert_eq!(a, b);
-        soft.decrypt_block(&mut a);
-        assert_eq!(a, plain);
-    }
-
-    /// Deterministic proptest: for random keys and blocks, the table-based
-    /// cipher, the retained GF-math reference, and the T-table fast path
-    /// all agree on encryption and decryption.
+    /// Deterministic proptest: for random keys and blocks, the GF-math
+    /// reference and the default fast path agree on encryption and
+    /// decryption.
     #[test]
     fn cross_check_random_blocks() {
         let mut seed = 0x1234_5678_9abc_def0u64;
@@ -504,71 +268,17 @@ mod tests {
                 key[i] = (next() >> 24) as u8;
                 block[i] = (next() >> 16) as u8;
             }
-            let soft = SoftAes128::new(&key);
             let fast = Aes128::new(&key);
             let slow = RefAes128::new(&key);
-            let mut a = block;
             let mut b = block;
             let mut c = block;
-            soft.encrypt_block(&mut a);
             fast.encrypt_block(&mut b);
             slow.encrypt_block(&mut c);
-            assert_eq!(a, b);
-            assert_eq!(a, c, "table-based soft AES diverged from GF-math reference");
-            soft.decrypt_block(&mut a);
+            assert_eq!(b, c, "fast AES diverged from the GF-math reference");
+            fast.decrypt_block(&mut b);
             slow.decrypt_block(&mut c);
-            assert_eq!(a, block);
+            assert_eq!(b, block);
             assert_eq!(c, block);
         }
-    }
-
-    #[test]
-    fn ctr_roundtrips() {
-        let soft = SoftAes128::new(&[7u8; 16]);
-        let mut data = vec![0xA5u8; 100];
-        let original = data.clone();
-        soft.ctr_apply(42, &mut data);
-        assert_ne!(data, original);
-        soft.ctr_apply(42, &mut data);
-        assert_eq!(data, original);
-    }
-
-    /// The bulk CTR path dispatches into the interleaved T-table core; it
-    /// must stay byte-identical to the seed's per-block byte-table loop —
-    /// this doubles as a T-table-vs-byte-table cross-check over a long
-    /// keystream, ragged tail included.
-    #[test]
-    fn ctr_bulk_matches_per_block_byte_table_loop() {
-        let soft = SoftAes128::new(&[0x3Cu8; 16]);
-        let mut data: Vec<u8> = (0..=254u8).collect(); // 255 bytes, short tail
-        let original = data.clone();
-        let counter0 = u128::MAX - 3; // exercise counter wrap mid-buffer
-        soft.ctr_apply(counter0, &mut data);
-        let mut manual = original.clone();
-        let mut counter = counter0;
-        for chunk in manual.chunks_mut(16) {
-            let mut ks = counter.to_be_bytes();
-            soft.encrypt_block(&mut ks);
-            for (d, k) in chunk.iter_mut().zip(ks.iter()) {
-                *d ^= *k;
-            }
-            counter = counter.wrapping_add(1);
-        }
-        assert_eq!(data, manual);
-    }
-
-    /// Batched ECB through the T-table core equals per-block byte-table
-    /// encryption, including a non-multiple-of-8 block count.
-    #[test]
-    fn bulk_ecb_matches_per_block_byte_table() {
-        let soft = SoftAes128::new(&[0x9Eu8; 16]);
-        let mut batch: Vec<u8> = (0..16 * 11).map(|i| (i as u8).wrapping_mul(29)).collect();
-        let mut manual = batch.clone();
-        soft.encrypt_blocks(&mut batch);
-        for chunk in manual.chunks_exact_mut(16) {
-            let block: &mut [u8; 16] = chunk.try_into().unwrap();
-            soft.encrypt_block(block);
-        }
-        assert_eq!(batch, manual);
     }
 }

@@ -4,14 +4,14 @@
 //! platform is fully self-contained and deterministic:
 //!
 //! - [`aes`] — AES-128/192/256 with runtime-dispatched host backends
-//!   (8-way interleaved T-tables, a constant-time bitsliced core, and —
-//!   behind the `aesni` cargo feature — the x86 AES instructions),
-//!   modelling the *AES-NI* fast path the paper uses for guest-side disk
-//!   encryption. All backends are bit-identical; see
-//!   [`aes::AesBackend`] and `FIDELIUS_AES_BACKEND`.
-//! - [`aes_soft`] — a deliberately slow, bit-level AES used to reproduce the
-//!   paper's "software emulated encryption" baseline (>20× slower than
-//!   AES-NI in the paper's micro-benchmark 3).
+//!   (8-way interleaved T-tables and — behind the `aesni` cargo feature —
+//!   the x86 AES instructions), modelling the *AES-NI* fast path the paper
+//!   uses for guest-side disk encryption. Both backends are bit-identical;
+//!   see [`aes::AesBackend`] and `FIDELIUS_AES_BACKEND`.
+//! - [`aes_soft`] — a deliberately slow, bit-level AES: the oracle both
+//!   backends are tested against, and the paper's "software emulated
+//!   encryption" (>20× slower than AES-NI in micro-benchmark 3, a cost
+//!   charged in modeled cycles).
 //! - [`modes`] — CTR, CBC, a tweaked sector mode for disk images, and the
 //!   physical-address-tweaked block mode used by the simulated SME/SEV
 //!   memory-encryption engine.
@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod aes;
-mod aes_bitsliced;
 #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
 mod aes_ni;
 pub mod aes_soft;

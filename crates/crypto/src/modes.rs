@@ -16,7 +16,7 @@
 //! Each mode makes one backend dispatch per call. On AES-NI schedules a
 //! whole buffer goes through one fused kernel (`aes_ni`: CTR or XEX with
 //! the round keys loaded once and counters or tweaks built in registers).
-//! The T-table and bitsliced schedules run the portable loops over
+//! T-table schedules run the portable loops over
 //! [`crate::aes::KeySchedule::xor_keystream`] and the batched
 //! `encrypt_blocks`/`decrypt_blocks` entry points; they are the fallback
 //! and the oracle the fused kernels are tested against.

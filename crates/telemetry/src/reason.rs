@@ -3,8 +3,8 @@
 //! Historically the audit log carried `&'static str` reasons and classified
 //! them with substring heuristics; here each denial is a variant, the legacy
 //! string is derived from it (`as_str`, also its `Display`), and the
-//! classification is a total function (`kind`). `fidelius-core`'s
-//! `classify()` survives only as a deprecated shim.
+//! classification is a total function (`kind`). The substring heuristic
+//! itself is gone; a unit test keeps a copy to pin `kind()` against it.
 
 use std::fmt;
 

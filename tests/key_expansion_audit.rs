@@ -46,8 +46,8 @@ fn streaming_paths_never_reexpand_or_clone_schedules() {
     );
 
     // Backend-pinned construction also expands exactly once per schedule:
-    // the bitsliced planes (and AES-NI byte keys) derive from the one
-    // expansion rather than re-running it.
+    // the AES-NI byte keys derive from the one expansion rather than
+    // re-running it.
     let before = key_expansions();
     for backend in AesBackend::ALL.into_iter().filter(|b| b.available()) {
         let _ks = KeySchedule::with_backend(&[0x54u8; 16], backend).unwrap();
