@@ -22,18 +22,19 @@
 //!   exactly as AMD-V does — including SEV's omission: the VMCB and GPRs
 //!   cross the boundary in plaintext.
 
-use crate::cycles::{ChargeBatch, CostModel, CycleCategory, Cycles};
+use crate::cycles::{CostModel, CycleCategory, Cycles};
 use crate::error::{AccessKind, Fault, FaultReason, HwError};
 use crate::inject::{FaultAction, InjectPoint, InjectorHandle};
 use crate::mem::Dram;
 use crate::memctrl::{EncSel, MemoryController};
 use crate::paging::{permits, walk, Translation};
 use crate::regs::{Cr0, Cr4, Efer, RegFile};
-use crate::tlb::{CachedTranslation, Space, Tlb, TransKind};
+use crate::tlb::{CachedTranslation, Lookup, Space, Tlb, TransKind};
 use crate::vmcb::{ExitCode, VmcbField, VmcbImage};
 use crate::{Asid, Gpa, Gva, Hpa, Hva, PAGE_SIZE};
 use fidelius_telemetry::{Event, FlushScope, Snapshot, Tracer};
 use fidelius_trace::{ArgValue, Recorder, SpanId, SpanKind};
+use std::ops::Range;
 
 /// Whether the CPU is running host (hypervisor/Fidelius) or guest code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,19 +167,111 @@ impl PrivOp {
     }
 }
 
+/// Where an access starts, in one of the three address spaces the CPU
+/// translates. The mapping used decides which key the memory controller
+/// applies.
+#[derive(Debug, Clone, Copy)]
+enum Addr {
+    /// Host virtual, through the host page tables.
+    Host(Hva),
+    /// Guest physical, through the NPT alone; `true` asks for the guest's
+    /// `Kvek` (the C-bit of the guest mapping used).
+    GuestPhys(Gpa, bool),
+    /// Guest virtual, through the guest's own tables and then the NPT.
+    GuestVirt(Gva),
+}
+
+impl Addr {
+    fn add(self, delta: u64) -> Self {
+        match self {
+            Addr::Host(va) => Addr::Host(va.add(delta)),
+            Addr::GuestPhys(gpa, encrypted) => Addr::GuestPhys(gpa.add(delta), encrypted),
+            Addr::GuestVirt(va) => Addr::GuestVirt(va.add(delta)),
+        }
+    }
+
+    fn page_offset(self) -> u64 {
+        match self {
+            Addr::Host(va) => va.page_offset(),
+            Addr::GuestPhys(gpa, _) => gpa.page_offset(),
+            Addr::GuestVirt(va) => va.page_offset(),
+        }
+    }
+
+    /// The fault this space raises when `access` fails for `reason`.
+    fn fault(self, access: AccessKind, reason: FaultReason) -> Fault {
+        match self {
+            Addr::Host(va) => Fault::HostPageFault { va, access, reason },
+            Addr::GuestPhys(gpa, _) => Fault::NestedPageFault { gpa, access, reason },
+            Addr::GuestVirt(va) => Fault::GuestPageFault { va, access, reason },
+        }
+    }
+}
+
+/// The caller's side of an access: a buffer to fill, data to store, or
+/// instruction bytes to fetch.
+enum Buf<'a> {
+    Read(&'a mut [u8]),
+    Write(&'a [u8]),
+    Fetch(&'a mut [u8]),
+}
+
+impl Buf<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Buf::Read(buf) | Buf::Fetch(buf) => buf.len(),
+            Buf::Write(data) => data.len(),
+        }
+    }
+
+    fn access(&self) -> AccessKind {
+        match self {
+            Buf::Read(_) => AccessKind::Read,
+            Buf::Write(_) => AccessKind::Write,
+            Buf::Fetch(_) => AccessKind::Execute,
+        }
+    }
+
+    /// One memory-controller call over `range` of the buffer.
+    fn transfer(
+        &mut self,
+        mc: &mut MemoryController,
+        pa: Hpa,
+        range: Range<usize>,
+        enc: EncSel,
+    ) -> Result<(), HwError> {
+        match self {
+            Buf::Read(buf) | Buf::Fetch(buf) => mc.read(pa, &mut buf[range], enc),
+            Buf::Write(data) => mc.write(pa, &data[range], enc),
+        }
+    }
+}
+
 /// A pending coalesced memory-controller call: a run of consecutive
-/// virtual pages whose translations were host-contiguous under one
-/// [`EncSel`], folded into a single streaming `mc.read`/`mc.write`.
+/// pieces whose translations were host-contiguous under one [`EncSel`],
+/// folded into a single streaming `mc.read`/`mc.write`.
 #[derive(Debug, Clone, Copy)]
 struct PendingRun {
     /// Start offset of the run in the caller's buffer.
     buf_off: usize,
     /// Host-physical start of the run.
     hpa: Hpa,
-    /// Encryption selection shared by every page of the run.
+    /// Encryption selection shared by every piece of the run.
     enc: EncSel,
     /// Bytes accumulated so far.
     len: usize,
+}
+
+/// The `chunk` of a stream that is cut only at page boundaries.
+const NO_CHUNKING: usize = usize::MAX;
+
+/// The NPT's write check: a write through a read-only NPT leaf is an NPT
+/// violation.
+fn npt_permits(gpa: Gpa, access: AccessKind, writable: bool) -> Result<(), Fault> {
+    if access == AccessKind::Write && !writable {
+        return Err(Fault::NestedPageFault { gpa, access, reason: FaultReason::WriteProtected });
+    }
+    Ok(())
 }
 
 /// The machine: memory system + one CPU + cycle accounting.
@@ -208,10 +301,6 @@ pub struct Machine {
     /// path even on a TLB hit (the pre-cache behaviour). See
     /// [`Machine::set_walk_always`].
     walk_always: bool,
-    /// Reusable scratch for deferred engine charges on the streaming paths
-    /// (see [`Machine::with_engine_batch`]); kept on the machine so stream
-    /// calls don't allocate a fresh run list each time.
-    engine_scratch: ChargeBatch,
 }
 
 impl Machine {
@@ -228,7 +317,6 @@ impl Machine {
             inject: InjectorHandle::new(),
             rec: Recorder::default(),
             walk_always: false,
-            engine_scratch: ChargeBatch::new(),
         }
     }
 
@@ -308,8 +396,204 @@ impl Machine {
         self.rec.close(id, self.cycles.total_f64());
     }
 
-    // ----- host-mode accesses ------------------------------------------
+    // ----- the access loop -----------------------------------------------
 
+    /// The one access loop behind every public access. `buf` is cut into
+    /// `chunk`-byte pieces, split again at page boundaries; each piece
+    /// takes one translation and one engine charge, exactly as a separate
+    /// call per piece would.
+    ///
+    /// With `coalesce`, pieces that are host-contiguous under one
+    /// [`EncSel`] fold into a single memory-controller call below the
+    /// charging layer, but only over spans
+    /// [`MemoryController::access_infallible`] vouches for, and never under
+    /// [`Machine::set_walk_always`]. Any other piece keeps its own call,
+    /// and a controller rejection raises the space's fault, so the
+    /// partial-commit state and the faulting address are those of the
+    /// per-piece loop.
+    fn stream(
+        &mut self,
+        at: Addr,
+        mut buf: Buf<'_>,
+        chunk: usize,
+        coalesce: bool,
+    ) -> Result<(), Fault> {
+        let access = buf.access();
+        let mut run: Option<PendingRun> = None;
+        let mut off = 0usize;
+        while off < buf.len() {
+            let cur = at.add(off as u64);
+            let in_chunk = chunk - off % chunk;
+            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
+            let take = in_chunk.min(in_page).min(buf.len() - off);
+            // A pending write commits before any software walk, so a write
+            // whose earlier pieces land in page-table pages is visible to a
+            // later piece's walk, as with separate calls.
+            if access == AccessKind::Write && run.is_some() && !self.tlb_serves(cur) {
+                self.commit(run.take(), &mut buf);
+            }
+            let (pa, enc) = match self.translate(cur, access) {
+                Ok(v) => v,
+                Err(fault) => {
+                    // Pieces before the faulting one still commit.
+                    self.commit(run.take(), &mut buf);
+                    return Err(fault);
+                }
+            };
+            // The cost model charges the engine on data accesses only.
+            if access != AccessKind::Execute {
+                self.charge_engine(enc, take as u64);
+            }
+            if coalesce && !self.walk_always && self.mc.access_infallible(pa, take as u64, enc) {
+                match &mut run {
+                    Some(r) if r.enc == enc && r.hpa.0 + r.len as u64 == pa.0 => r.len += take,
+                    _ => {
+                        let started = PendingRun { buf_off: off, hpa: pa, enc, len: take };
+                        let prev = run.replace(started);
+                        self.commit(prev, &mut buf);
+                    }
+                }
+            } else {
+                self.commit(run.take(), &mut buf);
+                buf.transfer(&mut self.mc, pa, off..off + take, enc)
+                    .map_err(|_| cur.fault(access, FaultReason::BadPhysicalAddress))?;
+            }
+            off += take;
+        }
+        self.commit(run.take(), &mut buf);
+        Ok(())
+    }
+
+    /// Commits a pending coalesced run. Runs are only opened over accesses
+    /// [`MemoryController::access_infallible`] vouched for, so the
+    /// controller call cannot fail here.
+    fn commit(&mut self, run: Option<PendingRun>, buf: &mut Buf<'_>) {
+        let Some(r) = run else { return };
+        if self.rec.is_armed() {
+            let label = match buf {
+                Buf::Write(_) => "mem-stream:write",
+                Buf::Read(_) | Buf::Fetch(_) => "mem-stream:read",
+            };
+            self.rec.instant(
+                SpanKind::MemStream,
+                label,
+                self.span_track(),
+                self.cycles.total_f64(),
+                &[("hpa", ArgValue::U64(r.hpa.0)), ("len", ArgValue::U64(r.len as u64))],
+            );
+        }
+        buf.transfer(&mut self.mc, r.hpa, r.buf_off..r.buf_off + r.len, r.enc)
+            .expect("coalesced span pre-checked against DRAM and keys");
+    }
+
+    /// The engine's extra per-cache-line latency for a piece of `bytes`
+    /// under `enc`, charged at once. Nothing else adds to
+    /// [`CycleCategory::CryptoEngine`] during an access, so a stream's
+    /// charges land in the same order as separate calls'.
+    fn charge_engine(&mut self, enc: EncSel, bytes: u64) {
+        if enc != EncSel::None {
+            let lines = bytes.div_ceil(crate::CACHE_LINE).max(1);
+            self.cycles
+                .charge_as(CycleCategory::CryptoEngine, lines as f64 * self.cost.engine_line_extra);
+        }
+    }
+
+    // ----- translation -----------------------------------------------------
+
+    fn translate(&mut self, at: Addr, access: AccessKind) -> Result<(Hpa, EncSel), Fault> {
+        match at {
+            Addr::Host(va) => self.host_translate(va, access),
+            Addr::GuestPhys(gpa, encrypted) => self.gpa_translate(gpa, encrypted, access),
+            Addr::GuestVirt(va) => self.guest_translate(va, access),
+        }
+    }
+
+    /// The TLB slot `at` translates through: its space, its page number,
+    /// and the walk kind whose payload may serve it.
+    fn tlb_slot(&self, at: Addr) -> (Space, u64, TransKind) {
+        let guest =
+            || Space::Guest(self.cpu.guest.expect("guest access requires guest mode").asid.0);
+        match at {
+            Addr::Host(va) => (Space::Host, va.pfn(), TransKind::HostVirt),
+            Addr::GuestPhys(gpa, _) => (guest(), gpa.pfn(), TransKind::GuestPhys),
+            Addr::GuestVirt(va) => (guest(), va.pfn(), TransKind::GuestVirt),
+        }
+    }
+
+    /// Whether the TLB would serve `at` without a software walk. A
+    /// non-counting [`Tlb::peek`]: no hit/miss accounting.
+    fn tlb_serves(&self, at: Addr) -> bool {
+        let (space, vpn, kind) = self.tlb_slot(at);
+        self.tlb.peek(space, vpn).is_some_and(|c| c.kind == kind)
+    }
+
+    /// The one TLB path of every paged translation. The lookup charges
+    /// `mem_access`; a miss opens the refill span, charges the walk to
+    /// [`CycleCategory::Paging`] and counts it. A usable hit of the right
+    /// kind is served unless `walk_always` is set. Anything else walks:
+    /// a miss inserts the walked entry, and a demoted or wrong-kind hit is
+    /// repaired in place, so residency and eviction order stay exactly as
+    /// if the entry had never gone stale.
+    ///
+    /// `check` is the translator's permission rule. It judges the served
+    /// entry and the walked one alike, and it runs before the insert: a
+    /// walk that faults leaves the TLB as it found it.
+    fn tlb_translate(
+        &mut self,
+        at: Addr,
+        check: impl Fn(&CachedTranslation) -> Result<(), Fault>,
+        walk: impl FnOnce(&mut Self) -> Result<CachedTranslation, Fault>,
+    ) -> Result<CachedTranslation, Fault> {
+        let (space, vpn, kind) = self.tlb_slot(at);
+        let lookup = self.tlb.lookup(space, vpn);
+        self.cycles.charge(self.cost.mem_access);
+        let mut refill = SpanId::NONE;
+        if !lookup.is_hit() {
+            let (span, label, arg, cost, walks) = match at {
+                Addr::Host(_) => {
+                    (SpanKind::TlbRefill, "tlb-refill:host", "vpn", self.cost.gpt_walk, 1)
+                }
+                Addr::GuestPhys(..) => {
+                    (SpanKind::NptWalk, "npt-walk", "gpfn", self.cost.npt_walk, 1)
+                }
+                // A guest-virtual miss walks both the guest table and the NPT.
+                Addr::GuestVirt(_) => {
+                    let cost = self.cost.gpt_walk + self.cost.npt_walk;
+                    (SpanKind::GuestWalk, "guest-walk", "vpn", cost, 2)
+                }
+            };
+            refill = self.span_open(span, label, &[(arg, ArgValue::U64(vpn))]);
+            self.cycles.charge_as(CycleCategory::Paging, cost);
+            self.tlb.record_walks(walks);
+        }
+        let usable = lookup.cached().filter(|c| c.kind == kind);
+        if let Some(c) = usable.filter(|_| !self.walk_always) {
+            check(&c)?;
+            return Ok(c);
+        }
+        let walked = walk(self);
+        self.span_close(refill);
+        let fresh = walked?;
+        check(&fresh)?;
+        match lookup {
+            Lookup::Miss => self.tlb.insert(space, vpn, fresh),
+            Lookup::Hit(_) if usable.is_none() => self.tlb.refresh(space, vpn, fresh),
+            // A usable hit (walk-always mode) already matches the walk.
+            Lookup::Hit(_) => {}
+        }
+        Ok(fresh)
+    }
+
+    /// One hardware walk of the four-level table at `root`.
+    fn walk_table(&self, root: Hpa, addr: u64) -> Result<Translation, FaultReason> {
+        match walk(&self.mc, root, addr, EncSel::None) {
+            Err(_) => Err(FaultReason::BadPhysicalAddress),
+            Ok(Err(_miss)) => Err(FaultReason::NotPresent),
+            Ok(Ok(t)) => Ok(t),
+        }
+    }
+
+    /// Host virtual → host physical; the host PT C-bit selects the SME key.
     fn host_translate(&mut self, va: Hva, access: AccessKind) -> Result<(Hpa, EncSel), Fault> {
         assert_eq!(self.cpu.mode, Mode::Host, "host access while in guest mode");
         if !self.cpu.cr0.pg {
@@ -317,92 +601,33 @@ impl Machine {
             self.cycles.charge(self.cost.mem_access);
             return Ok((Hpa(va.0), EncSel::None));
         }
-        let vpn = va.pfn();
-        let cached = self.tlb.lookup(Space::Host, vpn);
-        self.cycles.charge(self.cost.mem_access);
-        let hit = cached.is_hit();
-        let mut refill = SpanId::NONE;
-        if !hit {
-            refill = self.span_open(
-                SpanKind::TlbRefill,
-                "tlb-refill:host",
-                &[("vpn", ArgValue::U64(vpn))],
-            );
-            self.cycles.charge_as(CycleCategory::Paging, self.cost.gpt_walk);
-            self.tlb.record_walks(1);
-        }
-        if !self.walk_always {
-            if let Some(c) = cached.cached() {
-                if c.kind == TransKind::HostVirt {
-                    // Permission bits are cached raw and judged against the
-                    // *current* CR0.WP — a type-1 gate clears WP without any
-                    // flush and the next write must go through (same rules
-                    // as `paging::permits`).
-                    let fault = |reason| Fault::HostPageFault { va, access, reason };
-                    match access {
-                        AccessKind::Write if !c.writable && self.cpu.cr0.wp => {
-                            return Err(fault(FaultReason::WriteProtected));
-                        }
-                        AccessKind::Execute if c.nx => return Err(fault(FaultReason::NoExecute)),
-                        _ => {}
-                    }
-                    let pa = Hpa(c.hpfn * PAGE_SIZE + va.page_offset());
-                    let enc = if c.c_bit { EncSel::Sme } else { EncSel::None };
-                    return Ok((pa, enc));
-                }
-            }
-        }
-        let usable = cached.cached().is_some_and(|c| c.kind == TransKind::HostVirt);
-        let walked = self.walk_host(va, access);
-        self.span_close(refill);
-        let t = walked?;
-        let fresh = CachedTranslation::host(t.pa.pfn(), t.writable, t.nx, t.c_bit);
-        if hit {
-            // Demoted or wrong-kind hit: the walk re-validated the payload;
-            // repair it in place so residency and eviction order stay
-            // exactly as if the entry had never gone stale. A usable hit
-            // (reached only in walk-always mode) already matches the walk,
-            // so there is nothing to repair.
-            if !usable {
-                self.tlb.refresh(Space::Host, vpn, fresh);
-            }
-        } else {
-            self.tlb.insert(Space::Host, vpn, fresh);
-        }
-        let enc = if t.c_bit { EncSel::Sme } else { EncSel::None };
-        Ok((t.pa, enc))
+        let at = Addr::Host(va);
+        // Permission bits are judged against the *current* CR0.WP: a type-1
+        // gate clears WP without any flush and the next write through a
+        // cached read-only entry must go through.
+        let wp = self.cpu.cr0.wp;
+        let c = self.tlb_translate(
+            at,
+            |c| permits(c.writable, c.nx, access, wp).map_err(|r| at.fault(access, r)),
+            |m| {
+                let t = m.walk_table(m.cpu.cr3, va.0).map_err(|r| at.fault(access, r))?;
+                Ok(CachedTranslation::host(t.pa.pfn(), t.writable, t.nx, t.c_bit))
+            },
+        )?;
+        let enc = if c.c_bit { EncSel::Sme } else { EncSel::None };
+        Ok((Hpa::from_pfn(c.hpfn).add(va.page_offset()), enc))
     }
 
-    fn walk_host(&self, va: Hva, access: AccessKind) -> Result<Translation, Fault> {
-        let fault = |reason| Fault::HostPageFault { va, access, reason };
-        let t = match walk(&self.mc, self.cpu.cr3, va.0, EncSel::None) {
-            Err(_) => return Err(fault(FaultReason::BadPhysicalAddress)),
-            Ok(Err(_miss)) => return Err(fault(FaultReason::NotPresent)),
-            Ok(Ok(t)) => t,
-        };
-        permits(&t, access, self.cpu.cr0.wp).map_err(fault)?;
-        Ok(t)
-    }
+    // ----- host-mode accesses ------------------------------------------
 
     /// Reads host-virtual memory. Splits at page boundaries.
     ///
     /// # Errors
     ///
-    /// Returns the architectural fault a real access would raise.
+    /// Returns the architectural fault a real access would raise,
+    /// including `BadPhysicalAddress` for a mapping outside DRAM.
     pub fn host_read(&mut self, va: Hva, buf: &mut [u8]) -> Result<(), Fault> {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let cur = va.add(off as u64);
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = in_page.min(buf.len() - off);
-            let (pa, enc) = self.host_translate(cur, AccessKind::Read)?;
-            self.charge_engine(enc, take as u64);
-            self.mc
-                .read(pa, &mut buf[off..off + take], enc)
-                .expect("translated host read must hit DRAM");
-            off += take;
-        }
-        Ok(())
+        self.stream(Addr::Host(va), Buf::Read(buf), NO_CHUNKING, false)
     }
 
     /// Writes host-virtual memory, honouring `CR0.WP` for read-only pages.
@@ -413,19 +638,7 @@ impl Machine {
     /// how hypervisor writes to write-protected page-table-pages reach
     /// Fidelius's fault handler.
     pub fn host_write(&mut self, va: Hva, data: &[u8]) -> Result<(), Fault> {
-        let mut off = 0usize;
-        while off < data.len() {
-            let cur = va.add(off as u64);
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = in_page.min(data.len() - off);
-            let (pa, enc) = self.host_translate(cur, AccessKind::Write)?;
-            self.charge_engine(enc, take as u64);
-            self.mc
-                .write(pa, &data[off..off + take], enc)
-                .expect("translated host write must hit DRAM");
-            off += take;
-        }
-        Ok(())
+        self.stream(Addr::Host(va), Buf::Write(data), NO_CHUNKING, false)
     }
 
     /// Reads a little-endian u64 from host-virtual memory.
@@ -456,17 +669,7 @@ impl Machine {
     /// Faults on non-present or NX mappings.
     pub fn host_fetch(&mut self, va: Hva, len: usize) -> Result<Vec<u8>, Fault> {
         let mut out = vec![0u8; len];
-        let mut off = 0usize;
-        while off < len {
-            let cur = va.add(off as u64);
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = in_page.min(len - off);
-            let (pa, enc) = self.host_translate(cur, AccessKind::Execute)?;
-            self.mc
-                .read(pa, &mut out[off..off + take], enc)
-                .expect("translated fetch must hit DRAM");
-            off += take;
-        }
+        self.stream(Addr::Host(va), Buf::Fetch(&mut out), NO_CHUNKING, false)?;
         Ok(out)
     }
 
@@ -485,50 +688,7 @@ impl Machine {
     /// before the faulting one are committed, as separate calls would have.
     pub fn host_read_stream(&mut self, va: Hva, buf: &mut [u8], chunk: usize) -> Result<(), Fault> {
         assert!(chunk > 0, "stream chunk must be non-zero");
-        self.with_engine_batch(|m, batch| m.host_read_stream_inner(va, buf, chunk, batch))
-    }
-
-    fn host_read_stream_inner(
-        &mut self,
-        va: Hva,
-        buf: &mut [u8],
-        chunk: usize,
-        batch: &mut ChargeBatch,
-    ) -> Result<(), Fault> {
-        let mut run: Option<PendingRun> = None;
-        let mut off = 0usize;
-        while off < buf.len() {
-            let cur = va.add(off as u64);
-            let in_chunk = chunk - (off % chunk);
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = in_chunk.min(in_page).min(buf.len() - off);
-            let (pa, enc) = match self.host_translate(cur, AccessKind::Read) {
-                Ok(v) => v,
-                Err(fault) => {
-                    self.commit_read_run(run.take(), buf);
-                    return Err(fault);
-                }
-            };
-            self.charge_engine_into(batch, enc, take as u64);
-            if !self.walk_always && self.mc.access_infallible(pa, take as u64, enc) {
-                match &mut run {
-                    Some(r) if r.enc == enc && r.hpa.0 + r.len as u64 == pa.0 => r.len += take,
-                    _ => {
-                        let started = PendingRun { buf_off: off, hpa: pa, enc, len: take };
-                        let prev = run.replace(started);
-                        self.commit_read_run(prev, buf);
-                    }
-                }
-            } else {
-                self.commit_read_run(run.take(), buf);
-                self.mc
-                    .read(pa, &mut buf[off..off + take], enc)
-                    .expect("translated host read must hit DRAM");
-            }
-            off += take;
-        }
-        self.commit_read_run(run.take(), buf);
-        Ok(())
+        self.stream(Addr::Host(va), Buf::Read(buf), chunk, true)
     }
 
     /// Streaming host-virtual write; see [`Machine::host_read_stream`].
@@ -542,104 +702,7 @@ impl Machine {
     /// Same as [`Machine::host_read_stream`].
     pub fn host_write_stream(&mut self, va: Hva, data: &[u8], chunk: usize) -> Result<(), Fault> {
         assert!(chunk > 0, "stream chunk must be non-zero");
-        self.with_engine_batch(|m, batch| m.host_write_stream_inner(va, data, chunk, batch))
-    }
-
-    fn host_write_stream_inner(
-        &mut self,
-        va: Hva,
-        data: &[u8],
-        chunk: usize,
-        batch: &mut ChargeBatch,
-    ) -> Result<(), Fault> {
-        let mut run: Option<PendingRun> = None;
-        let mut off = 0usize;
-        while off < data.len() {
-            let cur = va.add(off as u64);
-            let in_chunk = chunk - (off % chunk);
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = in_chunk.min(in_page).min(data.len() - off);
-            if run.is_some()
-                && self
-                    .tlb
-                    .peek(Space::Host, cur.pfn())
-                    .is_none_or(|c| c.kind != TransKind::HostVirt)
-            {
-                self.commit_write_run(run.take(), data);
-            }
-            let (pa, enc) = match self.host_translate(cur, AccessKind::Write) {
-                Ok(v) => v,
-                Err(fault) => {
-                    self.commit_write_run(run.take(), data);
-                    return Err(fault);
-                }
-            };
-            self.charge_engine_into(batch, enc, take as u64);
-            if !self.walk_always && self.mc.access_infallible(pa, take as u64, enc) {
-                match &mut run {
-                    Some(r) if r.enc == enc && r.hpa.0 + r.len as u64 == pa.0 => r.len += take,
-                    _ => {
-                        let started = PendingRun { buf_off: off, hpa: pa, enc, len: take };
-                        let prev = run.replace(started);
-                        self.commit_write_run(prev, data);
-                    }
-                }
-            } else {
-                self.commit_write_run(run.take(), data);
-                self.mc
-                    .write(pa, &data[off..off + take], enc)
-                    .expect("translated host write must hit DRAM");
-            }
-            off += take;
-        }
-        self.commit_write_run(run.take(), data);
-        Ok(())
-    }
-
-    fn charge_engine(&mut self, enc: EncSel, bytes: u64) {
-        if enc != EncSel::None {
-            let lines = bytes.div_ceil(crate::CACHE_LINE).max(1);
-            self.cycles
-                .charge_as(CycleCategory::CryptoEngine, lines as f64 * self.cost.engine_line_extra);
-        }
-    }
-
-    /// Per-chunk engine charge for the streaming loops: defers into
-    /// `batch` so the whole stream folds its crypto-engine cost into the
-    /// breakdown once, via [`Cycles::apply_batch`] in
-    /// [`Machine::with_engine_batch`].
-    ///
-    /// Two situations force the charge to land immediately instead:
-    /// an armed flight recorder (mid-stream instants timestamp with the
-    /// live cycle total, which must already include this chunk), and a
-    /// current span that is itself `CryptoEngine` (deferral would reorder
-    /// this charge past the span's own same-category adds and change the
-    /// f64 bits). Either way the modeled count is identical.
-    fn charge_engine_into(&mut self, batch: &mut ChargeBatch, enc: EncSel, bytes: u64) {
-        if enc == EncSel::None {
-            return;
-        }
-        let lines = bytes.div_ceil(crate::CACHE_LINE).max(1);
-        let cost = lines as f64 * self.cost.engine_line_extra;
-        if self.rec.is_armed() || self.cycles.current_category() == CycleCategory::CryptoEngine {
-            self.cycles.charge_as(CycleCategory::CryptoEngine, cost);
-        } else {
-            batch.add(CycleCategory::CryptoEngine, 1, cost);
-        }
-    }
-
-    /// Runs `f` with the machine's scratch [`ChargeBatch`] and folds the
-    /// deferred charges into the counter on *every* exit, error returns
-    /// included, so fault paths keep the exact cycle count the unbatched
-    /// per-chunk charges produced.
-    fn with_engine_batch<T>(&mut self, f: impl FnOnce(&mut Self, &mut ChargeBatch) -> T) -> T {
-        let mut batch = std::mem::take(&mut self.engine_scratch);
-        debug_assert!(batch.is_empty(), "engine scratch left dirty");
-        let result = f(self, &mut batch);
-        self.cycles.apply_batch(&batch);
-        batch.clear();
-        self.engine_scratch = batch;
-        result
+        self.stream(Addr::Host(va), Buf::Write(data), chunk, true)
     }
 
     // ----- privileged instructions --------------------------------------
@@ -812,95 +875,28 @@ impl Machine {
         gpa: Gpa,
         access: AccessKind,
     ) -> Result<(Hpa, bool), Fault> {
-        let t = self.npt_walk_translation(gpa, access)?;
-        if access == AccessKind::Write && !t.writable {
-            return Err(Fault::NestedPageFault {
-                gpa,
-                access,
-                reason: FaultReason::WriteProtected,
-            });
-        }
+        let t = self.npt_walk(gpa, access)?;
+        npt_permits(gpa, access, t.writable)?;
         Ok((t.pa, t.c_bit))
     }
 
     /// The raw NPT walk (no TLB interaction, no permission check), with
     /// walk misses mapped to [`Fault::NestedPageFault`].
-    fn npt_walk_translation(&self, gpa: Gpa, access: AccessKind) -> Result<Translation, Fault> {
+    fn npt_walk(&self, gpa: Gpa, access: AccessKind) -> Result<Translation, Fault> {
         let guest = self.cpu.guest.expect("guest access requires guest mode");
-        let fault = |reason| Fault::NestedPageFault { gpa, access, reason };
-        match walk(&self.mc, guest.ncr3, gpa.0, EncSel::None) {
-            Err(_) => Err(fault(FaultReason::BadPhysicalAddress)),
-            Ok(Err(_)) => Err(fault(FaultReason::NotPresent)),
-            Ok(Ok(t)) => Ok(t),
-        }
+        self.walk_table(guest.ncr3, gpa.0).map_err(|reason| Fault::NestedPageFault {
+            gpa,
+            access,
+            reason,
+        })
     }
 
-    /// Translates one guest-physical page with TLB accounting: the cycle
-    /// charges, counters, insertions, and faults are those of the
-    /// walk-every-access loop, but a valid [`TransKind::GuestPhys`] hit
-    /// skips the NPT walk entirely. Returns the translated address and
-    /// the NPT leaf C-bit.
-    fn gpa_translate_page(
-        &mut self,
-        guest: GuestCtx,
-        gpa: Gpa,
-        access: AccessKind,
-    ) -> Result<(Hpa, bool), Fault> {
-        let space = Space::Guest(guest.asid.0);
-        let cached = self.tlb.lookup(space, gpa.pfn());
-        self.cycles.charge(self.cost.mem_access);
-        let hit = cached.is_hit();
-        let mut refill = SpanId::NONE;
-        if !hit {
-            refill = self.span_open(
-                SpanKind::NptWalk,
-                "npt-walk",
-                &[("gpfn", ArgValue::U64(gpa.pfn()))],
-            );
-            self.cycles.charge_as(CycleCategory::Paging, self.cost.npt_walk);
-            self.tlb.record_walks(1);
-        }
-        if !self.walk_always {
-            if let Some(c) = cached.cached() {
-                if c.kind == TransKind::GuestPhys {
-                    if access == AccessKind::Write && !c.npt_writable {
-                        return Err(Fault::NestedPageFault {
-                            gpa,
-                            access,
-                            reason: FaultReason::WriteProtected,
-                        });
-                    }
-                    return Ok((Hpa(c.hpfn * PAGE_SIZE + gpa.page_offset()), c.npt_c));
-                }
-            }
-        }
-        let usable = cached.cached().is_some_and(|c| c.kind == TransKind::GuestPhys);
-        let walked = self.npt_walk_translation(gpa, access);
-        self.span_close(refill);
-        let t = walked?;
-        if access == AccessKind::Write && !t.writable {
-            return Err(Fault::NestedPageFault {
-                gpa,
-                access,
-                reason: FaultReason::WriteProtected,
-            });
-        }
-        let fresh = CachedTranslation::guest_phys(gpa.pfn(), t.pa.pfn(), t.writable, t.c_bit);
-        if hit {
-            if !usable {
-                self.tlb.refresh(space, gpa.pfn(), fresh);
-            }
-        } else {
-            self.tlb.insert(space, gpa.pfn(), fresh);
-        }
-        Ok((t.pa, t.c_bit))
-    }
-
-    /// The encryption selection for a guest-physical access: the guest key
-    /// when the guest asked for an encrypted mapping under SEV, otherwise
-    /// the SME key when the NPT leaf carries the C-bit.
-    fn select_gpa_enc(guest: GuestCtx, encrypted: bool, npt_c: bool) -> EncSel {
-        if encrypted && guest.sev {
+    /// The key of a guest access: the guest's `Kvek` when the mapping asks
+    /// for it under SEV, otherwise the SME key when the NPT leaf carries
+    /// the C-bit.
+    fn guest_enc(&self, kvek: bool, npt_c: bool) -> EncSel {
+        let guest = self.cpu.guest.expect("guest mode");
+        if kvek && guest.sev {
             EncSel::Guest(guest.asid)
         } else if npt_c {
             EncSel::Sme
@@ -909,43 +905,23 @@ impl Machine {
         }
     }
 
-    /// Commits a pending coalesced read span. Spans are only opened over
-    /// accesses [`MemoryController::access_infallible`] vouched for, so
-    /// the controller call cannot fail here.
-    fn commit_read_run(&mut self, run: Option<PendingRun>, buf: &mut [u8]) {
-        if let Some(r) = run {
-            if self.rec.is_armed() {
-                self.rec.instant(
-                    SpanKind::MemStream,
-                    "mem-stream:read",
-                    self.span_track(),
-                    self.cycles.total_f64(),
-                    &[("hpa", ArgValue::U64(r.hpa.0)), ("len", ArgValue::U64(r.len as u64))],
-                );
-            }
-            self.mc
-                .read(r.hpa, &mut buf[r.buf_off..r.buf_off + r.len], r.enc)
-                .expect("coalesced span pre-checked against DRAM and keys");
-        }
-    }
-
-    /// Commits a pending coalesced write span; see
-    /// [`Machine::commit_read_run`].
-    fn commit_write_run(&mut self, run: Option<PendingRun>, data: &[u8]) {
-        if let Some(r) = run {
-            if self.rec.is_armed() {
-                self.rec.instant(
-                    SpanKind::MemStream,
-                    "mem-stream:write",
-                    self.span_track(),
-                    self.cycles.total_f64(),
-                    &[("hpa", ArgValue::U64(r.hpa.0)), ("len", ArgValue::U64(r.len as u64))],
-                );
-            }
-            self.mc
-                .write(r.hpa, &data[r.buf_off..r.buf_off + r.len], r.enc)
-                .expect("coalesced span pre-checked against DRAM and keys");
-        }
+    /// Guest physical → host physical through the NPT; `encrypted` asks
+    /// for the guest key.
+    fn gpa_translate(
+        &mut self,
+        gpa: Gpa,
+        encrypted: bool,
+        access: AccessKind,
+    ) -> Result<(Hpa, EncSel), Fault> {
+        let c = self.tlb_translate(
+            Addr::GuestPhys(gpa, encrypted),
+            |c| npt_permits(gpa, access, c.npt_writable),
+            |m| {
+                let t = m.npt_walk(gpa, access)?;
+                Ok(CachedTranslation::guest_phys(gpa.pfn(), t.pa.pfn(), t.writable, t.c_bit))
+            },
+        )?;
+        Ok((Hpa::from_pfn(c.hpfn).add(gpa.page_offset()), self.guest_enc(encrypted, c.npt_c)))
     }
 
     /// Direct guest-physical access (how the guest kernel touches page
@@ -963,60 +939,7 @@ impl Machine {
         encrypted: bool,
     ) -> Result<(), Fault> {
         assert_eq!(self.cpu.mode, Mode::Guest);
-        self.with_engine_batch(|m, batch| m.guest_read_gpa_inner(gpa, buf, encrypted, batch))
-    }
-
-    fn guest_read_gpa_inner(
-        &mut self,
-        gpa: Gpa,
-        buf: &mut [u8],
-        encrypted: bool,
-        batch: &mut ChargeBatch,
-    ) -> Result<(), Fault> {
-        let guest = self.cpu.guest.expect("guest mode");
-        let mut run: Option<PendingRun> = None;
-        let mut off = 0usize;
-        while off < buf.len() {
-            let cur = Gpa(gpa.0 + off as u64);
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = in_page.min(buf.len() - off);
-            let (hpa, npt_c) = match self.gpa_translate_page(guest, cur, AccessKind::Read) {
-                Ok(v) => v,
-                Err(fault) => {
-                    // Pages before the faulting one still commit, exactly
-                    // as the per-page loop did.
-                    self.commit_read_run(run.take(), buf);
-                    return Err(fault);
-                }
-            };
-            let enc = Self::select_gpa_enc(guest, encrypted, npt_c);
-            self.charge_engine_into(batch, enc, take as u64);
-            if !self.walk_always && self.mc.access_infallible(hpa, take as u64, enc) {
-                match &mut run {
-                    Some(r) if r.enc == enc && r.hpa.0 + r.len as u64 == hpa.0 => r.len += take,
-                    _ => {
-                        let started = PendingRun { buf_off: off, hpa, enc, len: take };
-                        let prev = run.replace(started);
-                        self.commit_read_run(prev, buf);
-                    }
-                }
-            } else {
-                // A span the controller may reject keeps the per-page call
-                // so partial-commit state and the faulting GPA stay
-                // identical to the walking loop.
-                self.commit_read_run(run.take(), buf);
-                self.mc.read(hpa, &mut buf[off..off + take], enc).map_err(|_| {
-                    Fault::NestedPageFault {
-                        gpa: cur,
-                        access: AccessKind::Read,
-                        reason: FaultReason::BadPhysicalAddress,
-                    }
-                })?;
-            }
-            off += take;
-        }
-        self.commit_read_run(run.take(), buf);
-        Ok(())
+        self.stream(Addr::GuestPhys(gpa, encrypted), Buf::Read(buf), NO_CHUNKING, true)
     }
 
     /// Direct guest-physical write; see [`Machine::guest_read_gpa`].
@@ -1026,68 +949,7 @@ impl Machine {
     /// NPT faults propagate (they would exit to the host).
     pub fn guest_write_gpa(&mut self, gpa: Gpa, data: &[u8], encrypted: bool) -> Result<(), Fault> {
         assert_eq!(self.cpu.mode, Mode::Guest);
-        self.with_engine_batch(|m, batch| m.guest_write_gpa_inner(gpa, data, encrypted, batch))
-    }
-
-    fn guest_write_gpa_inner(
-        &mut self,
-        gpa: Gpa,
-        data: &[u8],
-        encrypted: bool,
-        batch: &mut ChargeBatch,
-    ) -> Result<(), Fault> {
-        let guest = self.cpu.guest.expect("guest mode");
-        let mut run: Option<PendingRun> = None;
-        let mut off = 0usize;
-        while off < data.len() {
-            let cur = Gpa(gpa.0 + off as u64);
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = in_page.min(data.len() - off);
-            // A miss (or demoted/wrong-kind hit) software-walks the NPT
-            // through the memory controller; commit the pending span first
-            // so a write whose earlier pages land in table pages is
-            // visible to that walk, exactly as the per-page loop committed
-            // each page before the next translate.
-            if run.is_some()
-                && self
-                    .tlb
-                    .peek(Space::Guest(guest.asid.0), cur.pfn())
-                    .is_none_or(|c| c.kind != TransKind::GuestPhys)
-            {
-                self.commit_write_run(run.take(), data);
-            }
-            let (hpa, npt_c) = match self.gpa_translate_page(guest, cur, AccessKind::Write) {
-                Ok(v) => v,
-                Err(fault) => {
-                    self.commit_write_run(run.take(), data);
-                    return Err(fault);
-                }
-            };
-            let enc = Self::select_gpa_enc(guest, encrypted, npt_c);
-            self.charge_engine_into(batch, enc, take as u64);
-            if !self.walk_always && self.mc.access_infallible(hpa, take as u64, enc) {
-                match &mut run {
-                    Some(r) if r.enc == enc && r.hpa.0 + r.len as u64 == hpa.0 => r.len += take,
-                    _ => {
-                        let started = PendingRun { buf_off: off, hpa, enc, len: take };
-                        let prev = run.replace(started);
-                        self.commit_write_run(prev, data);
-                    }
-                }
-            } else {
-                self.commit_write_run(run.take(), data);
-                self.mc.write(hpa, &data[off..off + take], enc).map_err(|_| {
-                    Fault::NestedPageFault {
-                        gpa: cur,
-                        access: AccessKind::Write,
-                        reason: FaultReason::BadPhysicalAddress,
-                    }
-                })?;
-            }
-            off += take;
-        }
-        self.commit_write_run(run.take(), data);
-        Ok(())
+        self.stream(Addr::GuestPhys(gpa, encrypted), Buf::Write(data), NO_CHUNKING, true)
     }
 
     /// Guest virtual read through the guest's own page tables, then the
@@ -1099,52 +961,7 @@ impl Machine {
     ///
     /// Guest page faults (stage 1) and nested page faults (stage 2).
     pub fn guest_read(&mut self, va: Gva, buf: &mut [u8]) -> Result<(), Fault> {
-        self.with_engine_batch(|m, batch| m.guest_read_inner(va, buf, batch))
-    }
-
-    fn guest_read_inner(
-        &mut self,
-        va: Gva,
-        buf: &mut [u8],
-        batch: &mut ChargeBatch,
-    ) -> Result<(), Fault> {
-        let mut run: Option<PendingRun> = None;
-        let mut off = 0usize;
-        while off < buf.len() {
-            let cur = Gva(va.0 + off as u64);
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = in_page.min(buf.len() - off);
-            let (hpa, enc) = match self.guest_translate(cur, AccessKind::Read) {
-                Ok(v) => v,
-                Err(fault) => {
-                    self.commit_read_run(run.take(), buf);
-                    return Err(fault);
-                }
-            };
-            self.charge_engine_into(batch, enc, take as u64);
-            if !self.walk_always && self.mc.access_infallible(hpa, take as u64, enc) {
-                match &mut run {
-                    Some(r) if r.enc == enc && r.hpa.0 + r.len as u64 == hpa.0 => r.len += take,
-                    _ => {
-                        let started = PendingRun { buf_off: off, hpa, enc, len: take };
-                        let prev = run.replace(started);
-                        self.commit_read_run(prev, buf);
-                    }
-                }
-            } else {
-                self.commit_read_run(run.take(), buf);
-                self.mc.read(hpa, &mut buf[off..off + take], enc).map_err(|_| {
-                    Fault::GuestPageFault {
-                        va: cur,
-                        access: AccessKind::Read,
-                        reason: FaultReason::BadPhysicalAddress,
-                    }
-                })?;
-            }
-            off += take;
-        }
-        self.commit_read_run(run.take(), buf);
-        Ok(())
+        self.stream(Addr::GuestVirt(va), Buf::Read(buf), NO_CHUNKING, true)
     }
 
     /// Guest virtual write; see [`Machine::guest_read`].
@@ -1153,164 +970,36 @@ impl Machine {
     ///
     /// Guest page faults (stage 1) and nested page faults (stage 2).
     pub fn guest_write(&mut self, va: Gva, data: &[u8]) -> Result<(), Fault> {
-        self.with_engine_batch(|m, batch| m.guest_write_inner(va, data, batch))
+        self.stream(Addr::GuestVirt(va), Buf::Write(data), NO_CHUNKING, true)
     }
 
-    fn guest_write_inner(
-        &mut self,
-        va: Gva,
-        data: &[u8],
-        batch: &mut ChargeBatch,
-    ) -> Result<(), Fault> {
-        let mut run: Option<PendingRun> = None;
-        let mut off = 0usize;
-        while off < data.len() {
-            let cur = Gva(va.0 + off as u64);
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = in_page.min(data.len() - off);
-            // Commit the pending span before any software walk, so a write
-            // whose earlier pages land in guest page-table pages is
-            // visible to a later page's walk in the same call (the
-            // per-page loop committed each page before the next
-            // translate). A pending run implies a prior successful guest
-            // translation, so guest mode is established.
-            if run.is_some() {
-                let g = self.cpu.guest.expect("a pending run implies guest mode");
-                if self
-                    .tlb
-                    .peek(Space::Guest(g.asid.0), cur.pfn())
-                    .is_none_or(|c| c.kind != TransKind::GuestVirt)
-                {
-                    self.commit_write_run(run.take(), data);
-                }
-            }
-            let (hpa, enc) = match self.guest_translate(cur, AccessKind::Write) {
-                Ok(v) => v,
-                Err(fault) => {
-                    self.commit_write_run(run.take(), data);
-                    return Err(fault);
-                }
-            };
-            self.charge_engine_into(batch, enc, take as u64);
-            if !self.walk_always && self.mc.access_infallible(hpa, take as u64, enc) {
-                match &mut run {
-                    Some(r) if r.enc == enc && r.hpa.0 + r.len as u64 == hpa.0 => r.len += take,
-                    _ => {
-                        let started = PendingRun { buf_off: off, hpa, enc, len: take };
-                        let prev = run.replace(started);
-                        self.commit_write_run(prev, data);
-                    }
-                }
-            } else {
-                self.commit_write_run(run.take(), data);
-                self.mc.write(hpa, &data[off..off + take], enc).map_err(|_| {
-                    Fault::GuestPageFault {
-                        va: cur,
-                        access: AccessKind::Write,
-                        reason: FaultReason::BadPhysicalAddress,
-                    }
-                })?;
-            }
-            off += take;
-        }
-        self.commit_write_run(run.take(), data);
-        Ok(())
-    }
-
-    /// The two-stage walk: guest page tables (encrypted under `Kvek` for
-    /// SEV guests) then the NPT for the leaf.
+    /// Guest virtual → host physical through both stages.
     fn guest_translate(&mut self, va: Gva, access: AccessKind) -> Result<(Hpa, EncSel), Fault> {
         assert_eq!(self.cpu.mode, Mode::Guest);
-        let guest = self.cpu.guest.expect("guest mode");
-        let gfault = |reason| Fault::GuestPageFault { va, access, reason };
-
-        let cached = self.tlb.lookup(Space::Guest(guest.asid.0), va.pfn());
-        self.cycles.charge(self.cost.mem_access);
-        let hit = cached.is_hit();
-        let mut refill = SpanId::NONE;
-        if !hit {
-            refill = self.span_open(
-                SpanKind::GuestWalk,
-                "guest-walk",
-                &[("vpn", ArgValue::U64(va.pfn()))],
-            );
-            self.cycles.charge_as(CycleCategory::Paging, self.cost.gpt_walk + self.cost.npt_walk);
-            // A guest-virtual miss walks both the guest table and the NPT.
-            self.tlb.record_walks(2);
-        }
-        if !self.walk_always {
-            if let Some(c) = cached.cached() {
-                if c.kind == TransKind::GuestVirt {
-                    // Stage-1 permission faults precede stage-2 ones, in
-                    // walk order.
-                    match access {
-                        AccessKind::Write if !c.writable => {
-                            return Err(gfault(FaultReason::WriteProtected));
-                        }
-                        AccessKind::Execute if c.nx => return Err(gfault(FaultReason::NoExecute)),
-                        _ => {}
-                    }
-                    if access == AccessKind::Write && !c.npt_writable {
-                        return Err(Fault::NestedPageFault {
-                            gpa: Gpa(c.gpfn * PAGE_SIZE + va.page_offset()),
-                            access,
-                            reason: FaultReason::WriteProtected,
-                        });
-                    }
-                    let enc = if guest.sev && c.c_bit {
-                        EncSel::Guest(guest.asid)
-                    } else if c.npt_c {
-                        EncSel::Sme
-                    } else {
-                        EncSel::None
-                    };
-                    return Ok((Hpa(c.hpfn * PAGE_SIZE + va.page_offset()), enc));
-                }
-            }
-        }
-
-        let usable = cached.cached().is_some_and(|c| c.kind == TransKind::GuestVirt);
-        let walked = self.guest_two_stage_walk(guest, va, access);
-        self.span_close(refill);
-        let (leaf, writable, nx, t2) = walked?;
-        let fresh = CachedTranslation::guest_virt(
-            t2.pa.pfn(),
-            leaf.addr().pfn(),
-            writable,
-            nx,
-            leaf.c_bit(),
-            t2.writable,
-            t2.c_bit,
-        );
-        if hit {
-            if !usable {
-                self.tlb.refresh(Space::Guest(guest.asid.0), va.pfn(), fresh);
-            }
-        } else {
-            self.tlb.insert(Space::Guest(guest.asid.0), va.pfn(), fresh);
-        }
-        let enc = if guest.sev && leaf.c_bit() {
-            EncSel::Guest(guest.asid)
-        } else if t2.c_bit {
-            EncSel::Sme
-        } else {
-            EncSel::None
-        };
-        Ok((t2.pa, enc))
+        let at = Addr::GuestVirt(va);
+        let off = va.page_offset();
+        let c = self.tlb_translate(
+            at,
+            // Stage-1 permission faults precede stage-2 ones, in walk order.
+            |c| {
+                permits(c.writable, c.nx, access, true).map_err(|r| at.fault(access, r))?;
+                npt_permits(Gpa::from_pfn(c.gpfn).add(off), access, c.npt_writable)
+            },
+            |m| m.guest_two_stage_walk(va, access),
+        )?;
+        Ok((Hpa::from_pfn(c.hpfn).add(off), self.guest_enc(c.c_bit, c.npt_c)))
     }
 
-    /// The software walk [`Machine::guest_translate`] falls back to on a
-    /// TLB miss: stage 1 through the guest's own page tables (every table
-    /// access is itself a GPA that must pass through the NPT, and table
-    /// reads use the guest key when SEV is on), then stage 2 for the final
-    /// data page. Returns the stage-1 leaf, its accumulated
-    /// writable/no-execute permissions, and the stage-2 translation.
+    /// The software walk behind [`Machine::guest_translate`]: stage 1
+    /// through the guest's own page tables (every table access is itself a
+    /// GPA that must pass through the NPT, and table reads use the guest
+    /// key when SEV is on), then stage 2 for the final data page.
     fn guest_two_stage_walk(
         &mut self,
-        guest: GuestCtx,
         va: Gva,
         access: AccessKind,
-    ) -> Result<(crate::paging::Pte, bool, bool, Translation), Fault> {
+    ) -> Result<CachedTranslation, Fault> {
+        let guest = self.cpu.guest.expect("guest mode");
         let table_enc = if guest.sev { EncSel::Guest(guest.asid) } else { EncSel::None };
         let gfault = |reason| Fault::GuestPageFault { va, access, reason };
         let mut table_gpa = guest.gcr3;
@@ -1336,21 +1025,19 @@ impl Machine {
                 table_gpa = Gpa(pte.addr().0);
             }
         }
-        match access {
-            AccessKind::Write if !writable => return Err(gfault(FaultReason::WriteProtected)),
-            AccessKind::Execute if nx => return Err(gfault(FaultReason::NoExecute)),
-            _ => {}
-        }
-        let gpa = Gpa(leaf.addr().0 + va.page_offset());
-        let t2 = self.npt_walk_translation(gpa, access)?;
-        if access == AccessKind::Write && !t2.writable {
-            return Err(Fault::NestedPageFault {
-                gpa,
-                access,
-                reason: FaultReason::WriteProtected,
-            });
-        }
-        Ok((leaf, writable, nx, t2))
+        // A stage-1 permission fault comes before the stage-2 walk of the
+        // data page.
+        permits(writable, nx, access, true).map_err(gfault)?;
+        let t2 = self.npt_walk(Gpa(leaf.addr().0 + va.page_offset()), access)?;
+        Ok(CachedTranslation::guest_virt(
+            t2.pa.pfn(),
+            leaf.addr().pfn(),
+            writable,
+            nx,
+            leaf.c_bit(),
+            t2.writable,
+            t2.c_bit,
+        ))
     }
 }
 

@@ -265,83 +265,6 @@ impl Cycles {
         self.by_category = [0.0; CycleCategory::COUNT];
         t
     }
-
-    /// Applies a [`ChargeBatch`], replaying each run as `count` individual
-    /// additions in arrival order.
-    ///
-    /// Because every run preserves the order in which the charges were
-    /// batched and each is folded as repeated `acc += unit_cost` adds, the
-    /// per-category accumulators end up **bit-identical** to what the same
-    /// sequence of [`Cycles::charge_as`] calls would have produced —
-    /// batching is a host-side speedup only, never a change to the modeled
-    /// count.
-    pub fn apply_batch(&mut self, batch: &ChargeBatch) {
-        for &(category, count, unit_cost) in &batch.runs {
-            let acc = &mut self.by_category[category.index()];
-            for _ in 0..count {
-                *acc += unit_cost;
-            }
-        }
-    }
-}
-
-/// A span-local accumulator for hot loops that charge the same unit cost
-/// many times (per cache line, per word, per sector).
-///
-/// Hot paths push `(category, count, unit_cost)` runs as they go and fold
-/// the batch into a [`Cycles`] counter once per operation with
-/// [`Cycles::apply_batch`]. Runs are kept in arrival order and merged only
-/// when the incoming charge is *adjacent* to the previous run with the same
-/// category and a bit-equal unit cost, so replaying the batch performs the
-/// exact same f64 additions, in the same per-category order, as the
-/// unbatched code did. See `tests/charge_batch_oracle.rs` for the
-/// bit-exactness proof against random operation mixes.
-#[derive(Debug, Clone, Default)]
-pub struct ChargeBatch {
-    /// `(category, count, unit_cost)` runs in arrival order.
-    runs: Vec<(CycleCategory, u64, f64)>,
-}
-
-impl ChargeBatch {
-    /// An empty batch. The backing run list allocates on first use and is
-    /// reused across [`ChargeBatch::clear`] calls.
-    pub fn new() -> Self {
-        ChargeBatch::default()
-    }
-
-    /// Records `count` charges of `unit_cost` cycles to `category`.
-    ///
-    /// Extends the previous run when category and unit cost (compared by
-    /// bit pattern, so `0.0`/`-0.0` and NaNs never merge wrongly) match;
-    /// otherwise starts a new run. `count == 0` records nothing.
-    pub fn add(&mut self, category: CycleCategory, count: u64, unit_cost: f64) {
-        debug_assert!(unit_cost >= 0.0, "negative cycle charge");
-        if count == 0 {
-            return;
-        }
-        if let Some(last) = self.runs.last_mut() {
-            if last.0 == category && last.2.to_bits() == unit_cost.to_bits() {
-                last.1 += count;
-                return;
-            }
-        }
-        self.runs.push((category, count, unit_cost));
-    }
-
-    /// True when no charges have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    /// Total number of individual charges recorded (sum of run counts).
-    pub fn charge_count(&self) -> u64 {
-        self.runs.iter().map(|r| r.1).sum()
-    }
-
-    /// Forgets all recorded runs, keeping the allocation for reuse.
-    pub fn clear(&mut self) {
-        self.runs.clear();
-    }
 }
 
 #[cfg(test)]
@@ -433,47 +356,6 @@ mod tests {
         let b = c.breakdown();
         assert_eq!(b.total(), c.total_f64());
         assert_eq!(b.total().to_bits(), c.total_f64().to_bits());
-    }
-
-    #[test]
-    fn charge_batch_merges_adjacent_runs_only() {
-        let mut b = ChargeBatch::new();
-        b.add(CycleCategory::CryptoEngine, 3, 4.0);
-        b.add(CycleCategory::CryptoEngine, 2, 4.0); // merges: same cat + cost
-        b.add(CycleCategory::Paging, 1, 60.0); // new run: category changed
-        b.add(CycleCategory::CryptoEngine, 1, 4.0); // new run: not adjacent
-        b.add(CycleCategory::CryptoEngine, 0, 4.0); // no-op
-        assert_eq!(b.charge_count(), 7);
-        assert_eq!(b.runs.len(), 3);
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.charge_count(), 0);
-    }
-
-    #[test]
-    fn apply_batch_is_bit_identical_to_sequential_charges() {
-        // A fractional unit cost makes the accumulation order observable:
-        // folding as `count * cost` would diverge from repeated adds.
-        let mut batched = Cycles::new();
-        let mut sequential = Cycles::new();
-        let mut b = ChargeBatch::new();
-        for i in 0..1000u64 {
-            let cat =
-                if i % 3 == 0 { CycleCategory::CryptoEngine } else { CycleCategory::Baseline };
-            let cost = 0.1 + (i % 7) as f64 * 0.3;
-            b.add(cat, 1 + i % 4, cost);
-            for _ in 0..1 + i % 4 {
-                sequential.charge_as(cat, cost);
-            }
-        }
-        batched.apply_batch(&b);
-        for cat in CycleCategory::ALL {
-            assert_eq!(
-                batched.in_category(cat).to_bits(),
-                sequential.in_category(cat).to_bits(),
-                "{cat:?} diverged"
-            );
-        }
     }
 
     #[test]

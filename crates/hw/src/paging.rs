@@ -167,25 +167,14 @@ pub fn walk(
     }))
 }
 
-/// Checks a translation against an access kind under the given `wp`
-/// (CR0.WP) setting for supervisor accesses.
-pub fn permits(t: &Translation, access: AccessKind, wp: bool) -> Result<(), FaultReason> {
+/// Checks a mapping's accumulated `writable` and `nx` bits (a walk's
+/// [`Translation`], or a cached copy of them) against an access kind under
+/// the given `wp` (CR0.WP) setting for supervisor accesses.
+pub fn permits(writable: bool, nx: bool, access: AccessKind, wp: bool) -> Result<(), FaultReason> {
     match access {
-        AccessKind::Read => Ok(()),
-        AccessKind::Write => {
-            if t.writable || !wp {
-                Ok(())
-            } else {
-                Err(FaultReason::WriteProtected)
-            }
-        }
-        AccessKind::Execute => {
-            if t.nx {
-                Err(FaultReason::NoExecute)
-            } else {
-                Ok(())
-            }
-        }
+        AccessKind::Write if !writable && wp => Err(FaultReason::WriteProtected),
+        AccessKind::Execute if nx => Err(FaultReason::NoExecute),
+        _ => Ok(()),
     }
 }
 
@@ -524,12 +513,18 @@ mod tests {
         let t = walk(&mc, mapper.root(), 0x5000, EncSel::None).unwrap().unwrap();
         assert!(!t.writable);
         assert!(t.nx);
-        assert_eq!(permits(&t, AccessKind::Read, true), Ok(()));
-        assert_eq!(permits(&t, AccessKind::Write, true), Err(FaultReason::WriteProtected));
+        assert_eq!(permits(t.writable, t.nx, AccessKind::Read, true), Ok(()));
+        assert_eq!(
+            permits(t.writable, t.nx, AccessKind::Write, true),
+            Err(FaultReason::WriteProtected)
+        );
         // Supervisor write with WP clear is allowed — the type-1 gate's
         // mechanism.
-        assert_eq!(permits(&t, AccessKind::Write, false), Ok(()));
-        assert_eq!(permits(&t, AccessKind::Execute, true), Err(FaultReason::NoExecute));
+        assert_eq!(permits(t.writable, t.nx, AccessKind::Write, false), Ok(()));
+        assert_eq!(
+            permits(t.writable, t.nx, AccessKind::Execute, true),
+            Err(FaultReason::NoExecute)
+        );
     }
 
     #[test]

@@ -16,15 +16,16 @@
 //! does, and that is identical on both paths).
 
 use fidelius_hw::cpu::{Machine, PrivOp};
+use fidelius_hw::error::{AccessKind, FaultReason};
 use fidelius_hw::mem::FrameAllocator;
 use fidelius_hw::memctrl::EncSel;
 use fidelius_hw::paging::{
     Mapper, OffsetPtAccess, PhysPtAccess, PtAccess, Pte, PTE_C_BIT, PTE_PRESENT, PTE_WRITABLE,
 };
 use fidelius_hw::regs::{Cr0, Efer};
-use fidelius_hw::tlb::Space;
-use fidelius_hw::vmcb::{VmcbField, VmcbImage};
-use fidelius_hw::{Asid, Gpa, Gva, Hpa, Hva, PAGE_SIZE};
+use fidelius_hw::tlb::{Space, TlbCounters};
+use fidelius_hw::vmcb::{ExitCode, VmcbField, VmcbImage};
+use fidelius_hw::{Asid, Fault, Gpa, Gva, Hpa, Hva, PAGE_SIZE};
 
 const MEM: u64 = 1024 * PAGE_SIZE; // 4 MiB
 const ASID: u16 = 3;
@@ -468,9 +469,9 @@ fn self_referential_write_commits_before_walk() {
     assert_observables_equal(&cached, &oracle, "self-referential write");
 }
 
-/// Host-virtual accesses vs. host page-table edits (with the guardian's
-/// demotion), CR0.WP toggles *without* any flush, `invlpg`, and aliasing
-/// guest accesses in between (the host and guest spaces must not bleed).
+/// Host-virtual accesses, per page and streamed (the coalescing loop every
+/// blkif drain takes), vs. host page-table edits (with the guardian's
+/// demotion), CR0.WP toggles *without* any flush, and `invlpg`.
 #[test]
 fn host_stream_matches_walk_oracle() {
     for seed in 1..=4u64 {
@@ -479,7 +480,7 @@ fn host_stream_matches_walk_oracle() {
         oracle.set_walk_always(true);
         // Leave guest mode: host accesses assert host mode.
         for m in [&mut cached, &mut oracle] {
-            m.vmexit(fidelius_hw::vmcb::ExitCode::Hlt, 0, 0).unwrap();
+            m.vmexit(ExitCode::Hlt, 0, 0).unwrap();
         }
         let host_root = cached.cpu.cr3;
         let leaf_of = |m: &mut Machine, va: u64| -> Hpa {
@@ -493,7 +494,7 @@ fn host_stream_matches_walk_oracle() {
         let mut writable = [true; 8];
         for step in 0..1200 {
             let ctx = format!("seed={seed} step={step}");
-            match lcg(&mut rng) % 12 {
+            match lcg(&mut rng) % 14 {
                 0..=4 => {
                     let va = Hva(32 * PAGE_SIZE + lcg(&mut rng) % (8 * PAGE_SIZE));
                     let len = (lcg(&mut rng) % 200 + 1) as usize;
@@ -536,14 +537,98 @@ fn host_stream_matches_walk_oracle() {
                     cached.cpu.cr0.wp = wp;
                     oracle.cpu.cr0.wp = wp;
                 }
-                _ => {
+                11 => {
                     let page = 32 + lcg(&mut rng) % 8;
                     for m in [&mut cached, &mut oracle] {
                         m.tlb.flush_page(Space::Host, page);
+                    }
+                }
+                op => {
+                    // A streamed read or write of up to two pages, cut into
+                    // chunks the way blkif cuts sectors and segments.
+                    let va = Hva(32 * PAGE_SIZE + lcg(&mut rng) % (8 * PAGE_SIZE));
+                    let len = (lcg(&mut rng) % (2 * PAGE_SIZE) + 1) as usize;
+                    let chunk = [1, 8, 512, 4096][(lcg(&mut rng) % 4) as usize];
+                    if op == 12 {
+                        let mut ba = vec![0u8; len];
+                        let mut bb = vec![0u8; len];
+                        let ra = cached.host_read_stream(va, &mut ba, chunk);
+                        let rb = oracle.host_read_stream(va, &mut bb, chunk);
+                        assert_eq!(ra, rb, "{ctx}: stream read fault diverged");
+                        assert_eq!(ba, bb, "{ctx}: stream read data diverged");
+                    } else {
+                        let fill = lcg(&mut rng) as u8;
+                        let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                        let ra = cached.host_write_stream(va, &data, chunk);
+                        let rb = oracle.host_write_stream(va, &data, chunk);
+                        assert_eq!(ra, rb, "{ctx}: stream write fault diverged");
                     }
                 }
             }
         }
         assert_observables_equal(&cached, &oracle, &format!("seed={seed} end"));
     }
+}
+
+/// The TLB counters and the modeled total after a run, for pinning.
+fn tlb_and_cycles(m: &Machine) -> (TlbCounters, f64) {
+    (m.tlb.counters(), m.cycles.total_f64())
+}
+
+/// A walk that faults inserts nothing, so the next access to the same page
+/// misses and walks again. The differential tests above cannot see this:
+/// both of their machines share the one TLB path, so an insert before the
+/// permission check would move both alike. The values are pinned instead,
+/// and each case would count one miss, one walk and its refill cost fewer
+/// if the faulting walk had left an entry behind.
+#[test]
+fn faulting_walk_inserts_nothing() {
+    let read_only = |page: u64| Pte::new(GUEST_BASE.add(page * PAGE_SIZE), PTE_PRESENT);
+    let counters = |misses, walks| TlbCounters { hits: 1, misses, evictions: 0, walks };
+
+    // Guest physical: page 8's NPT leaf made read-only, with the
+    // hypervisor's demotion.
+    let (mut m, npt, _) = guest_machine(false);
+    let leaf_pas = npt_leaf_pas(&mut m, &npt);
+    m.mc.write_u64(leaf_pas[8], read_only(8).0, EncSel::None).unwrap();
+    m.tlb.demote_space(Space::Guest(ASID));
+    let nested = |access| Fault::NestedPageFault {
+        gpa: Gpa(0x8000),
+        access,
+        reason: FaultReason::WriteProtected,
+    };
+    assert_eq!(m.guest_write_gpa(Gpa(0x8000), &[1; 16], false), Err(nested(AccessKind::Write)));
+    m.guest_read_gpa(Gpa(0x8000), &mut [0; 16], false).unwrap();
+    assert_eq!(tlb_and_cycles(&m), (counters(3, 3), 1144.0), "guest-physical");
+
+    // Guest virtual: the same stage-2 fault through the two-stage walk.
+    let (mut m, npt, _) = guest_machine(false);
+    let leaf_pas = npt_leaf_pas(&mut m, &npt);
+    m.mc.write_u64(leaf_pas[8], read_only(8).0, EncSel::None).unwrap();
+    m.tlb.demote_space(Space::Guest(ASID));
+    assert_eq!(m.guest_write(Gva(0x8000), &[1; 16]), Err(nested(AccessKind::Write)));
+    m.guest_read(Gva(0x8000), &mut [0; 16]).unwrap();
+    assert_eq!(tlb_and_cycles(&m), (counters(3, 5), 1264.0), "guest-virtual");
+
+    // Host: a read-only host page with CR0.WP set.
+    let (mut m, _npt, _) = guest_machine(false);
+    m.vmexit(ExitCode::Hlt, 0, 0).unwrap();
+    assert!(m.cpu.cr0.wp);
+    let leaf = {
+        let mut acc = PhysPtAccess::new(&mut m.mc, EncSel::None);
+        Mapper::from_root(m.cpu.cr3).leaf_entry_pa(&mut acc, 33 * PAGE_SIZE).unwrap().unwrap()
+    };
+    m.mc.write_u64(leaf, Pte::new(Hpa(33 * PAGE_SIZE), PTE_PRESENT).0, EncSel::None).unwrap();
+    m.tlb.demote_page(Space::Host, 33);
+    let va = Hva(33 * PAGE_SIZE);
+    assert_eq!(
+        m.host_write(va, &[1; 16]),
+        Err(Fault::HostPageFault {
+            va,
+            access: AccessKind::Write,
+            reason: FaultReason::WriteProtected
+        })
+    );
+    m.host_read(va, &mut [0; 16]).unwrap();
+    assert_eq!(tlb_and_cycles(&m), (counters(3, 3), 2284.0), "host");
 }
