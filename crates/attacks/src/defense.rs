@@ -4,6 +4,7 @@ use fidelius_core::shadow::{ShadowCtx, Verdict};
 use fidelius_core::Fidelius;
 use fidelius_hw::vmcb::{ExitCode, VmcbField, VmcbImage};
 use fidelius_hw::{Gpa, PAGE_SIZE};
+use fidelius_telemetry::DenialReason;
 use fidelius_xen::domain::{Domain, DomainId};
 use fidelius_xen::frontend::gplayout;
 use fidelius_xen::grants::GrantEntry;
@@ -135,7 +136,7 @@ impl Guardian for SevEsSim {
                 }
                 _ => {
                     self.shadows.insert(dom.id, shadow);
-                    return Err(GuardError::IntegrityViolation("sev-es: vmcb tampered"));
+                    return Err(GuardError::Denied(DenialReason::SevEsVmcbTampered));
                 }
             }
         }

@@ -45,7 +45,7 @@ use fidelius_sev::GuestOwner;
 use fidelius_telemetry::{DenialReason, Event};
 use fidelius_xen::frontend::{gplayout, IoPath};
 use fidelius_xen::layout::direct_map;
-use fidelius_xen::{System, XenError};
+use fidelius_xen::System;
 
 /// The successor-attack rows, in matrix order.
 pub fn successor_attacks() -> Vec<Attack> {
@@ -140,7 +140,7 @@ pub(crate) fn severed_run(defense: Defense) -> (VictimSetup, AttackReport) {
         Err(e) => {
             // Fidelius vets every NPT write: remapping a populated GPA is
             // refused with a typed reason before the service can leak.
-            let reason = last_denial(&v.sys);
+            let reason = e.denial();
             let detail = match reason {
                 Some(r) => format!("remap refused: {}", r.as_str()),
                 None => format!("remap refused: {e:?}"),
@@ -332,24 +332,14 @@ pub(crate) fn rollback_run(defense: Defense) -> (Option<System>, AttackReport) {
     let _v2 =
         owner.package_image(b"victim kernel v2 (patched)   ", &sys.plat.firmware.pdh_public());
     let rep = match boot_encrypted_guest(&mut sys, &v1, 192) {
-        Err(XenError::FailClosed(r)) => {
-            let rep = report(
-                NAME,
-                defense,
-                AttackOutcome::Blocked,
-                format!("stale launch refused: {}", r.as_str()),
-            );
-            emit_outcome(&sys, NAME, defense, &rep.outcome, Some(r));
-            rep
-        }
         Err(e) => {
-            let rep = report(
-                NAME,
-                defense,
-                AttackOutcome::Blocked,
-                format!("stale launch refused: {e:?}"),
-            );
-            emit_outcome(&sys, NAME, defense, &rep.outcome, last_denial(&sys));
+            let reason = e.denial();
+            let detail = match reason {
+                Some(r) => format!("stale launch refused: {}", r.as_str()),
+                None => format!("stale launch refused: {e:?}"),
+            };
+            let rep = report(NAME, defense, AttackOutcome::Blocked, detail);
+            emit_outcome(&sys, NAME, defense, &rep.outcome, reason);
             rep
         }
         Ok(second) => {

@@ -32,8 +32,7 @@ fn remap_probe_leaves_typed_denial_trail() {
             PTE_WRITABLE,
         )
         .expect_err("Fidelius must refuse remapping a populated GPA");
-    let msg = format!("{err:?}");
-    assert!(msg.contains(DenialReason::RemapPopulatedGpa.as_str()), "wrong error: {msg}");
+    assert_eq!(err.denial(), Some(DenialReason::RemapPopulatedGpa), "wrong error: {err:?}");
 
     let events = v.sys.plat.machine.trace.events();
 

@@ -139,7 +139,7 @@ mod tests {
     fn bounded_with_eviction() {
         let mut log = AuditLog::new(2);
         for _ in 0..5 {
-            log.record(DenialReason::Legacy("x"));
+            log.record(DenialReason::UnknownDomainAtEntry);
         }
         assert_eq!(log.total(), 5);
         assert_eq!(log.dropped(), 3);

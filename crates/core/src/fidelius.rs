@@ -21,13 +21,14 @@ use crate::shadow::{ShadowCtx, Verdict};
 use fidelius_crypto::sha256::Sha256;
 use fidelius_hw::cpu::PrivOp;
 use fidelius_hw::cycles::CycleCategory;
+use fidelius_hw::error::{AccessKind, FaultReason};
 use fidelius_hw::memctrl::EncSel;
 use fidelius_hw::paging::{Mapper, PhysPtAccess, PtAccess, Pte, PTE_NX, PTE_PRESENT, PTE_WRITABLE};
 use fidelius_hw::regs::Cr4;
 use fidelius_hw::vmcb::{ExitCode, VmcbField, VmcbImage};
-use fidelius_hw::{Hpa, PAGE_SIZE};
+use fidelius_hw::{Fault, Hpa, HwError, PAGE_SIZE};
 use fidelius_sev::firmware::IoHelpers;
-use fidelius_sev::Handle;
+use fidelius_sev::{Handle, SevError};
 use fidelius_telemetry::{
     DenialReason, Event, FaultKind, FlushScope, InjectionOutcome, PolicyObject, VerifyOutcome,
 };
@@ -219,7 +220,7 @@ impl Fidelius {
             .assignments
             .get(&dom)
             .and_then(|a| a.frame_of(gpa_page))
-            .ok_or(GuardError::Policy("write-once target not populated"))?;
+            .ok_or(GuardError::Denied(DenialReason::WriteOnceTargetUnpopulated))?;
         if !self.once.tracks(frame) {
             self.once.track(frame, PAGE_SIZE);
         }
@@ -275,11 +276,11 @@ impl Fidelius {
         };
         let t1 = measure(plat, &mut |plat| gates.type1(plat, |_| Ok(())))?;
         let cli_cost = plat.machine.cost.cli;
-        let t2raw = measure(plat, &mut |plat| gates.type2(plat, PrivOp::Cli))?;
+        let t2raw = measure(plat, &mut |plat| gates.exec(plat, PrivOp::Cli))?;
         let sti_site = gates.sites.sti;
         plat.machine.exec_priv(sti_site, PrivOp::Sti).map_err(GuardError::Hw)?;
         let cr3_cost = plat.machine.cost.write_cr3 + plat.machine.cost.tlb_flush_full;
-        let t3raw = measure(plat, &mut |plat| gates.type3(plat, PrivOp::WriteCr3(host_root)))?;
+        let t3raw = measure(plat, &mut |plat| gates.exec(plat, PrivOp::WriteCr3(host_root)))?;
         self.gates = Some(gates);
         Ok((t1, t2raw - cli_cost, t3raw - cr3_cost))
     }
@@ -289,13 +290,13 @@ impl Fidelius {
     }
 
     /// Records a typed denial: bump the counter, emit the trace event, feed
-    /// the audit log from that same event, and build the legacy error.
+    /// the audit log from that same event, and build the caller's error.
     fn deny(&mut self, plat: &mut Platform, reason: DenialReason) -> GuardError {
         self.stats.policy_rejections += 1;
         let ev = Event::Denial { reason };
         plat.machine.trace.emit(ev.clone());
         self.audit.ingest(&ev);
-        GuardError::Policy(reason.as_str())
+        GuardError::Denied(reason)
     }
 
     /// A denial at a policy decision point: emits the (refused) decision
@@ -327,7 +328,7 @@ impl Fidelius {
         mapper
             .leaf_entry_pa(&mut acc, direct_map(pa).0)
             .map_err(GuardError::Hw)?
-            .ok_or(GuardError::Policy("no direct-map entry"))
+            .ok_or(GuardError::Hw(HwError::BadPhysicalAddress { pa, len: PAGE_SIZE }))
     }
 
     fn set_dm_entry(
@@ -368,8 +369,12 @@ impl Fidelius {
     // ----- policy helpers ---------------------------------------------------
 
     /// Decides whether the hypervisor may install a mapping to `target`
-    /// with `writable` permission in *its own* page tables.
+    /// with `writable` permission in *its own* page tables. A frame past
+    /// the end of DRAM has no PIT entry of its own, so it is never allowed.
     fn host_mapping_allowed(&mut self, plat: &mut Platform, target: Hpa, writable: bool) -> bool {
+        if !in_dram(plat, target) {
+            return false;
+        }
         let e = self.pit.query(target, &mut plat.machine.cycles);
         match e.usage() {
             Usage::Free | Usage::XenData | Usage::Vmcb => true,
@@ -408,6 +413,11 @@ impl Fidelius {
         }
         false
     }
+}
+
+/// Whether the hypervisor-named frame `frame` lies inside DRAM.
+fn in_dram(plat: &Platform, frame: Hpa) -> bool {
+    plat.machine.mc.access_infallible(frame, PAGE_SIZE, EncSel::None)
 }
 
 impl Guardian for Fidelius {
@@ -501,7 +511,11 @@ impl Guardian for Fidelius {
                 let leaf_entry_pa = mapper
                     .leaf_entry_pa(&mut acc, page_va.0)
                     .map_err(GuardError::Hw)?
-                    .ok_or(GuardError::Policy("instruction page unmapped at launch"))?;
+                    .ok_or(GuardError::Fault(Fault::HostPageFault {
+                        va: page_va,
+                        access: AccessKind::Execute,
+                        reason: FaultReason::NotPresent,
+                    }))?;
                 let mapped_pte = acc.read_entry(leaf_entry_pa).map_err(GuardError::Hw)?;
                 acc.write_entry(leaf_entry_pa, 0).map_err(GuardError::Hw)?;
                 Ok(GateMapping { leaf_entry_pa, mapped_pte, page_va })
@@ -534,7 +548,9 @@ impl Guardian for Fidelius {
         value: u64,
     ) -> Result<(), GuardError> {
         let page = entry_pa.page_base();
-        if self.pit.query(page, &mut plat.machine.cycles).usage() != Usage::XenPageTable {
+        if !in_dram(plat, page)
+            || self.pit.query(page, &mut plat.machine.cycles).usage() != Usage::XenPageTable
+        {
             return Err(self.refuse(
                 plat,
                 PolicyObject::Pit,
@@ -612,6 +628,17 @@ impl Guardian for Fidelius {
         let pte = Pte(value);
         let mut claim: Option<(Hpa, u64)> = None;
         let mut register_child: Option<(Hpa, NptPageInfo)> = None;
+        if pte.present() && !in_dram(plat, pte.addr().page_base()) {
+            // Past the end of DRAM the PIT would alias a real frame's entry.
+            return Err(self.refuse(
+                plat,
+                PolicyObject::Pit,
+                "npt-write",
+                value,
+                dom.0,
+                DenialReason::FrameNotMappable,
+            ));
+        }
         if pte.present() {
             if info.level > 0 {
                 // Intermediate entry: must point at a fresh hypervisor
@@ -896,7 +923,7 @@ impl Guardian for Fidelius {
                     outcome: InjectionOutcome::FailClosed(reason),
                 });
             }
-            GuardError::IntegrityViolation(reason.as_str())
+            GuardError::Denied(reason)
         };
         let img = VmcbImage::load(&plat.machine.mc, dom.vmcb_pa).map_err(GuardError::Hw)?;
         if let Some(shadow) = self.shadows.remove(&dom.id) {
@@ -954,7 +981,7 @@ impl Guardian for Fidelius {
             plat.machine.cpu.regs.load_array(dom.gpr_save);
         }
         let mut gates = self.gates.take().expect("late_launch must run first");
-        let result = gates.type3(plat, PrivOp::Vmrun(dom.vmcb_pa));
+        let result = gates.exec(plat, PrivOp::Vmrun(dom.vmcb_pa));
         self.gates = Some(gates);
         result
     }
@@ -963,7 +990,7 @@ impl Guardian for Fidelius {
         self.stats.shadow_round_trips += 1;
         let img = VmcbImage::load(&plat.machine.mc, dom.vmcb_pa).map_err(GuardError::Hw)?;
         let exit = ExitCode::from_raw(img.get(VmcbField::ExitCode))
-            .ok_or(GuardError::Policy("unknown exit code"))?;
+            .ok_or(GuardError::Denied(DenialReason::VmcbFieldTampered))?;
         let gprs = plat.machine.cpu.regs.as_array();
 
         // Fidelius directly handles pre_sharing_op at the boundary, from
@@ -1023,36 +1050,22 @@ impl Guardian for Fidelius {
                     dom: 0,
                     allowed: true,
                 });
-                match op {
-                    PrivOp::WriteCr3(_) => {
-                        let mut gates = self.gates.take().expect("late_launch must run first");
-                        let r = gates.type3(plat, op);
-                        self.gates = Some(gates);
-                        r
-                    }
-                    PrivOp::Lgdt(_) | PrivOp::Lidt(_) => {
-                        let site = if matches!(op, PrivOp::Lgdt(_)) {
-                            self.gates_mut().sites.lgdt
-                        } else {
-                            self.gates_mut().sites.lidt
-                        };
-                        let site_pa = Hpa(fidelius_xen::platform::FIDELIUS_CODE_PA.0
-                            + (site.0 - fidelius_xen::layout::FIDELIUS_CODE_BASE.0));
-                        if !self.once.try_use(site_pa) {
-                            return Err(self.deny(plat, DenialReason::ExecuteOnceAlreadyUsed));
-                        }
-                        let mut gates = self.gates.take().expect("gates");
-                        let r = gates.type2(plat, op);
-                        self.gates = Some(gates);
-                        r
-                    }
-                    _ => {
-                        let mut gates = self.gates.take().expect("gates");
-                        let r = gates.type2(plat, op);
-                        self.gates = Some(gates);
-                        r
+                if let PrivOp::Lgdt(_) | PrivOp::Lidt(_) = op {
+                    let site = if matches!(op, PrivOp::Lgdt(_)) {
+                        self.gates_mut().sites.lgdt
+                    } else {
+                        self.gates_mut().sites.lidt
+                    };
+                    let site_pa = Hpa(fidelius_xen::platform::FIDELIUS_CODE_PA.0
+                        + (site.0 - fidelius_xen::layout::FIDELIUS_CODE_BASE.0));
+                    if !self.once.try_use(site_pa) {
+                        return Err(self.deny(plat, DenialReason::ExecuteOnceAlreadyUsed));
                     }
                 }
+                let mut gates = self.gates.take().expect("late_launch must run first");
+                let r = gates.exec(plat, op);
+                self.gates = Some(gates);
+                r
             }
         }
     }
@@ -1067,11 +1080,8 @@ impl Guardian for Fidelius {
         len: u64,
         stream: u64,
     ) -> Result<(), GuardError> {
-        let meta = self
-            .sev_meta
-            .get(&dom)
-            .copied()
-            .ok_or(GuardError::Policy("no SEV context for this domain"))?;
+        let meta =
+            self.sev_meta.get(&dom).copied().ok_or(GuardError::Sev(SevError::NotActivated))?;
         let helpers = match meta.io {
             Some(h) => h,
             None => {
@@ -1102,11 +1112,8 @@ impl Guardian for Fidelius {
         sectors: u64,
         first_stream: u64,
     ) -> Result<(), GuardError> {
-        let meta = self
-            .sev_meta
-            .get(&dom)
-            .copied()
-            .ok_or(GuardError::Policy("no SEV context for this domain"))?;
+        let meta =
+            self.sev_meta.get(&dom).copied().ok_or(GuardError::Sev(SevError::NotActivated))?;
         let helpers = match meta.io {
             Some(h) => h,
             None => {
@@ -1249,7 +1256,7 @@ mod tests {
 
     fn assert_refused(result: Result<(), XenError>, reason: DenialReason) {
         match result {
-            Err(XenError::Guard(GuardError::Policy(msg))) => assert_eq!(msg, reason.as_str()),
+            Err(XenError::Guard(GuardError::Denied(r))) => assert_eq!(r, reason),
             other => panic!("expected {reason:?}, got {other:?}"),
         }
     }

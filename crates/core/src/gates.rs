@@ -44,7 +44,7 @@ pub const GATE_RETRY_MAX: u32 = 4;
 ///
 /// # Errors
 ///
-/// [`GuardError::Policy`] carrying [`DenialReason::GateResponseTimeout`]
+/// [`GuardError::Denied`] carrying [`DenialReason::GateResponseTimeout`]
 /// once more than [`GATE_RETRY_MAX`] delays are injected back to back.
 fn absorb_delays(plat: &mut Platform) -> Result<(), GuardError> {
     if !plat.machine.inject.is_armed() {
@@ -59,14 +59,10 @@ fn absorb_delays(plat: &mut Platform) -> Result<(), GuardError> {
                 plat.machine.cycles.charge(backoff * ticks.max(1) as f64);
                 backoff *= 2.0;
                 if attempt > GATE_RETRY_MAX {
-                    plat.machine
-                        .trace
-                        .emit(Event::Denial { reason: DenialReason::GateResponseTimeout });
-                    plat.machine.trace.emit(Event::FaultOutcome {
-                        kind: FaultKind::DelayedGate,
-                        outcome: InjectionOutcome::FailClosed(DenialReason::GateResponseTimeout),
-                    });
-                    return Err(GuardError::Policy(DenialReason::GateResponseTimeout.as_str()));
+                    return Err(GuardError::Denied(
+                        plat.machine
+                            .fail_closed(DenialReason::GateResponseTimeout, FaultKind::DelayedGate),
+                    ));
                 }
             }
             other => {
@@ -183,29 +179,36 @@ impl Gates {
         result
     }
 
-    /// Type-2 gate: executes a monopolized instruction at its Fidelius
-    /// site, with the checking-loop sanity checks around it (16 cycles of
-    /// gate overhead plus the instruction itself).
+    /// Executes a monopolized instruction through the gate its page
+    /// demands: type 3 for `vmrun` and `mov cr3`, whose pages stay
+    /// unmapped, and type 2 for every other instruction, which stays
+    /// mapped executable at its Fidelius site.
     ///
     /// # Errors
     ///
-    /// Propagates execution faults.
-    pub fn type2(&mut self, plat: &mut Platform, op: PrivOp) -> Result<(), GuardError> {
+    /// Propagates execution faults and gate timeouts.
+    pub fn exec(&mut self, plat: &mut Platform, op: PrivOp) -> Result<(), GuardError> {
+        let s = self.sites;
+        match op {
+            PrivOp::Vmrun(_) => self.type3(plat, op, self.vmrun_page, s.vmrun),
+            PrivOp::WriteCr3(_) => self.type3(plat, op, self.cr3_page, s.write_cr3),
+            PrivOp::WriteCr0(_) => self.type2(plat, op, s.write_cr0),
+            PrivOp::WriteCr4(_) => self.type2(plat, op, s.write_cr4),
+            PrivOp::WriteEfer(_) => self.type2(plat, op, s.wrmsr),
+            PrivOp::Invlpg(_) => self.type2(plat, op, s.invlpg),
+            PrivOp::Lgdt(_) => self.type2(plat, op, s.lgdt),
+            PrivOp::Lidt(_) => self.type2(plat, op, s.lidt),
+            PrivOp::Cli => self.type2(plat, op, s.cli),
+            PrivOp::Sti => self.type2(plat, op, s.sti),
+        }
+    }
+
+    /// Type-2 gate: executes `op` at its Fidelius `site`, with the
+    /// checking-loop sanity checks around it (16 cycles of gate overhead
+    /// plus the instruction itself).
+    fn type2(&mut self, plat: &mut Platform, op: PrivOp, site: Hva) -> Result<(), GuardError> {
         absorb_delays(plat)?;
         self.gate2_count += 1;
-        let site = match op {
-            PrivOp::WriteCr0(_) => self.sites.write_cr0,
-            PrivOp::WriteCr4(_) => self.sites.write_cr4,
-            PrivOp::WriteEfer(_) => self.sites.wrmsr,
-            PrivOp::Invlpg(_) => self.sites.invlpg,
-            PrivOp::Lgdt(_) => self.sites.lgdt,
-            PrivOp::Lidt(_) => self.sites.lidt,
-            PrivOp::Cli => self.sites.cli,
-            PrivOp::Sti => self.sites.sti,
-            PrivOp::Vmrun(_) | PrivOp::WriteCr3(_) => {
-                return Err(GuardError::Policy("vmrun/mov-cr3 require a type-3 gate"))
-            }
-        };
         let m = &mut plat.machine;
         let tspan =
             m.span_open(SpanKind::Gate, "gate:type2", &[("op", ArgValue::Str(privop_label(&op)))]);
@@ -222,21 +225,19 @@ impl Gates {
         result
     }
 
-    /// Type-3 gate: temporarily maps the instruction's page, executes it,
-    /// and withdraws the mapping (339 cycles of gate overhead plus the
-    /// instruction).
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution faults; the page is always unmapped again.
-    pub fn type3(&mut self, plat: &mut Platform, op: PrivOp) -> Result<(), GuardError> {
+    /// Type-3 gate: temporarily maps the instruction's page through
+    /// `mapping`, executes `op` at `site`, and withdraws the mapping (339
+    /// cycles of gate overhead plus the instruction). The page is always
+    /// unmapped again.
+    fn type3(
+        &mut self,
+        plat: &mut Platform,
+        op: PrivOp,
+        mapping: GateMapping,
+        site: Hva,
+    ) -> Result<(), GuardError> {
         absorb_delays(plat)?;
         self.gate3_count += 1;
-        let (mapping, site) = match op {
-            PrivOp::Vmrun(_) => (self.vmrun_page, self.sites.vmrun),
-            PrivOp::WriteCr3(_) => (self.cr3_page, self.sites.write_cr3),
-            _ => return Err(GuardError::Policy("type-3 gate is for vmrun/mov-cr3")),
-        };
         let tspan = plat.machine.span_open(
             SpanKind::Gate,
             "gate:type3",
@@ -351,7 +352,11 @@ mod tests {
         let (mut sys, dom) = booted();
         sys.plat.machine.trace.clear();
         sys.plat.machine.inject.install(Box::new(Delays(GATE_RETRY_MAX + 1)));
-        assert!(sys.ensure_guest(dom).is_err(), "exhausted retry budget must refuse the gate");
+        assert_eq!(
+            sys.ensure_guest(dom).unwrap_err().denial(),
+            Some(DenialReason::GateResponseTimeout),
+            "exhausted retry budget must refuse the gate with its typed reason"
+        );
         sys.plat.machine.inject.clear();
         let events = sys.plat.machine.trace.events();
         assert!(

@@ -162,11 +162,11 @@ impl IntegrityTree {
     ///
     /// # Errors
     ///
-    /// Propagates physical-range errors; out-of-range updates are
-    /// rejected.
+    /// Propagates physical-range errors; an update outside the integrity
+    /// range is rejected as [`HwError::BadPhysicalAddress`].
     pub fn update(&mut self, dram: &Dram, pa: Hpa) -> Result<(), HwError> {
         let Some(mut idx) = self.line_index(pa) else {
-            return Err(HwError::Denied("update outside the integrity range"));
+            return Err(HwError::BadPhysicalAddress { pa, len: CACHE_LINE });
         };
         let mut buf = [0u8; CACHE_LINE as usize];
         dram.read_raw(self.base.add(idx as u64 * CACHE_LINE), &mut buf)?;

@@ -32,7 +32,9 @@ use crate::regs::{Cr0, Cr4, Efer, RegFile};
 use crate::tlb::{CachedTranslation, Lookup, Space, Tlb, TransKind};
 use crate::vmcb::{ExitCode, VmcbField, VmcbImage};
 use crate::{Asid, Gpa, Gva, Hpa, Hva, PAGE_SIZE};
-use fidelius_telemetry::{Event, FlushScope, Snapshot, Tracer};
+use fidelius_telemetry::{
+    DenialReason, Event, FaultKind, FlushScope, InjectionOutcome, Snapshot, Tracer,
+};
 use fidelius_trace::{ArgValue, Recorder, SpanId, SpanKind};
 use std::ops::Range;
 
@@ -346,6 +348,19 @@ impl Machine {
         let action = self.inject.decide(point)?;
         self.trace.emit(Event::FaultInjected { kind: action.kind(), point: point.as_str() });
         Some(action)
+    }
+
+    /// Books a fail-closed refusal: a [`Event::Denial`] for the audit
+    /// trail, then, when the fault-injection layer is armed, the
+    /// [`Event::FaultOutcome`] that pairs the `kind` injection with its
+    /// disposal. Returns `reason` for the caller's error.
+    pub fn fail_closed(&mut self, reason: DenialReason, kind: FaultKind) -> DenialReason {
+        self.trace.emit(Event::Denial { reason });
+        if self.inject.is_armed() {
+            self.trace
+                .emit(Event::FaultOutcome { kind, outcome: InjectionOutcome::FailClosed(reason) });
+        }
+        reason
     }
 
     /// A point-in-time telemetry rollup: the tracer's metrics with the TLB
@@ -1294,6 +1309,27 @@ mod tests {
                 }
             )),
             "injection must leave a telemetry record: {events:?}"
+        );
+    }
+
+    #[test]
+    fn fail_closed_books_denial_then_paired_outcome_when_armed() {
+        let (reason, kind) = (DenialReason::RingIndexTampered, FaultKind::RingIndexCorrupt);
+        let booked =
+            |m: &Machine| m.trace.events().into_iter().map(|t| t.event).collect::<Vec<_>>();
+        let mut m = Machine::new(MEM);
+        assert_eq!(m.fail_closed(reason, kind), reason);
+        assert_eq!(booked(&m), vec![Event::Denial { reason }], "disarmed: the denial only");
+        m.trace.clear();
+        m.inject.install(Box::new(FireAt(InjectPoint::PostExit, None)));
+        assert_eq!(m.fail_closed(reason, kind), reason);
+        assert_eq!(
+            booked(&m),
+            vec![
+                Event::Denial { reason },
+                Event::FaultOutcome { kind, outcome: InjectionOutcome::FailClosed(reason) },
+            ],
+            "armed: the denial, then its paired disposal"
         );
     }
 

@@ -122,9 +122,6 @@ pub enum HwError {
     BadWorldSwitch,
     /// An architectural fault surfaced through a non-fault path.
     Fault(Fault),
-    /// The operation was rejected by a protection layer's policy (used by
-    /// software guardians that mediate hardware-like interfaces).
-    Denied(&'static str),
 }
 
 impl fmt::Display for HwError {
@@ -140,7 +137,6 @@ impl fmt::Display for HwError {
             HwError::BadFree(pa) => write!(f, "bad frame free at {pa}"),
             HwError::BadWorldSwitch => write!(f, "invalid guest/host world switch"),
             HwError::Fault(fault) => write!(f, "{fault}"),
-            HwError::Denied(why) => write!(f, "denied by protection policy: {why}"),
         }
     }
 }

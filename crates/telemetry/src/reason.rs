@@ -55,10 +55,9 @@ impl fmt::Display for AuditKind {
     }
 }
 
-/// Why an operation was refused. One variant per denial the policies can
-/// emit; [`DenialReason::as_str`] reproduces the exact legacy string so
-/// `GuardError::Policy(&'static str)` payloads and existing test matchers
-/// are unchanged.
+/// Why an operation was refused. One variant per refusal the policies and
+/// the fail-closed paths can return; the refusal travels to the caller as
+/// this value, and [`DenialReason::as_str`] is only its rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum DenialReason {
@@ -165,13 +164,17 @@ pub enum DenialReason {
     // --- other ---
     /// VMRUN for a domain Fidelius has never seen.
     UnknownDomainAtEntry,
-    /// Escape hatch for callers migrating from stringly-typed reasons.
-    Legacy(&'static str),
+    /// A write-once initialization named a GPA the domain has no frame for.
+    WriteOnceTargetUnpopulated,
+    /// `pre_sharing_op` reached a guardian without the Fidelius extension.
+    PreSharingUnsupported,
+    /// The SEV-ES baseline's VMCB integrity check failed at re-entry.
+    SevEsVmcbTampered,
 }
 
 impl DenialReason {
-    /// The exact legacy reason string (what `GuardError::Policy` carries and
-    /// what the audit log used to store).
+    /// The reason's stable text (its `Display`, and what the audit log used
+    /// to store).
     pub fn as_str(&self) -> &'static str {
         use DenialReason::*;
         match self {
@@ -214,7 +217,9 @@ impl DenialReason {
             GateResponseTimeout => "gate response delayed past retry budget",
             EventChannelStarved => "event channel starved past retry budget",
             UnknownDomainAtEntry => "unknown domain at entry",
-            Legacy(s) => s,
+            WriteOnceTargetUnpopulated => "write-once target not populated",
+            PreSharingUnsupported => "pre_sharing_op is a Fidelius extension",
+            SevEsVmcbTampered => "sev-es: vmcb tampered",
         }
     }
 
@@ -224,7 +229,9 @@ impl DenialReason {
     pub fn kind(&self) -> AuditKind {
         use DenialReason::*;
         match self {
-            WriteOnceAlreadyInitialized | ExecuteOnceAlreadyUsed => AuditKind::OnceViolation,
+            WriteOnceAlreadyInitialized | ExecuteOnceAlreadyUsed | WriteOnceTargetUnpopulated => {
+                AuditKind::OnceViolation
+            }
             NotAPageTablePage
             | PitPolicyViolation
             | WriteOutsideRegisteredNpt
@@ -251,17 +258,16 @@ impl DenialReason {
             | MigrationStreamTruncated
             | LaunchMeasurementReplayed
             | MigrationSessionReplayed
-            | RingIndexTampered => AuditKind::IntegrityViolation,
+            | RingIndexTampered
+            | SevEsVmcbTampered => AuditKind::IntegrityViolation,
             SealedFrameAccess => AuditKind::PitViolation,
-            GrantRevokedMidIo => AuditKind::GitViolation,
-            GateResponseTimeout | EventChannelStarved | UnknownDomainAtEntry | Legacy(_) => {
-                AuditKind::Other
-            }
+            GrantRevokedMidIo | PreSharingUnsupported => AuditKind::GitViolation,
+            GateResponseTimeout | EventChannelStarved | UnknownDomainAtEntry => AuditKind::Other,
         }
     }
 
-    /// Every non-`Legacy` variant (for exhaustive tests and reports).
-    pub const ALL: [DenialReason; 39] = {
+    /// Every variant (for exhaustive tests and reports).
+    pub const ALL: [DenialReason; 42] = {
         use DenialReason::*;
         [
             WriteOnceAlreadyInitialized,
@@ -303,6 +309,9 @@ impl DenialReason {
             GateResponseTimeout,
             EventChannelStarved,
             UnknownDomainAtEntry,
+            WriteOnceTargetUnpopulated,
+            PreSharingUnsupported,
+            SevEsVmcbTampered,
         ]
     };
 }
@@ -402,7 +411,5 @@ mod tests {
             DenialReason::RemapPopulatedGpa.to_string(),
             "remapping a populated GPA (replay)"
         );
-        assert_eq!(DenialReason::Legacy("custom").as_str(), "custom");
-        assert_eq!(DenialReason::Legacy("custom").kind(), AuditKind::Other);
     }
 }

@@ -41,7 +41,7 @@ use fidelius_crypto::modes::SECTOR_SIZE;
 use fidelius_hw::inject::{FaultAction, InjectPoint};
 use fidelius_hw::memctrl::EncSel;
 use fidelius_hw::{Hpa, Hva, PAGE_SIZE};
-use fidelius_telemetry::{DenialReason, Event, FaultKind, InjectionOutcome};
+use fidelius_telemetry::{DenialReason, FaultKind};
 use fidelius_trace::{ArgValue, SpanKind};
 
 /// Request slots in one ring.
@@ -266,32 +266,6 @@ impl BlockBackend {
         true
     }
 
-    /// Emits the typed audit trail for a grant that vanished mid-I/O: a
-    /// denial event, plus a fault-outcome event (tagged `kind`) when the
-    /// fault-injection layer is armed, so the matrix can pair injection
-    /// with disposal.
-    fn report_revoked(plat: &mut Platform, kind: FaultKind) {
-        plat.machine.trace.emit(Event::Denial { reason: DenialReason::GrantRevokedMidIo });
-        if plat.machine.inject.is_armed() {
-            plat.machine.trace.emit(Event::FaultOutcome {
-                kind,
-                outcome: InjectionOutcome::FailClosed(DenialReason::GrantRevokedMidIo),
-            });
-        }
-    }
-
-    /// Emits the typed audit trail for a ring producer index that changed
-    /// (or was insane) under a drain.
-    fn report_ring_tampered(plat: &mut Platform) {
-        plat.machine.trace.emit(Event::Denial { reason: DenialReason::RingIndexTampered });
-        if plat.machine.inject.is_armed() {
-            plat.machine.trace.emit(Event::FaultOutcome {
-                kind: FaultKind::RingIndexCorrupt,
-                outcome: InjectionOutcome::FailClosed(DenialReason::RingIndexTampered),
-            });
-        }
-    }
-
     /// Processes all outstanding requests on every queue, in queue order.
     /// Returns how many were handled.
     ///
@@ -347,14 +321,18 @@ impl BlockBackend {
         // back-end cannot even respond — fail the whole pass closed.
         if let Some((ring_ref, _, _)) = self.queues[qi].grants {
             if !Self::grant_ok(plat, &self.queues[qi], ring_ref, ring) {
-                Self::report_revoked(plat, FaultKind::GrantRevokeMidIo);
-                return Err(XenError::FailClosed(DenialReason::GrantRevokedMidIo));
+                return Err(XenError::FailClosed(
+                    plat.machine
+                        .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo),
+                ));
             }
         }
         let req_prod = plat.machine.host_read_u64(direct_map(ring.add(OFF_REQ_PROD)))?;
         if !Self::window_ok(self.queues[qi].req_cons, req_prod) {
-            Self::report_ring_tampered(plat);
-            return Err(XenError::FailClosed(DenialReason::RingIndexTampered));
+            return Err(XenError::FailClosed(
+                plat.machine
+                    .fail_closed(DenialReason::RingIndexTampered, FaultKind::RingIndexCorrupt),
+            ));
         }
         let mut handled = 0;
         while self.queues[qi].req_cons < req_prod {
@@ -417,7 +395,8 @@ impl BlockBackend {
                     (buf_refs[p as usize], qs.buf_frames[p as usize])
                 };
                 if !Self::grant_ok(plat, &self.queues[qi], refs, frame) {
-                    Self::report_revoked(plat, FaultKind::GrantRevokeMidIo);
+                    plat.machine
+                        .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo);
                     return Ok(BlkStatus::Error);
                 }
             }
@@ -502,8 +481,10 @@ impl BlockBackend {
         let ring = self.queues[qi].ring_frame.ok_or(XenError::BadBlockRequest)?;
         if let Some((ring_ref, _, _)) = self.queues[qi].grants {
             if !Self::grant_ok(plat, &self.queues[qi], ring_ref, ring) {
-                Self::report_revoked(plat, FaultKind::GrantRevokeMidIo);
-                return Err(XenError::FailClosed(DenialReason::GrantRevokedMidIo));
+                return Err(XenError::FailClosed(
+                    plat.machine
+                        .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo),
+                ));
             }
         }
         // Snapshot the window. Everything the oracle charges per request
@@ -513,8 +494,10 @@ impl BlockBackend {
         let req_prod = plat.machine.host_read_u64(direct_map(ring.add(OFF_REQ_PROD)))?;
         let req_cons = self.queues[qi].req_cons;
         if !Self::window_ok(req_cons, req_prod) {
-            Self::report_ring_tampered(plat);
-            return Err(XenError::FailClosed(DenialReason::RingIndexTampered));
+            return Err(XenError::FailClosed(
+                plat.machine
+                    .fail_closed(DenialReason::RingIndexTampered, FaultKind::RingIndexCorrupt),
+            ));
         }
         let mut plans = Vec::with_capacity((req_prod - req_cons) as usize);
         for i in req_cons..req_prod {
@@ -540,7 +523,8 @@ impl BlockBackend {
             if !structurally_ok {
                 plan.status = BlkStatus::Error;
             } else if !Self::plan_grants_ok(plat, &self.queues[qi], ring, plan) {
-                Self::report_revoked(plat, FaultKind::GrantRevokeMidIo);
+                plat.machine
+                    .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo);
                 plan.status = BlkStatus::Error;
             }
         }
@@ -558,8 +542,10 @@ impl BlockBackend {
                     // Detected below at commit; nothing else to do here.
                 } else if !Self::plan_grants_ok(plat, &self.queues[qi], ring, plan) {
                     self.rollback(undo);
-                    Self::report_revoked(plat, FaultKind::GrantRevokeMidDrain);
-                    return Err(XenError::FailClosed(DenialReason::GrantRevokedMidIo));
+                    return Err(XenError::FailClosed(plat.machine.fail_closed(
+                        DenialReason::GrantRevokedMidIo,
+                        FaultKind::GrantRevokeMidDrain,
+                    )));
                 }
             } else if plan.status == BlkStatus::Pending
                 && !Self::plan_grants_ok(plat, &self.queues[qi], ring, plan)
@@ -568,8 +554,10 @@ impl BlockBackend {
                 // something other than the injector (e.g. a concurrent
                 // hypercall adversary): same refusal.
                 self.rollback(undo);
-                Self::report_revoked(plat, FaultKind::GrantRevokeMidDrain);
-                return Err(XenError::FailClosed(DenialReason::GrantRevokedMidIo));
+                return Err(XenError::FailClosed(plat.machine.fail_closed(
+                    DenialReason::GrantRevokedMidIo,
+                    FaultKind::GrantRevokeMidDrain,
+                )));
             }
             if plan.status != BlkStatus::Pending {
                 // Already refused at validation; the oracle still opens the
@@ -604,8 +592,10 @@ impl BlockBackend {
             .map_err(|_| XenError::BadBlockRequest)?;
         if now != req_prod {
             self.rollback(undo);
-            Self::report_ring_tampered(plat);
-            return Err(XenError::FailClosed(DenialReason::RingIndexTampered));
+            return Err(XenError::FailClosed(
+                plat.machine
+                    .fail_closed(DenialReason::RingIndexTampered, FaultKind::RingIndexCorrupt),
+            ));
         }
         // Publish every status, then the response producer.
         for plan in &plans {

@@ -59,6 +59,18 @@ impl fmt::Display for XenError {
     }
 }
 
+impl XenError {
+    /// The typed reason when this error is a refusal: a guardian denial or
+    /// a fail-closed disposal. Every other error is a failure, not a
+    /// refusal, and has none.
+    pub fn denial(&self) -> Option<DenialReason> {
+        match self {
+            XenError::Guard(GuardError::Denied(r)) | XenError::FailClosed(r) => Some(*r),
+            _ => None,
+        }
+    }
+}
+
 impl Error for XenError {}
 
 impl From<HwError> for XenError {
@@ -93,5 +105,67 @@ mod tests {
     fn display_messages() {
         assert_eq!(XenError::NoSuchDomain(DomainId(3)).to_string(), "no such domain 3");
         assert_eq!(XenError::BadHypercall(99).to_string(), "bad hypercall 99");
+    }
+
+    /// The refusal text is a contract: the attack matrix's `detail` column
+    /// and existing logs quote it. Integrity-class reasons keep the
+    /// "integrity violation" prefix the old string variant printed, and
+    /// every other reason keeps "policy violation".
+    #[test]
+    fn denied_renders_the_old_text_and_denial_reads_it_back() {
+        use fidelius_telemetry::DenialReason::*;
+        const INTEGRITY: [DenialReason; 10] = [
+            VmcbFieldTampered,
+            GuestRipDiverted,
+            AsidMismatchAtEntry,
+            Ncr3MismatchAtEntry,
+            MigrationStreamTampered,
+            MigrationStreamTruncated,
+            LaunchMeasurementReplayed,
+            MigrationSessionReplayed,
+            RingIndexTampered,
+            SevEsVmcbTampered,
+        ];
+        for r in DenialReason::ALL {
+            let class = if INTEGRITY.contains(&r) { "integrity" } else { "policy" };
+            let err = XenError::Guard(GuardError::Denied(r));
+            assert_eq!(
+                err.to_string(),
+                format!("guardian refused: {class} violation: {}", r.as_str())
+            );
+            assert_eq!(err.denial(), Some(r));
+            assert_eq!(XenError::FailClosed(r).denial(), Some(r));
+        }
+        assert_eq!(
+            XenError::Guard(GuardError::Denied(Cr0WpClear)).to_string(),
+            "guardian refused: policy violation: CR0.WP cannot be cleared"
+        );
+        assert_eq!(
+            XenError::Guard(GuardError::Denied(VmcbFieldTampered)).to_string(),
+            "guardian refused: integrity violation: vmcb field tampered"
+        );
+        let fault = Fault::HostPageFault {
+            va: fidelius_hw::Hva(0),
+            access: fidelius_hw::error::AccessKind::Read,
+            reason: fidelius_hw::error::FaultReason::NotPresent,
+        };
+        let hw = HwError::OutOfFrames;
+        for other in [
+            XenError::Hw(hw.clone()),
+            XenError::Fault(fault),
+            XenError::Sev(SevError::NotActivated),
+            XenError::Guard(GuardError::Fault(fault)),
+            XenError::Guard(GuardError::Hw(hw)),
+            XenError::Guard(GuardError::Sev(SevError::NotActivated)),
+            XenError::NoSuchDomain(DomainId(1)),
+            XenError::BadDomainState(DomainId(1)),
+            XenError::BadHypercall(1),
+            XenError::BadGrant(1),
+            XenError::BadBlockRequest,
+            XenError::BadGpa(1),
+            XenError::OutOfMemory,
+        ] {
+            assert_eq!(other.denial(), None, "{other:?} is not a refusal");
+        }
     }
 }

@@ -9,6 +9,7 @@ use crate::platform::Platform;
 use fidelius_hw::cpu::PrivOp;
 use fidelius_hw::{Fault, Hpa, HwError};
 use fidelius_sev::SevError;
+use fidelius_telemetry::{AuditKind, DenialReason};
 use std::any::Any;
 use std::error::Error;
 use std::fmt;
@@ -17,26 +18,26 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum GuardError {
-    /// A protection policy rejected the operation.
-    Policy(&'static str),
+    /// A protection policy or an integrity check refused the operation.
+    Denied(DenialReason),
     /// The underlying access faulted.
     Fault(Fault),
     /// A hardware error occurred.
     Hw(HwError),
     /// A SEV firmware command failed.
     Sev(SevError),
-    /// Integrity verification failed (e.g. tampered VMCB before VMRUN).
-    IntegrityViolation(&'static str),
 }
 
 impl fmt::Display for GuardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GuardError::Policy(why) => write!(f, "policy violation: {why}"),
+            GuardError::Denied(r) if r.kind() == AuditKind::IntegrityViolation => {
+                write!(f, "integrity violation: {r}")
+            }
+            GuardError::Denied(r) => write!(f, "policy violation: {r}"),
             GuardError::Fault(e) => write!(f, "fault: {e}"),
             GuardError::Hw(e) => write!(f, "hardware error: {e}"),
             GuardError::Sev(e) => write!(f, "sev error: {e}"),
-            GuardError::IntegrityViolation(why) => write!(f, "integrity violation: {why}"),
         }
     }
 }
@@ -58,17 +59,6 @@ impl From<HwError> for GuardError {
 impl From<SevError> for GuardError {
     fn from(e: SevError) -> Self {
         GuardError::Sev(e)
-    }
-}
-
-impl From<GuardError> for HwError {
-    fn from(e: GuardError) -> Self {
-        match e {
-            GuardError::Fault(f) => HwError::Fault(f),
-            GuardError::Hw(h) => h,
-            GuardError::Policy(why) | GuardError::IntegrityViolation(why) => HwError::Denied(why),
-            GuardError::Sev(_) => HwError::Denied("sev command refused"),
-        }
     }
 }
 
@@ -161,7 +151,7 @@ pub trait Guardian {
     ///
     /// # Errors
     ///
-    /// Vanilla Xen reports `Policy("not supported")`.
+    /// Vanilla Xen refuses with `Denied(DenialReason::PreSharingUnsupported)`.
     fn pre_sharing(
         &mut self,
         plat: &mut Platform,
@@ -359,7 +349,7 @@ impl Guardian for Unprotected {
         _nframes: u64,
         _writable: bool,
     ) -> Result<(), GuardError> {
-        Err(GuardError::Policy("pre_sharing_op is a Fidelius extension"))
+        Err(GuardError::Denied(DenialReason::PreSharingUnsupported))
     }
 
     fn enter_guest(&mut self, plat: &mut Platform, dom: &mut Domain) -> Result<(), GuardError> {

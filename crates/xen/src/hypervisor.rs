@@ -21,7 +21,7 @@ use fidelius_hw::paging::{table_index, Pte, PTE_C_BIT, PTE_PRESENT, PTE_WRITABLE
 use fidelius_hw::regs::Gpr;
 use fidelius_hw::vmcb::{ExitCode, VmcbField, VmcbImage};
 use fidelius_hw::{Asid, Gpa, Hpa, PAGE_SIZE};
-use fidelius_telemetry::{DenialReason, Event, FlushScope, GrantAction, InjectionOutcome};
+use fidelius_telemetry::{Event, FlushScope, GrantAction, InjectionOutcome};
 use fidelius_trace::{ArgValue, SpanKind};
 use std::collections::BTreeMap;
 
@@ -759,16 +759,12 @@ impl Hypervisor {
         let asid = dom.asid.0;
         let flags = PTE_PRESENT | PTE_WRITABLE | if dom.npt_c_default { PTE_C_BIT } else { 0 };
         let mut wrote = false;
-        let res: Result<(), crate::guardian::GuardError> = (|| {
-            let e1 = self
-                .npt_leaf_entry(plat, guardian, id, root, p1)
-                .map_err(|_| crate::guardian::GuardError::Policy("npt walk refused"))?;
+        let res: Result<(), XenError> = (|| {
+            let e1 = self.npt_leaf_entry(plat, guardian, id, root, p1)?;
             guardian.npt_write(plat, id, e1, Pte::new(f2, flags).0)?;
             wrote = true;
             if swap {
-                let e2 = self
-                    .npt_leaf_entry(plat, guardian, id, root, p2)
-                    .map_err(|_| crate::guardian::GuardError::Policy("npt walk refused"))?;
+                let e2 = self.npt_leaf_entry(plat, guardian, id, root, p2)?;
                 guardian.npt_write(plat, id, e2, Pte::new(f1, flags).0)?;
             }
             Ok(())
@@ -781,30 +777,18 @@ impl Hypervisor {
         if wrote && res.is_err() {
             plat.machine.tlb.demote_space(fidelius_hw::tlb::Space::Guest(asid));
         }
-        match res {
+        let outcome = match res {
+            // The remap landed. Flush stale translations so the damage is
+            // architecturally visible, and mark it on the trace.
             Ok(()) => {
-                // The remap landed. Flush stale translations so the damage
-                // is architecturally visible, and mark it on the trace.
                 plat.machine.tlb.flush_space(fidelius_hw::tlb::Space::Guest(asid));
-                plat.machine
-                    .trace
-                    .emit(Event::FaultOutcome { kind, outcome: InjectionOutcome::Corrupted });
+                InjectionOutcome::Corrupted
             }
-            Err(crate::guardian::GuardError::Policy(s)) => {
-                plat.machine.trace.emit(Event::FaultOutcome {
-                    kind,
-                    outcome: InjectionOutcome::FailClosed(DenialReason::Legacy(s)),
-                });
-            }
-            Err(_) => {
-                plat.machine.trace.emit(Event::FaultOutcome {
-                    kind,
-                    outcome: InjectionOutcome::FailClosed(DenialReason::Legacy(
-                        "npt write refused",
-                    )),
-                });
-            }
-        }
+            // The guardian already booked the denial; pair it with the
+            // injection. An error that is not a refusal propagates.
+            Err(e) => InjectionOutcome::FailClosed(e.denial().ok_or(e)?),
+        };
+        plat.machine.trace.emit(Event::FaultOutcome { kind, outcome });
         Ok(())
     }
 

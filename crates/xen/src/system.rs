@@ -348,14 +348,7 @@ impl System {
                     Err(_) => {
                         // Sealed frames are unmapped from every hypervisor
                         // view; the attempt faults and is audited.
-                        self.plat
-                            .machine
-                            .trace
-                            .emit(Event::Denial { reason: DenialReason::SealedFrameAccess });
-                        self.plat.machine.trace.emit(Event::FaultOutcome {
-                            kind,
-                            outcome: InjectionOutcome::FailClosed(DenialReason::SealedFrameAccess),
-                        });
+                        self.plat.machine.fail_closed(DenialReason::SealedFrameAccess, kind);
                     }
                 }
             }
@@ -796,14 +789,11 @@ impl System {
             self.plat.machine.cycles.charge(backoff);
             backoff *= 2.0;
         }
-        self.plat.machine.trace.emit(Event::Denial { reason: DenialReason::EventChannelStarved });
-        if self.plat.machine.inject.is_armed() {
-            self.plat.machine.trace.emit(Event::FaultOutcome {
-                kind: FaultKind::EventChannelDrop,
-                outcome: InjectionOutcome::FailClosed(DenialReason::EventChannelStarved),
-            });
-        }
-        Err(XenError::FailClosed(DenialReason::EventChannelStarved))
+        Err(XenError::FailClosed(
+            self.plat
+                .machine
+                .fail_closed(DenialReason::EventChannelStarved, FaultKind::EventChannelDrop),
+        ))
     }
 
     /// dom0's view of a granted frame (its `map_grant_ref`): validates the

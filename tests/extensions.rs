@@ -6,7 +6,9 @@ use fidelius::hw::bmt::{IntegrityTree, IntegrityVerdict};
 use fidelius::prelude::*;
 use fidelius::sev::GekEngine;
 use fidelius_core::lifecycle::fidelius_mut;
+use fidelius_telemetry::DenialReason;
 use fidelius_xen::layout::direct_map;
+use fidelius_xen::GuardError;
 
 const DRAM: u64 = 32 * 1024 * 1024;
 
@@ -109,7 +111,7 @@ fn write_once_policy_latches_start_info() {
     let start_info_page = 1u64; // by convention, guest page 1
     fid.write_once_page(plat, dom, start_info_page, b"start_info v1").unwrap();
     let err = fid.write_once_page(plat, dom, start_info_page, b"tampered!").unwrap_err();
-    assert!(err.to_string().contains("already initialized"), "{err}");
+    assert_eq!(err, GuardError::Denied(DenialReason::WriteOnceAlreadyInitialized));
 }
 
 #[test]

@@ -6,6 +6,8 @@
 //! model.
 
 use fidelius::prelude::*;
+use fidelius_core::lifecycle::fidelius_mut;
+use fidelius_core::pit::Usage;
 use fidelius_hw::paging::PTE_WRITABLE;
 use fidelius_telemetry::{DenialReason, Event};
 use fidelius_xen::{GuardError, XenError};
@@ -24,15 +26,11 @@ fn new_domain(sys: &mut System) -> DomainId {
 fn map(sys: &mut System, dom: DomainId, gpa_page: u64, frame: Hpa) -> Result<(), DenialReason> {
     let result =
         sys.xen.npt_map(&mut sys.plat, &mut *sys.guardian, dom, gpa_page, frame, PTE_WRITABLE);
-    let msg = match result {
+    let reason = match result {
         Ok(()) => return Ok(()),
-        Err(XenError::Guard(GuardError::Policy(msg))) => msg,
-        Err(other) => panic!("untyped refusal: {other:?}"),
+        Err(XenError::Guard(GuardError::Denied(reason))) => reason,
+        Err(other) => panic!("not a refusal: {other:?}"),
     };
-    let reason = *DenialReason::ALL
-        .iter()
-        .find(|r| r.as_str() == msg)
-        .unwrap_or_else(|| panic!("refusal {msg:?} is not a DenialReason"));
     let traced = sys.plat.machine.trace.events().into_iter().rev().find_map(|t| match t.event {
         Event::Denial { reason } => Some(reason),
         _ => None,
@@ -102,6 +100,26 @@ fn second_gpa_for_a_frame_is_an_in_domain_shuffle() {
     // The frame still backs its first GPA, and only that one.
     assert_eq!(map(&mut sys, dom, 1, frame), Ok(()));
     assert_eq!(map(&mut sys, dom, 3, frame), Err(DenialReason::InDomainPageShuffle));
+}
+
+/// A frame past the end of DRAM is refused at the gate. The PIT indexes 30
+/// frame-number bits, so `F + 2^42` names the frame `2^30` pages above `F`
+/// and would alias `F`'s entry: accepting it would mark `F` owned by a
+/// domain that cannot reach it, lock every other domain out of `F`, and
+/// break that domain's teardown.
+#[test]
+fn frame_past_dram_is_refused_not_aliased() {
+    let mut sys = protected(32 * 1024 * 1024, 72);
+    let (dom, other) = (new_domain(&mut sys), new_domain(&mut sys));
+    let frame = sys.xen.guest_pool.alloc().unwrap();
+    let alias = Hpa(frame.0 + (1 << 42));
+    assert_eq!(map(&mut sys, dom, 5, alias), Err(DenialReason::FrameNotMappable));
+    let entry = fidelius_mut(&mut sys).unwrap().pit().peek(frame);
+    assert_eq!(entry.usage(), Usage::Free, "the alias claimed {frame:?}");
+    assert_eq!(map(&mut sys, other, 5, frame), Ok(()));
+    for d in [dom, other] {
+        sys.xen.destroy_domain(&mut sys.plat, &mut *sys.guardian, d).unwrap();
+    }
 }
 
 #[test]
