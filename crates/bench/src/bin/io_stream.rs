@@ -17,10 +17,11 @@
 //! - `io_stream_plain`        — 4 queues, whole-window batches, no disk
 //!   crypto: the raw datapath ceiling (ring protocol + grant checks +
 //!   sector movement through the streaming span).
-//! - `io_stream_plain_oracle` — the same stream with the back-end pinned
-//!   to the seed's one-request-at-a-time drain and every request
-//!   submitted alone; the ratio to `io_stream_plain` is the host-time
-//!   win of the batched drain.
+//! - `io_stream_plain_oracle` — the same stream on one queue under
+//!   `Fidelity::Reference` (a walk on every access, the seed's
+//!   one-request-at-a-time drain) with every request submitted alone;
+//!   the ratio to `io_stream_plain` is the host-time win of the fast
+//!   paths and of window submission.
 //! - `io_stream_aesni`        — 4 queues with the guest-side `Kblk`
 //!   AES path. Bounded by the deliberately software-shaped AES core
 //!   (the `sector_cipher` scenario in `micro_memstream` is its ceiling),
@@ -40,6 +41,7 @@ use fidelius_bench::{
 use fidelius_core::Fidelius;
 use fidelius_crypto::aes::default_backend;
 use fidelius_crypto::modes::SECTOR_SIZE;
+use fidelius_hw::cpu::Fidelity::{self, Fast, Reference};
 use fidelius_sev::GuestOwner;
 use fidelius_telemetry::Json;
 use fidelius_workloads::fio::CLOCK_HZ;
@@ -65,15 +67,16 @@ struct Scenario {
     name: &'static str,
     path: IoPath,
     queues: u64,
-    /// Per-request submission against the seed's oracle drain.
-    oracle: bool,
+    /// `Reference` also submits each request alone, against the seed's
+    /// one-at-a-time drain.
+    mode: Fidelity,
 }
 
 const SCENARIOS: [Scenario; 4] = [
-    Scenario { name: "io_stream_plain", path: IoPath::Plain, queues: 4, oracle: false },
-    Scenario { name: "io_stream_plain_oracle", path: IoPath::Plain, queues: 1, oracle: true },
-    Scenario { name: "io_stream_aesni", path: IoPath::AesNi, queues: 4, oracle: false },
-    Scenario { name: "io_stream_sev", path: IoPath::SevApi, queues: 1, oracle: false },
+    Scenario { name: "io_stream_plain", path: IoPath::Plain, queues: 4, mode: Fast },
+    Scenario { name: "io_stream_plain_oracle", path: IoPath::Plain, queues: 1, mode: Reference },
+    Scenario { name: "io_stream_aesni", path: IoPath::AesNi, queues: 4, mode: Fast },
+    Scenario { name: "io_stream_sev", path: IoPath::SevApi, queues: 1, mode: Fast },
 ];
 
 fn build(s: &Scenario) -> Result<(System, DomainId), XenError> {
@@ -94,7 +97,7 @@ fn build(s: &Scenario) -> Result<(System, DomainId), XenError> {
     };
     let kblk = (s.path == IoPath::AesNi).then_some([0x4B; 16]);
     sys.setup_block_device(dom, disk, s.path, kblk)?;
-    sys.xen.backend.set_drain_one_at_a_time(s.oracle);
+    sys.plat.machine.set_fidelity(s.mode);
     Ok((sys, dom))
 }
 
@@ -118,7 +121,7 @@ fn stream(sys: &mut System, dom: DomainId, s: &Scenario, batches: u64) -> u64 {
                 }
             })
             .collect();
-        if s.oracle {
+        if s.mode == Reference {
             for op in &ops {
                 sys.disk_batch(dom, q, std::slice::from_ref(op)).expect("stream op");
             }

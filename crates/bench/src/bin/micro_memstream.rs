@@ -33,14 +33,15 @@
 //!   accesses through an *identity* virtual mapping, so every access
 //!   pays two-stage translation (guest table under the guest key, then
 //!   the NPT) unless the TLB's cached payload short-circuits it.
-//! - `guest_gpa_stream_walk` — the same stream with the machine pinned to
-//!   `walk_always` (the seed's walk-every-access behaviour); the ratio to
-//!   `guest_gpa_stream` is the translation-cache speedup.
+//! - `guest_gpa_stream_walk` — the same stream under
+//!   `Fidelity::Reference` (the seed's walk-every-access behaviour); the
+//!   ratio to `guest_gpa_stream` is the translation-cache speedup.
 //! - `guest_virt_stream`     — the same sweep through a *permuted*
 //!   virtual mapping: frames are scattered, so cached translations are
 //!   never host-contiguous and the pure per-page cached path (no span
 //!   coalescing) is what's measured.
-//! - `guest_virt_stream_walk` — `walk_always` baseline for the above.
+//! - `guest_virt_stream_walk` — `Fidelity::Reference` baseline for the
+//!   above.
 //!
 //! Flags: `--json` (JSON lines), `--iters N` (timed iterations per
 //! scenario, default 9), `--mb N` (buffer megabytes, default 4),
@@ -55,7 +56,7 @@
 use fidelius_bench::{arg_u64, emit_throughput, measure_throughput, note, Throughput};
 use fidelius_crypto::aes::{default_backend, Aes128, AesBackend};
 use fidelius_crypto::modes::{Ctr128, PaTweakCipher, SectorCipher, SECTOR_SIZE};
-use fidelius_hw::cpu::{Machine, PrivOp};
+use fidelius_hw::cpu::{Fidelity, Machine, PrivOp};
 use fidelius_hw::mem::{Dram, FrameAllocator};
 use fidelius_hw::memctrl::{EncSel, MemoryController};
 use fidelius_hw::paging::{Mapper, OffsetPtAccess, PhysPtAccess, PTE_WRITABLE};
@@ -160,7 +161,7 @@ const STREAM_ACCESS: usize = 32;
 /// page permutation. The guest page tables live just past the data
 /// window; the stage-1 leaves carry no C-bit so the data path itself is
 /// raw and only translation cost varies between the cached and
-/// walk-always runs — under SEV the *tables* are still read through the
+/// reference runs — under SEV the *tables* are still read through the
 /// guest key, which is exactly what makes a walk expensive.
 fn stream_guest_machine(permute: bool) -> Machine {
     let npt_pages = STREAM_PAGES + 16;
@@ -214,17 +215,17 @@ fn stream_guest_machine(permute: bool) -> Machine {
 }
 
 /// Guest write+read sweep through the guest's own page tables; `permute`
-/// selects the scattered stage-1 mapping and `walk` pins the seed's
-/// walk-every-access oracle mode.
+/// selects the scattered stage-1 mapping and `Fidelity::Reference` the
+/// seed's walk-every-access behaviour.
 fn run_guest_stream(
     name: &'static str,
     permute: bool,
-    walk: bool,
+    fidelity: Fidelity,
     iters: u32,
     len: usize,
 ) -> Throughput {
     let mut m = stream_guest_machine(permute);
-    m.set_walk_always(walk);
+    m.set_fidelity(fidelity);
     let window = (STREAM_PAGES * PAGE_SIZE) as usize;
     let wbuf = [0xA5u8; STREAM_ACCESS];
     let mut rbuf = [0u8; STREAM_ACCESS];
@@ -248,19 +249,19 @@ fn run_guest_stream(
 }
 
 fn guest_gpa_stream(iters: u32, len: usize) -> Throughput {
-    run_guest_stream("guest_gpa_stream", false, false, iters, len)
+    run_guest_stream("guest_gpa_stream", false, Fidelity::Fast, iters, len)
 }
 
 fn guest_gpa_stream_walk(iters: u32, len: usize) -> Throughput {
-    run_guest_stream("guest_gpa_stream_walk", false, true, iters, len)
+    run_guest_stream("guest_gpa_stream_walk", false, Fidelity::Reference, iters, len)
 }
 
 fn guest_virt_stream(iters: u32, len: usize) -> Throughput {
-    run_guest_stream("guest_virt_stream", true, false, iters, len)
+    run_guest_stream("guest_virt_stream", true, Fidelity::Fast, iters, len)
 }
 
 fn guest_virt_stream_walk(iters: u32, len: usize) -> Throughput {
-    run_guest_stream("guest_virt_stream_walk", true, true, iters, len)
+    run_guest_stream("guest_virt_stream_walk", true, Fidelity::Reference, iters, len)
 }
 
 fn main() {

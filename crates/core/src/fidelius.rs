@@ -216,11 +216,9 @@ impl Fidelius {
         gpa_page: u64,
         data: &[u8],
     ) -> Result<(), GuardError> {
-        let frame = self
-            .assignments
-            .get(&dom)
-            .and_then(|a| a.frame_of(gpa_page))
-            .ok_or(GuardError::Denied(DenialReason::WriteOnceTargetUnpopulated))?;
+        let Some(frame) = self.assignments.get(&dom).and_then(|a| a.frame_of(gpa_page)) else {
+            return Err(self.deny(plat, DenialReason::WriteOnceTargetUnpopulated));
+        };
         if !self.once.tracks(frame) {
             self.once.track(frame, PAGE_SIZE);
         }
@@ -989,8 +987,9 @@ impl Guardian for Fidelius {
     fn on_vmexit(&mut self, plat: &mut Platform, dom: &mut Domain) -> Result<(), GuardError> {
         self.stats.shadow_round_trips += 1;
         let img = VmcbImage::load(&plat.machine.mc, dom.vmcb_pa).map_err(GuardError::Hw)?;
-        let exit = ExitCode::from_raw(img.get(VmcbField::ExitCode))
-            .ok_or(GuardError::Denied(DenialReason::VmcbFieldTampered))?;
+        let Some(exit) = ExitCode::from_raw(img.get(VmcbField::ExitCode)) else {
+            return Err(self.deny(plat, DenialReason::VmcbFieldTampered));
+        };
         let gprs = plat.machine.cpu.regs.as_array();
 
         // Fidelius directly handles pre_sharing_op at the boundary, from
@@ -1240,6 +1239,7 @@ mod tests {
     use super::*;
     use crate::lifecycle::fidelius_mut;
     use fidelius_hw::paging::PTE_WRITABLE;
+    use fidelius_hw::Gpa;
     use fidelius_xen::{System, XenError};
 
     fn system() -> System {
@@ -1259,6 +1259,49 @@ mod tests {
             Err(XenError::Guard(GuardError::Denied(r))) => assert_eq!(r, reason),
             other => panic!("expected {reason:?}, got {other:?}"),
         }
+    }
+
+    /// `(policy_rejections, audit entries, Denial events)` so far.
+    fn refusal_books(sys: &mut System) -> (u64, u64, usize) {
+        let denials = sys
+            .plat
+            .machine
+            .trace
+            .events()
+            .iter()
+            .filter(|t| matches!(t.event, Event::Denial { .. }))
+            .count();
+        let fid = fidelius_mut(sys).unwrap();
+        (fid.stats.policy_rejections, fid.audit.total(), denials)
+    }
+
+    #[test]
+    fn unpopulated_write_once_target_is_booked_as_a_denial() {
+        let mut sys = system();
+        let dom = new_domain(&mut sys);
+        let (rejections, audited, denials) = refusal_books(&mut sys);
+        let System { plat, guardian, .. } = &mut sys;
+        let fid = guardian.as_any_mut().downcast_mut::<Fidelius>().unwrap();
+        let err = fid.write_once_page(plat, dom, 5, b"start_info").unwrap_err();
+        assert_eq!(err, GuardError::Denied(DenialReason::WriteOnceTargetUnpopulated));
+        assert_eq!(refusal_books(&mut sys), (rejections + 1, audited + 1, denials + 1));
+    }
+
+    #[test]
+    fn unknown_exit_code_is_booked_as_a_denial() {
+        let mut sys = system();
+        let dom = new_domain(&mut sys);
+        sys.xen.init_vmcb(&mut sys.plat, dom, Gpa(0), 0, false).unwrap();
+        let vmcb_pa = sys.xen.domain(dom).unwrap().vmcb_pa;
+        let mut img = VmcbImage::load(&sys.plat.machine.mc, vmcb_pa).unwrap();
+        img.set(VmcbField::ExitCode, u64::MAX);
+        img.store(&mut sys.plat.machine.mc, vmcb_pa).unwrap();
+        let (rejections, audited, denials) = refusal_books(&mut sys);
+        let System { plat, guardian, xen, .. } = &mut sys;
+        let d = xen.domain_mut(dom).unwrap();
+        let err = guardian.on_vmexit(plat, d).unwrap_err();
+        assert_eq!(err, GuardError::Denied(DenialReason::VmcbFieldTampered));
+        assert_eq!(refusal_books(&mut sys), (rejections + 1, audited + 1, denials + 1));
     }
 
     /// Every domain's inverse map is exactly the inverse of its forward map.

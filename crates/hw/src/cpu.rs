@@ -276,6 +276,26 @@ fn npt_permits(gpa: Gpa, access: AccessKind, writable: bool) -> Result<(), Fault
     Ok(())
 }
 
+/// Which of two equivalent implementations the stack's fast paths run.
+///
+/// Every fast path (the cached TLB and coalesced memory streams here, the
+/// batched blkif drain and the per-page SEV-API I/O transform in the
+/// hypervisor layer) keeps the path it replaced as its reference. Both
+/// must give identical data, statuses, faults, f64-exact modeled cycles,
+/// TLB counters and telemetry snapshots, except that faults injected at
+/// [`InjectPoint::BlkifDrain`] exist only on the fast drain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fidelity {
+    /// The fast paths (what [`Machine::new`] selects, and what everything
+    /// outside differential tests and the reference bench scenarios runs).
+    Fast,
+    /// The reference paths: every translation walks even on a usable TLB
+    /// hit (the TLB then only counts), every access piece takes its own
+    /// memory-controller round trip, the blkif back-end drains one request
+    /// at a time, and the SEV-API I/O transform runs sector by sector.
+    Reference,
+}
+
 /// The machine: memory system + one CPU + cycle accounting.
 #[derive(Debug)]
 pub struct Machine {
@@ -299,10 +319,8 @@ pub struct Machine {
     /// (one relaxed atomic load per hook crossing); `trace_report` arms a
     /// clone of this handle and drains the span timeline afterwards.
     pub rec: Recorder,
-    /// Oracle mode: when set, every access takes the full software-walk
-    /// path even on a TLB hit (the pre-cache behaviour). See
-    /// [`Machine::set_walk_always`].
-    walk_always: bool,
+    /// Fast or reference paths; see [`Machine::set_fidelity`].
+    fidelity: Fidelity,
 }
 
 impl Machine {
@@ -318,24 +336,21 @@ impl Machine {
             trace,
             inject: InjectorHandle::new(),
             rec: Recorder::default(),
-            walk_always: false,
+            fidelity: Fidelity::Fast,
         }
     }
 
-    /// Forces every translation onto the full software-walk path (the
-    /// walk-every-access behaviour this codebase started with), keeping
-    /// the TLB for hit/miss accounting only. The differential oracle
-    /// tests and the `micro_memstream` walk baselines run in this mode;
-    /// as long as every page-table edit is followed by the architectural
-    /// flush it requires, cached mode must be bit-identical to it in
-    /// data, faults, modeled cycles, and TLB counters.
-    pub fn set_walk_always(&mut self, on: bool) {
-        self.walk_always = on;
+    /// Selects the fast paths or their reference implementations for this
+    /// machine and every layer driving it. As long as every page-table
+    /// edit is followed by the architectural flush it requires, the two
+    /// are bit-identical in everything [`Fidelity`] lists.
+    pub fn set_fidelity(&mut self, fidelity: Fidelity) {
+        self.fidelity = fidelity;
     }
 
-    /// Whether the walk-everything oracle mode is active.
-    pub fn walk_always(&self) -> bool {
-        self.walk_always
+    /// The active [`Fidelity`].
+    pub fn fidelity(&self) -> Fidelity {
+        self.fidelity
     }
 
     /// Queries the fault-injection handle at `point`, emitting a
@@ -422,7 +437,7 @@ impl Machine {
     /// [`EncSel`] fold into a single memory-controller call below the
     /// charging layer, but only over spans
     /// [`MemoryController::access_infallible`] vouches for, and never under
-    /// [`Machine::set_walk_always`]. Any other piece keeps its own call,
+    /// [`Fidelity::Reference`]. Any other piece keeps its own call,
     /// and a controller rejection raises the space's fault, so the
     /// partial-commit state and the faulting address are those of the
     /// per-piece loop.
@@ -434,6 +449,7 @@ impl Machine {
         coalesce: bool,
     ) -> Result<(), Fault> {
         let access = buf.access();
+        let coalesce = coalesce && self.fidelity == Fidelity::Fast;
         let mut run: Option<PendingRun> = None;
         let mut off = 0usize;
         while off < buf.len() {
@@ -459,7 +475,7 @@ impl Machine {
             if access != AccessKind::Execute {
                 self.charge_engine(enc, take as u64);
             }
-            if coalesce && !self.walk_always && self.mc.access_infallible(pa, take as u64, enc) {
+            if coalesce && self.mc.access_infallible(pa, take as u64, enc) {
                 match &mut run {
                     Some(r) if r.enc == enc && r.hpa.0 + r.len as u64 == pa.0 => r.len += take,
                     _ => {
@@ -545,10 +561,10 @@ impl Machine {
     /// The one TLB path of every paged translation. The lookup charges
     /// `mem_access`; a miss opens the refill span, charges the walk to
     /// [`CycleCategory::Paging`] and counts it. A usable hit of the right
-    /// kind is served unless `walk_always` is set. Anything else walks:
-    /// a miss inserts the walked entry, and a demoted or wrong-kind hit is
-    /// repaired in place, so residency and eviction order stay exactly as
-    /// if the entry had never gone stale.
+    /// kind is served except under [`Fidelity::Reference`]. Anything else
+    /// walks: a miss inserts the walked entry, and a demoted or wrong-kind
+    /// hit is repaired in place, so residency and eviction order stay
+    /// exactly as if the entry had never gone stale.
     ///
     /// `check` is the translator's permission rule. It judges the served
     /// entry and the walked one alike, and it runs before the insert: a
@@ -582,7 +598,7 @@ impl Machine {
             self.tlb.record_walks(walks);
         }
         let usable = lookup.cached().filter(|c| c.kind == kind);
-        if let Some(c) = usable.filter(|_| !self.walk_always) {
+        if let Some(c) = usable.filter(|_| self.fidelity == Fidelity::Fast) {
             check(&c)?;
             return Ok(c);
         }
@@ -593,7 +609,7 @@ impl Machine {
         match lookup {
             Lookup::Miss => self.tlb.insert(space, vpn, fresh),
             Lookup::Hit(_) if usable.is_none() => self.tlb.refresh(space, vpn, fresh),
-            // A usable hit (walk-always mode) already matches the walk.
+            // A usable hit (reference mode) already matches the walk.
             Lookup::Hit(_) => {}
         }
         Ok(fresh)
@@ -693,9 +709,9 @@ impl Machine {
     /// (one translation and one engine charge per chunk, page splits
     /// honoured), but host-contiguous same-[`EncSel`] chunks coalesce into
     /// single memory-controller calls below the charging layer — the same
-    /// discipline as the guest-path span coalescing. With
-    /// [`Machine::set_walk_always`] the per-chunk controller round trips
-    /// are reproduced exactly.
+    /// discipline as the guest-path span coalescing. Under
+    /// [`Fidelity::Reference`] the per-chunk controller round trips are
+    /// reproduced exactly.
     ///
     /// # Errors
     ///

@@ -3,7 +3,7 @@
 //! Two identical machines run the same randomized stream of guest/host
 //! accesses interleaved with page-table edits, demotions, `invlpg`s and
 //! ASID flushes. One machine serves valid TLB hits from the cached
-//! payload; the other is pinned to `walk_always` and re-walks every
+//! payload; the other runs under `Fidelity::Reference` and re-walks every
 //! access (the seed's behaviour). Everything observable must stay
 //! bit-identical: read data, fault values, modeled cycles (f64-exact),
 //! TLB hit/miss/eviction/walk counters, and the full DRAM image.
@@ -15,7 +15,7 @@
 //! never charged cycles (only the per-access `charge_engine` on data
 //! does, and that is identical on both paths).
 
-use fidelius_hw::cpu::{Machine, PrivOp};
+use fidelius_hw::cpu::{Fidelity, Machine, PrivOp};
 use fidelius_hw::error::{AccessKind, FaultReason};
 use fidelius_hw::mem::FrameAllocator;
 use fidelius_hw::memctrl::EncSel;
@@ -131,8 +131,11 @@ fn gpa_stream_matches_walk_oracle() {
         for seed in 1..=4u64 {
             let (mut cached, npt, _) = guest_machine(sev);
             let (mut oracle, _, _) = guest_machine(sev);
-            oracle.set_walk_always(true);
-            assert!(oracle.walk_always() && !cached.walk_always());
+            oracle.set_fidelity(Fidelity::Reference);
+            assert_eq!(
+                (oracle.fidelity(), cached.fidelity()),
+                (Fidelity::Reference, Fidelity::Fast)
+            );
             let leaf_pas = npt_leaf_pas(&mut cached, &npt);
 
             let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(sev);
@@ -240,7 +243,7 @@ fn npt_storm_stream_matches_walk_oracle() {
         for seed in 1..=6u64 {
             let (mut cached, npt, _) = guest_machine(sev);
             let (mut oracle, _, _) = guest_machine(sev);
-            oracle.set_walk_always(true);
+            oracle.set_fidelity(Fidelity::Reference);
             let leaf_pas = npt_leaf_pas(&mut cached, &npt);
 
             let mut rng = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ u64::from(sev);
@@ -308,7 +311,7 @@ fn gva_stream_matches_walk_oracle() {
         for seed in 1..=4u64 {
             let (mut cached, npt, gcr3) = guest_machine(sev);
             let (mut oracle, _, _) = guest_machine(sev);
-            oracle.set_walk_always(true);
+            oracle.set_fidelity(Fidelity::Reference);
             let leaf_pas = npt_leaf_pas(&mut cached, &npt);
             let table_enc = if sev { EncSel::Guest(Asid(ASID)) } else { EncSel::None };
             // Locate the guest's stage-1 leaf entries for the two mapped
@@ -423,7 +426,7 @@ fn gva_stream_matches_walk_oracle() {
 fn self_referential_write_commits_before_walk() {
     let (mut cached, _npt, gcr3) = guest_machine(false);
     let (mut oracle, _, _) = guest_machine(false);
-    oracle.set_walk_always(true);
+    oracle.set_fidelity(Fidelity::Reference);
 
     // The stage-1 leaf table page T (guest-physical) covering GVAs below
     // 2 MiB — shared by every mapping this harness creates.
@@ -477,7 +480,7 @@ fn host_stream_matches_walk_oracle() {
     for seed in 1..=4u64 {
         let (mut cached, _npt, _) = guest_machine(false);
         let (mut oracle, _, _) = guest_machine(false);
-        oracle.set_walk_always(true);
+        oracle.set_fidelity(Fidelity::Reference);
         // Leave guest mode: host accesses assert host mode.
         for m in [&mut cached, &mut oracle] {
             m.vmexit(ExitCode::Hlt, 0, 0).unwrap();

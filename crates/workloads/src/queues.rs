@@ -12,15 +12,16 @@
 //! Each scenario runs twice on identically-seeded systems: once
 //! submitting whole ring windows ([`System::disk_batch`] — one
 //! event-channel notification and one batched drain per window) and once
-//! submitting the same requests one at a time with the back-end pinned
-//! to the seed's one-at-a-time oracle drain. The bytes moved and every
-//! byte landing on disk are identical between the legs — the drain
-//! itself is charge-identical by construction (see
+//! submitting the same requests one at a time under
+//! [`Fidelity::Reference`] (the seed's one-at-a-time drain). The bytes
+//! moved and every byte landing on disk are identical between the legs —
+//! the drain itself is charge-identical by construction (see
 //! `tests/io_datapath_oracle.rs`) — so the modeled saving isolates the
 //! *submission* overhead the batch amortizes: world switches,
 //! notifications and per-window ring validation.
 
 use fidelius_crypto::modes::SECTOR_SIZE;
+use fidelius_hw::cpu::Fidelity;
 use fidelius_xen::blkif::BlkStatus;
 use fidelius_xen::frontend::IoPath;
 use fidelius_xen::system::{BatchOp, BatchResults, GuestConfig};
@@ -118,7 +119,7 @@ fn submit(
 /// that silently corrupts or crosses queues fails loudly here.
 fn run_leg(s: &QueueScenario, path: IoPath, batched: bool) -> Result<(f64, u64, u64), XenError> {
     let (mut sys, dom) = build(s.queues, path)?;
-    sys.xen.backend.set_drain_one_at_a_time(!batched);
+    sys.plat.machine.set_fidelity(if batched { Fidelity::Fast } else { Fidelity::Reference });
     let op_bytes = (s.sectors_per_op as usize) * SECTOR_SIZE;
     let base = |q: u64, i: u64| (q * s.ops_per_batch + i) * s.sectors_per_op;
     let start = sys.plat.machine.cycles.total_f64();

@@ -20,15 +20,21 @@
 //! shadow-index check are charge-free hardware-view reads, and the
 //! streaming calls coalesce below the cycle-charging layer, so modeled
 //! cycles, telemetry counters, disk bytes and response slots are
-//! bit-identical to the one-request-at-a-time oracle retained behind
-//! [`BlockBackend::set_drain_one_at_a_time`] (the `set_walk_always` of
-//! this layer). A seeded differential test pins that equivalence.
+//! bit-identical to the one-request-at-a-time reference drain that runs
+//! under [`Fidelity::Reference`]. Seeded differential tests pin that
+//! equivalence.
+//!
+//! Both drains run the same structural check on every descriptor the
+//! guest wrote (a known op, a non-empty sector run inside the disk, a
+//! buffer window inside the queue's mapped pages), with checked
+//! arithmetic, before any grant is looked at.
 //!
 //! A drain that discovers a revoked grant or a tampered producer index
 //! *after* the window was validated rolls back its partial disk mutations
 //! and fails closed with a typed [`DenialReason`] — batching must never
 //! turn a refusal into silent corruption.
 //!
+//! [`Fidelity::Reference`]: fidelius_hw::cpu::Fidelity::Reference
 //! [`Machine::host_read_stream`]: fidelius_hw::cpu::Machine::host_read_stream
 //! [`host_write_stream`]: fidelius_hw::cpu::Machine::host_write_stream
 
@@ -38,11 +44,13 @@ use crate::layout::direct_map;
 use crate::platform::Platform;
 use crate::XenError;
 use fidelius_crypto::modes::SECTOR_SIZE;
+use fidelius_hw::cpu::Fidelity;
 use fidelius_hw::inject::{FaultAction, InjectPoint};
 use fidelius_hw::memctrl::EncSel;
 use fidelius_hw::{Hpa, Hva, PAGE_SIZE};
 use fidelius_telemetry::{DenialReason, FaultKind};
 use fidelius_trace::{ArgValue, SpanKind};
+use std::ops::Range;
 
 /// Request slots in one ring.
 pub const RING_SLOTS: u64 = 16;
@@ -115,13 +123,15 @@ struct QueueState {
 }
 
 /// A validated descriptor from the snapshot phase of a batched drain.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct ReqPlan {
     slot: u64,
     op: u64,
     sector: u64,
     count: u64,
-    buf_page: u64,
+    /// The buffer pages the request touches; empty when it failed the
+    /// structural check.
+    pages: Range<usize>,
     status: BlkStatus,
 }
 
@@ -132,10 +142,6 @@ struct ReqPlan {
 pub struct BlockBackend {
     disk: Vec<u8>,
     queues: Vec<QueueState>,
-    /// Oracle mode: drain with the seed's one-request-at-a-time loop
-    /// instead of the batched window (differential-testing switch, like
-    /// `Machine::set_walk_always`).
-    drain_one_at_a_time: bool,
 }
 
 impl BlockBackend {
@@ -201,17 +207,6 @@ impl BlockBackend {
         };
     }
 
-    /// Switches between the batched drain (default) and the seed's
-    /// one-request-at-a-time oracle loop.
-    pub fn set_drain_one_at_a_time(&mut self, oracle: bool) {
-        self.drain_one_at_a_time = oracle;
-    }
-
-    /// Whether the oracle drain mode is active.
-    pub fn drain_one_at_a_time(&self) -> bool {
-        self.drain_one_at_a_time
-    }
-
     /// Number of attached queues (including detached gaps).
     pub fn num_queues(&self) -> usize {
         self.queues.len()
@@ -250,20 +245,39 @@ impl BlockBackend {
         }
     }
 
+    /// Whether every buffer grant in `pages` is still live.
+    fn buf_grants_ok(plat: &Platform, q: &QueueState, pages: Range<usize>) -> bool {
+        let Some((_, ref buf_refs, _)) = q.grants else { return true };
+        pages.into_iter().all(|p| Self::grant_ok(plat, q, buf_refs[p], q.buf_frames[p]))
+    }
+
     /// Whether every grant request `plan` touches (and the ring grant) is
     /// still live.
     fn plan_grants_ok(plat: &Platform, q: &QueueState, ring: Hpa, plan: &ReqPlan) -> bool {
-        let Some((ring_ref, ref buf_refs, _)) = q.grants else { return true };
-        if !Self::grant_ok(plat, q, ring_ref, ring) {
-            return false;
+        let Some((ring_ref, _, _)) = q.grants else { return true };
+        Self::grant_ok(plat, q, ring_ref, ring) && Self::buf_grants_ok(plat, q, plan.pages.clone())
+    }
+
+    /// The structural check both drains run on a descriptor before any
+    /// grant check: a known op, a non-empty sector run inside the disk,
+    /// and a buffer window inside queue `qi`'s mapped pages. Every field
+    /// comes from the guest, so the arithmetic is checked. Returns the
+    /// buffer pages the request touches.
+    fn request_pages(
+        &self,
+        qi: usize,
+        op: u64,
+        sector: u64,
+        count: u64,
+        buf_page: u64,
+    ) -> Option<Range<usize>> {
+        let in_disk = sector.checked_add(count).is_some_and(|end| end <= self.sectors());
+        if op > BlkOp::Write as u64 || count == 0 || !in_disk {
+            return None;
         }
-        let pages = plan.count.div_ceil(SECTORS_PER_PAGE);
-        for p in plan.buf_page..plan.buf_page + pages {
-            if !Self::grant_ok(plat, q, buf_refs[p as usize], q.buf_frames[p as usize]) {
-                return false;
-            }
-        }
-        true
+        let end = buf_page.checked_add(count.div_ceil(SECTORS_PER_PAGE))?;
+        let mapped = self.queues[qi].buf_frames.len();
+        (end <= mapped as u64).then_some(buf_page as usize..end as usize)
     }
 
     /// Processes all outstanding requests on every queue, in queue order.
@@ -297,10 +311,9 @@ impl BlockBackend {
             "blkif:drain",
             &[("queue", ArgValue::U64(q as u64))],
         );
-        let result = if self.drain_one_at_a_time {
-            self.drain_oracle(plat, q)
-        } else {
-            self.drain_batched(plat, q)
+        let result = match plat.machine.fidelity() {
+            Fidelity::Fast => self.drain_batched(plat, q),
+            Fidelity::Reference => self.drain_reference(plat, q),
         };
         plat.machine.span_close(span);
         result
@@ -313,9 +326,9 @@ impl BlockBackend {
         req_prod >= req_cons && req_prod - req_cons <= RING_SLOTS
     }
 
-    // ----- the seed's one-request-at-a-time oracle ----------------------
+    // ----- the seed's one-request-at-a-time reference drain -------------
 
-    fn drain_oracle(&mut self, plat: &mut Platform, qi: usize) -> Result<u64, XenError> {
+    fn drain_reference(&mut self, plat: &mut Platform, qi: usize) -> Result<u64, XenError> {
         let ring = self.queues[qi].ring_frame.ok_or(XenError::BadBlockRequest)?;
         // The ring page itself rides on a grant; if that grant is gone the
         // back-end cannot even respond — fail the whole pass closed.
@@ -348,7 +361,7 @@ impl BlockBackend {
                 Self::request_label(op),
                 &[("sector", ArgValue::U64(sector)), ("count", ArgValue::U64(count))],
             );
-            let handled_res = self.handle_oracle(plat, qi, op, sector, count, buf_page);
+            let handled_res = self.handle_reference(plat, qi, op, sector, count, buf_page);
             plat.machine.span_close(span);
             let status = handled_res?;
             plat.machine.host_write_u64(direct_map(ring.add(slot + 40)), status as u64)?;
@@ -369,7 +382,7 @@ impl BlockBackend {
         }
     }
 
-    fn handle_oracle(
+    fn handle_reference(
         &mut self,
         plat: &mut Platform,
         qi: usize,
@@ -378,28 +391,13 @@ impl BlockBackend {
         count: u64,
         buf_page: u64,
     ) -> Result<BlkStatus, XenError> {
-        let end = sector.checked_add(count);
-        if end.is_none() || end.unwrap() > self.sectors() || count == 0 {
+        let Some(pages) = self.request_pages(qi, op, sector, count, buf_page) else {
             return Ok(BlkStatus::Error);
-        }
-        let pages_needed = count.div_ceil(SECTORS_PER_PAGE);
-        if buf_page + pages_needed > self.queues[qi].buf_frames.len() as u64 {
-            return Ok(BlkStatus::Error);
-        }
+        };
         // Re-validate the buffer grants this request will touch.
-        if self.queues[qi].grants.is_some() {
-            for p in buf_page..buf_page + pages_needed {
-                let (refs, frame) = {
-                    let qs = &self.queues[qi];
-                    let (_, ref buf_refs, _) = qs.grants.as_ref().expect("checked");
-                    (buf_refs[p as usize], qs.buf_frames[p as usize])
-                };
-                if !Self::grant_ok(plat, &self.queues[qi], refs, frame) {
-                    plat.machine
-                        .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo);
-                    return Ok(BlkStatus::Error);
-                }
-            }
+        if !Self::buf_grants_ok(plat, &self.queues[qi], pages) {
+            plat.machine.fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo);
+            return Ok(BlkStatus::Error);
         }
         for s in 0..count {
             let disk_off = ((sector + s) * SECTOR_SIZE as u64) as usize;
@@ -417,7 +415,7 @@ impl BlockBackend {
                     plat.machine.host_read(va, &mut data)?;
                     self.disk[disk_off..disk_off + SECTOR_SIZE].copy_from_slice(&data);
                 }
-                _ => return Ok(BlkStatus::Error),
+                _ => unreachable!("validated ops only"),
             }
         }
         Ok(BlkStatus::Ok)
@@ -428,7 +426,7 @@ impl BlockBackend {
     /// Host-virtual address of sector `s` of `plan` inside the queue's
     /// mapped buffer pages.
     fn sector_va(q: &QueueState, plan: &ReqPlan, s: u64) -> Hva {
-        let page_idx = (plan.buf_page + s / SECTORS_PER_PAGE) as usize;
+        let page_idx = plan.pages.start + (s / SECTORS_PER_PAGE) as usize;
         let in_page = (s % SECTORS_PER_PAGE) * SECTOR_SIZE as u64;
         direct_map(q.buf_frames[page_idx].add(in_page))
     }
@@ -487,10 +485,10 @@ impl BlockBackend {
                 ));
             }
         }
-        // Snapshot the window. Everything the oracle charges per request
-        // is charged here too, just hoisted: the multiset of translated
-        // accesses (and therefore modeled cycles and TLB counters) is
-        // identical.
+        // Snapshot the window. Everything the reference drain charges per
+        // request is charged here too, just hoisted: the multiset of
+        // translated accesses (and therefore modeled cycles and TLB
+        // counters) is identical.
         let req_prod = plat.machine.host_read_u64(direct_map(ring.add(OFF_REQ_PROD)))?;
         let req_cons = self.queues[qi].req_cons;
         if !Self::window_ok(req_cons, req_prod) {
@@ -507,22 +505,18 @@ impl BlockBackend {
             let sector = plat.machine.host_read_u64(direct_map(ring.add(slot + 16)))?;
             let count = plat.machine.host_read_u64(direct_map(ring.add(slot + 24)))?;
             let buf_page = plat.machine.host_read_u64(direct_map(ring.add(slot + 32)))?;
-            plans.push(ReqPlan { slot, op, sector, count, buf_page, status: BlkStatus::Pending });
+            let (pages, status) = match self.request_pages(qi, op, sector, count, buf_page) {
+                Some(pages) => (pages, BlkStatus::Pending),
+                None => (0..0, BlkStatus::Error),
+            };
+            plans.push(ReqPlan { slot, op, sector, count, pages, status });
         }
         // Validate the whole window as one unit (grant checks amortized
         // across the drain). A request that is structurally bad — or whose
         // grant was already gone before the batch was dispatched — fails
-        // *that request* with a status, exactly as the oracle does.
-        for plan in &mut plans {
-            let end = plan.sector.checked_add(plan.count);
-            let structurally_ok = end.is_some_and(|e| e <= self.sectors())
-                && plan.count != 0
-                && plan.op <= BlkOp::Write as u64
-                && plan.buf_page + plan.count.div_ceil(SECTORS_PER_PAGE)
-                    <= self.queues[qi].buf_frames.len() as u64;
-            if !structurally_ok {
-                plan.status = BlkStatus::Error;
-            } else if !Self::plan_grants_ok(plat, &self.queues[qi], ring, plan) {
+        // *that request* with a status, exactly as the reference drain does.
+        for plan in plans.iter_mut().filter(|p| p.status == BlkStatus::Pending) {
+            if !Self::plan_grants_ok(plat, &self.queues[qi], ring, plan) {
                 plat.machine
                     .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo);
                 plan.status = BlkStatus::Error;
@@ -560,8 +554,8 @@ impl BlockBackend {
                 )));
             }
             if plan.status != BlkStatus::Pending {
-                // Already refused at validation; the oracle still opens the
-                // request span before deciding, so mirror it.
+                // Already refused at validation; the reference drain still
+                // opens the request span before deciding, so mirror it.
                 let span = plat.machine.span_open(
                     SpanKind::BlkifRequest,
                     Self::request_label(plan.op),
@@ -610,7 +604,7 @@ impl BlockBackend {
     /// Moves one validated request's data between the disk image and the
     /// shared buffers, streaming host-contiguous sector runs through the
     /// coalescing host paths (one translation and one engine charge per
-    /// sector, exactly like the oracle's per-sector calls).
+    /// sector, exactly like the reference drain's per-sector calls).
     fn move_request_data(
         &mut self,
         plat: &mut Platform,
@@ -688,14 +682,6 @@ mod tests {
     #[should_panic(expected = "attach queue 0 first")]
     fn extra_queue_requires_attachment() {
         BlockBackend::new().attach_queue_with_grants(1, (Hpa(0), 0), vec![], Hpa(0));
-    }
-
-    #[test]
-    fn oracle_mode_toggles() {
-        let mut b = BlockBackend::new();
-        assert!(!b.drain_one_at_a_time());
-        b.set_drain_one_at_a_time(true);
-        assert!(b.drain_one_at_a_time());
     }
 
     #[test]

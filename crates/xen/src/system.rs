@@ -20,6 +20,7 @@ use crate::platform::Platform;
 use crate::XenError;
 use fidelius_crypto::modes::SECTOR_SIZE;
 use fidelius_crypto::Key128;
+use fidelius_hw::cpu::Fidelity;
 use fidelius_hw::inject::{FaultAction, InjectPoint};
 use fidelius_hw::mem::FrameAllocator;
 use fidelius_hw::paging::{Mapper, PTE_C_BIT, PTE_WRITABLE};
@@ -888,9 +889,9 @@ impl System {
     /// Contiguous in-page sector runs go through the guardian's batched
     /// [`Guardian::io_transform_run`] entry point — one dispatch per page
     /// instead of one per sector, with ciphertext and modeled cycles
-    /// bit-identical by the firmware's batch contract. When the back-end
-    /// is in `drain_one_at_a_time` oracle mode, this path also falls back
-    /// to the per-sector loop so the oracle covers the whole datapath.
+    /// bit-identical by the firmware's batch contract. Under
+    /// [`Fidelity::Reference`] it runs the per-sector loop instead, so the
+    /// reference covers the whole datapath.
     ///
     /// [`Guardian::io_transform_run`]: crate::guardian::Guardian::io_transform_run
     fn sev_io_transform_at(
@@ -901,13 +902,13 @@ impl System {
         count: u64,
         buf_page: u64,
     ) -> Result<(), XenError> {
-        let oracle = self.xen.backend.drain_one_at_a_time();
+        let fast = self.plat.machine.fidelity() == Fidelity::Fast;
         let mut s = 0u64;
         while s < count {
             let page_idx = buf_page + s / SECTORS_PER_PAGE;
             let in_page = (s % SECTORS_PER_PAGE) * SECTOR_SIZE as u64;
             let run =
-                if oracle { 1 } else { (SECTORS_PER_PAGE - s % SECTORS_PER_PAGE).min(count - s) };
+                if fast { (SECTORS_PER_PAGE - s % SECTORS_PER_PAGE).min(count - s) } else { 1 };
             let md_frame = self
                 .xen
                 .domain(dom)?
@@ -922,7 +923,7 @@ impl System {
                 IoDir::GuestToShared => (md_frame.add(in_page), buf_frame.add(in_page)),
                 IoDir::SharedToGuest => (buf_frame.add(in_page), md_frame.add(in_page)),
             };
-            if oracle {
+            if !fast {
                 self.guardian.io_transform(
                     &mut self.plat,
                     dom,
@@ -1494,35 +1495,6 @@ mod tests {
                 outcome: InjectionOutcome::FailClosed(DenialReason::RingIndexTampered),
             }
         )));
-    }
-
-    #[test]
-    fn batched_drain_matches_oracle_cycles_and_bytes() {
-        // Smoke version of the full differential proptest: the same op
-        // sequence through the batched drain and the one-at-a-time oracle
-        // must produce identical disk bytes, statuses, read data and
-        // modeled cycle totals.
-        let run = |oracle: bool| {
-            let mut sys = vanilla();
-            let dom = sys.create_guest(GuestConfig::default()).unwrap();
-            let kblk = [0x4Bu8; 16];
-            sys.setup_block_device(dom, vec![0u8; 64 * SECTOR_SIZE], IoPath::AesNi, Some(kblk))
-                .unwrap();
-            sys.xen.backend.set_drain_one_at_a_time(oracle);
-            let ops = vec![
-                BatchOp::Write { sector: 0, data: vec![1u8; 3 * SECTOR_SIZE] },
-                BatchOp::Write { sector: 2, data: vec![2u8; 2 * SECTOR_SIZE] }, // overlap
-                BatchOp::Read { sector: 1, count: 9 },                          // cross-page
-                BatchOp::Read { sector: 200, count: 1 },                        // out of range
-            ];
-            let results = sys.disk_batch(dom, 0, &ops).unwrap();
-            (results, sys.xen.backend.disk().to_vec(), sys.plat.machine.cycles.total_f64())
-        };
-        let (batched, disk_b, cycles_b) = run(false);
-        let (oracle, disk_o, cycles_o) = run(true);
-        assert_eq!(batched, oracle, "statuses/read data must be identical");
-        assert_eq!(disk_b, disk_o, "disk bytes must be identical");
-        assert_eq!(cycles_b, cycles_o, "modeled cycles must be bit-identical");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Differential proptest for the batched I/O datapath: the multi-queue
-//! batched drain must be *observationally identical* to the seed's
-//! one-request-at-a-time oracle drain. Identical here is strict — for
+//! Differential proptest for the batched I/O datapath: under
+//! `Fidelity::Fast` the multi-queue batched drain must be
+//! *observationally identical* to the seed's one-request-at-a-time drain
+//! that `Fidelity::Reference` runs. Identical here is strict — for
 //! the same submitted request stream the two modes must produce
 //! byte-identical per-request statuses and read payloads, byte-identical
 //! disk images (ciphertext included), bit-identical modeled cycle
@@ -18,8 +19,9 @@
 use fidelius::core::lifecycle::boot_encrypted_guest;
 use fidelius::core::Fidelius;
 use fidelius::crypto::modes::SECTOR_SIZE;
+use fidelius::hw::cpu::Fidelity;
 use fidelius::sev::GuestOwner;
-use fidelius::xen::blkif::BlkStatus;
+use fidelius::xen::blkif::{BlkStatus, SECTORS_PER_PAGE};
 use fidelius::xen::frontend::IoPath;
 use fidelius::xen::system::{BatchOp, GuestConfig};
 use fidelius::xen::{DomainId, System, Unprotected};
@@ -72,12 +74,13 @@ fn build(path: IoPath, queues: u64) -> (System, DomainId) {
 /// Draws one randomized ring window. About one op in eight is
 /// out-of-range (must fail its own slot only); sectors are drawn from a
 /// small space so windows routinely overlap themselves and each other,
-/// and counts routinely cross page boundaries.
+/// and about half the counts need a second buffer page. Four ops of at
+/// most two pages fill the eight-page buffer window.
 fn draw_window(rng: &mut Rng) -> Vec<BatchOp> {
-    let ops = 1 + rng.below(5);
+    let ops = 1 + rng.below(4);
     (0..ops)
         .map(|_| {
-            let count = 1 + rng.below(8);
+            let count = 1 + rng.below(2 * SECTORS_PER_PAGE);
             let sector = if rng.below(8) == 0 {
                 // Out of range: starts inside, runs off the end, or is
                 // entirely past the disk.
@@ -108,12 +111,11 @@ struct Observed {
 }
 
 /// Runs `windows` randomized ring windows from `seed` through `path`
-/// with the back-end in batched or oracle mode. The submitted stream is
-/// identical between modes (same RNG, same windows, same queues) — only
-/// the drain internals differ.
-fn run_mix(path: IoPath, queues: u64, seed: u64, windows: u64, oracle: bool) -> Observed {
+/// under `fidelity`. The submitted stream is identical between modes
+/// (same RNG, same windows, same queues) — only the internals differ.
+fn run_mix(path: IoPath, queues: u64, seed: u64, windows: u64, fidelity: Fidelity) -> Observed {
     let (mut sys, dom) = build(path, queues);
-    sys.xen.backend.set_drain_one_at_a_time(oracle);
+    sys.plat.machine.set_fidelity(fidelity);
     let mut rng = Rng::new(seed);
     let mut results = Vec::new();
     for _ in 0..windows {
@@ -131,8 +133,8 @@ fn run_mix(path: IoPath, queues: u64, seed: u64, windows: u64, oracle: bool) -> 
 
 /// Runs the same seeded mix both ways and asserts exact equivalence.
 fn assert_modes_identical(path: IoPath, queues: u64, seed: u64, windows: u64) {
-    let batched = run_mix(path, queues, seed, windows, false);
-    let oracle = run_mix(path, queues, seed, windows, true);
+    let batched = run_mix(path, queues, seed, windows, Fidelity::Fast);
+    let oracle = run_mix(path, queues, seed, windows, Fidelity::Reference);
     for (w, (b, o)) in batched.results.iter().zip(&oracle.results).enumerate() {
         assert_eq!(b, o, "{path:?} seed {seed} window {w}: statuses/payloads diverge");
     }
