@@ -181,11 +181,6 @@ impl Fidelius {
         self.xen_code_measurement
     }
 
-    /// Gate invocation counters (type 1, 2, 3).
-    pub fn gate_counts(&self) -> (u64, u64, u64) {
-        self.gates.as_ref().map(|g| g.counts()).unwrap_or((0, 0, 0))
-    }
-
     /// Read-only PIT view (tests and analysis).
     pub fn pit(&self) -> &Pit {
         &self.pit
@@ -227,13 +222,10 @@ impl Fidelius {
         }
         let e = self.pit.peek(frame);
         self.pit.set(frame, PitEntry::new(Usage::WriteOnce, e.owner(), e.asid(), e.shared()));
-        let mut gates = self.gates.take().expect("late_launch must run first");
         let data = data.to_vec();
-        let result = gates.type1(plat, move |plat| {
+        self.gates().type1(plat, move |plat| {
             plat.machine.mc.dram_mut().write_raw(frame, &data).map_err(GuardError::Hw)
-        });
-        self.gates = Some(gates);
-        result
+        })
     }
 
     /// Produces a remote-attestation report: the late-launch measurement
@@ -261,7 +253,7 @@ impl Fidelius {
         plat: &mut Platform,
         iters: u32,
     ) -> Result<(f64, f64, f64), GuardError> {
-        let mut gates = self.gates.take().expect("late_launch must run first");
+        let gates = self.gates();
         let host_root = self.host_pt_root;
         let measure = |plat: &mut Platform,
                        f: &mut dyn FnMut(&mut Platform) -> Result<(), GuardError>|
@@ -279,12 +271,11 @@ impl Fidelius {
         plat.machine.exec_priv(sti_site, PrivOp::Sti).map_err(GuardError::Hw)?;
         let cr3_cost = plat.machine.cost.write_cr3 + plat.machine.cost.tlb_flush_full;
         let t3raw = measure(plat, &mut |plat| gates.exec(plat, PrivOp::WriteCr3(host_root)))?;
-        self.gates = Some(gates);
         Ok((t1, t2raw - cli_cost, t3raw - cr3_cost))
     }
 
-    fn gates_mut(&mut self) -> &mut Gates {
-        self.gates.as_mut().expect("late_launch must run first")
+    fn gates(&self) -> Gates {
+        self.gates.expect("late_launch must run first")
     }
 
     /// Records a typed denial: bump the counter, emit the trace event, feed
@@ -577,11 +568,9 @@ impl Guardian for Fidelius {
             dom: 0,
             allowed: true,
         });
-        let mut gates = self.gates.take().expect("late_launch must run first");
-        let result = gates.type1(plat, |plat| {
+        let result = self.gates().type1(plat, |plat| {
             plat.machine.host_write_u64(direct_map(entry_pa), value).map_err(GuardError::Fault)
         });
-        self.gates = Some(gates);
         // The entry's mapped VA is unknown here (the hypervisor hands us a
         // raw entry address), so conservatively demote every cached host
         // translation; residency and hit accounting are untouched.
@@ -765,11 +754,9 @@ impl Guardian for Fidelius {
             allowed: true,
         });
         let sealed = self.doms.get(&dom).map(|m| m.sealed).unwrap_or(false);
-        let mut gates = self.gates.take().expect("late_launch must run first");
-        let result = gates.type1(plat, |plat| {
+        let result = self.gates().type1(plat, |plat| {
             plat.machine.host_write_u64(direct_map(entry_pa), value).map_err(GuardError::Fault)
         });
-        self.gates = Some(gates);
         result?;
         if let Some((target, child_info)) = register_child {
             self.npt_pages.insert(target.pfn(), child_info);
@@ -839,8 +826,7 @@ impl Guardian for Fidelius {
         });
         let base = self.grant_table_pa.add(index * GRANT_ENTRY_SIZE);
         let words = entry.to_words();
-        let mut gates = self.gates.take().expect("late_launch must run first");
-        let result = gates.type1(plat, |plat| {
+        let result = self.gates().type1(plat, |plat| {
             for (i, w) in words.iter().enumerate() {
                 plat.machine
                     .host_write_u64(direct_map(base.add(8 * i as u64)), *w)
@@ -848,7 +834,6 @@ impl Guardian for Fidelius {
             }
             Ok(())
         });
-        self.gates = Some(gates);
         result?;
         // Shared-state bookkeeping: grants open the frame to the host
         // (the back-end must reach the plaintext-shared page), revocation
@@ -978,10 +963,7 @@ impl Guardian for Fidelius {
             }
             plat.machine.cpu.regs.load_array(dom.gpr_save);
         }
-        let mut gates = self.gates.take().expect("late_launch must run first");
-        let result = gates.exec(plat, PrivOp::Vmrun(dom.vmcb_pa));
-        self.gates = Some(gates);
-        result
+        self.gates().exec(plat, PrivOp::Vmrun(dom.vmcb_pa))
     }
 
     fn on_vmexit(&mut self, plat: &mut Platform, dom: &mut Domain) -> Result<(), GuardError> {
@@ -1051,9 +1033,9 @@ impl Guardian for Fidelius {
                 });
                 if let PrivOp::Lgdt(_) | PrivOp::Lidt(_) = op {
                     let site = if matches!(op, PrivOp::Lgdt(_)) {
-                        self.gates_mut().sites.lgdt
+                        self.gates().sites.lgdt
                     } else {
-                        self.gates_mut().sites.lidt
+                        self.gates().sites.lidt
                     };
                     let site_pa = Hpa(fidelius_xen::platform::FIDELIUS_CODE_PA.0
                         + (site.0 - fidelius_xen::layout::FIDELIUS_CODE_BASE.0));
@@ -1061,10 +1043,7 @@ impl Guardian for Fidelius {
                         return Err(self.deny(plat, DenialReason::ExecuteOnceAlreadyUsed));
                     }
                 }
-                let mut gates = self.gates.take().expect("late_launch must run first");
-                let r = gates.exec(plat, op);
-                self.gates = Some(gates);
-                r
+                self.gates().exec(plat, op)
             }
         }
     }

@@ -19,7 +19,7 @@
 //! up, not by fiat.
 
 use crate::GuardError;
-use fidelius_hw::cpu::PrivOp;
+use fidelius_hw::cpu::{scope, PrivOp, Site};
 use fidelius_hw::cycles::CycleCategory;
 use fidelius_hw::inject::{FaultAction, InjectPoint};
 use fidelius_hw::memctrl::EncSel;
@@ -114,7 +114,11 @@ pub struct GateMapping {
 }
 
 /// Gate state: Fidelius's instruction sites plus the type-3 mapping slots.
-#[derive(Debug, Clone)]
+///
+/// Each crossing is booked once, by [`scope`]: a `gate:typeN` span, its
+/// cycles under [`CycleCategory::Gates`] and an [`Event::Gate`] that the
+/// telemetry registry counts per type.
+#[derive(Debug, Clone, Copy)]
 pub struct Gates {
     /// Fidelius's instruction sites.
     pub sites: InstrSites,
@@ -122,20 +126,31 @@ pub struct Gates {
     pub vmrun_page: GateMapping,
     /// Mapping slot for the page holding `mov cr3`.
     pub cr3_page: GateMapping,
-    gate1_count: u64,
-    gate2_count: u64,
-    gate3_count: u64,
+}
+
+/// The site of one gate crossing: a `gate:typeN` span carrying `args`,
+/// charged to [`CycleCategory::Gates`] and completed by an
+/// [`Event::Gate`] naming `op`.
+fn crossing<'a>(
+    kind: GateKind,
+    op: &'static str,
+    args: &'a [(&'static str, ArgValue)],
+) -> Site<'a> {
+    let label = match kind {
+        GateKind::Type1 => "gate:type1",
+        GateKind::Type2 => "gate:type2",
+        GateKind::Type3 => "gate:type3",
+    };
+    Site::new(SpanKind::Gate, label)
+        .args(args)
+        .charged_to(CycleCategory::Gates)
+        .then_emit(Event::Gate { kind, op })
 }
 
 impl Gates {
     /// Builds the gate state (late launch wires the mapping slots).
     pub fn new(sites: InstrSites, vmrun_page: GateMapping, cr3_page: GateMapping) -> Self {
-        Gates { sites, vmrun_page, cr3_page, gate1_count: 0, gate2_count: 0, gate3_count: 0 }
-    }
-
-    /// (type-1, type-2, type-3) invocation counts.
-    pub fn counts(&self) -> (u64, u64, u64) {
-        (self.gate1_count, self.gate2_count, self.gate3_count)
+        Gates { sites, vmrun_page, cr3_page }
     }
 
     /// Type-1 gate: runs `body` with `CR0.WP` cleared. The body's own
@@ -146,17 +161,12 @@ impl Gates {
     ///
     /// Propagates body errors; WP is always restored.
     pub fn type1<R>(
-        &mut self,
+        &self,
         plat: &mut Platform,
         body: impl FnOnce(&mut Platform) -> Result<R, GuardError>,
     ) -> Result<R, GuardError> {
         absorb_delays(plat)?;
-        self.gate1_count += 1;
-        // Trace span co-located with the cycle-category span, so the
-        // recorder's timeline and the Gates attribution cannot disagree.
-        let tspan = plat.machine.span_open(SpanKind::Gate, "gate:type1", &[]);
-        let span = plat.machine.cycles.enter(CycleCategory::Gates);
-        let result = (|| {
+        scope(plat, crossing(GateKind::Type1, "protected-body", &[]), |plat| {
             let m = &mut plat.machine;
             m.exec_priv(self.sites.cli, PrivOp::Cli)?;
             m.cycles.charge(m.cost.stack_switch);
@@ -172,11 +182,7 @@ impl Gates {
             m.cycles.charge(m.cost.stack_switch);
             m.exec_priv(self.sites.sti, PrivOp::Sti).expect("sti cannot fail");
             result
-        })();
-        plat.machine.cycles.exit(span);
-        plat.machine.span_close(tspan);
-        plat.machine.trace.emit(Event::Gate { kind: GateKind::Type1, op: "protected-body" });
-        result
+        })
     }
 
     /// Executes a monopolized instruction through the gate its page
@@ -187,7 +193,7 @@ impl Gates {
     /// # Errors
     ///
     /// Propagates execution faults and gate timeouts.
-    pub fn exec(&mut self, plat: &mut Platform, op: PrivOp) -> Result<(), GuardError> {
+    pub fn exec(&self, plat: &mut Platform, op: PrivOp) -> Result<(), GuardError> {
         let s = self.sites;
         match op {
             PrivOp::Vmrun(_) => self.type3(plat, op, self.vmrun_page, s.vmrun),
@@ -206,23 +212,16 @@ impl Gates {
     /// Type-2 gate: executes `op` at its Fidelius `site`, with the
     /// checking-loop sanity checks around it (16 cycles of gate overhead
     /// plus the instruction itself).
-    fn type2(&mut self, plat: &mut Platform, op: PrivOp, site: Hva) -> Result<(), GuardError> {
+    fn type2(&self, plat: &mut Platform, op: PrivOp, site: Hva) -> Result<(), GuardError> {
         absorb_delays(plat)?;
-        self.gate2_count += 1;
-        let m = &mut plat.machine;
-        let tspan =
-            m.span_open(SpanKind::Gate, "gate:type2", &[("op", ArgValue::Str(privop_label(&op)))]);
-        let span = m.cycles.enter(CycleCategory::Gates);
-        let result = (|| {
+        let label = privop_label(&op);
+        scope(plat, crossing(GateKind::Type2, label, &[("op", ArgValue::Str(label))]), |plat| {
+            let m = &mut plat.machine;
             m.cycles.charge(m.cost.sanity_check);
             m.exec_priv(site, op)?;
             m.cycles.charge(m.cost.sanity_check);
             Ok(())
-        })();
-        m.cycles.exit(span);
-        m.span_close(tspan);
-        m.trace.emit(Event::Gate { kind: GateKind::Type2, op: privop_label(&op) });
-        result
+        })
     }
 
     /// Type-3 gate: temporarily maps the instruction's page through
@@ -230,21 +229,15 @@ impl Gates {
     /// cycles of gate overhead plus the instruction). The page is always
     /// unmapped again.
     fn type3(
-        &mut self,
+        &self,
         plat: &mut Platform,
         op: PrivOp,
         mapping: GateMapping,
         site: Hva,
     ) -> Result<(), GuardError> {
         absorb_delays(plat)?;
-        self.gate3_count += 1;
-        let tspan = plat.machine.span_open(
-            SpanKind::Gate,
-            "gate:type3",
-            &[("op", ArgValue::Str(privop_label(&op)))],
-        );
-        let span = plat.machine.cycles.enter(CycleCategory::Gates);
-        let result = (|| {
+        let label = privop_label(&op);
+        scope(plat, crossing(GateKind::Type3, label, &[("op", ArgValue::Str(label))]), |plat| {
             let m = &mut plat.machine;
             m.exec_priv(self.sites.cli, PrivOp::Cli)?;
             m.cycles.charge(m.cost.stack_switch + m.cost.gate_dispatch);
@@ -287,11 +280,7 @@ impl Gates {
                 .cycles
                 .charge(plat.machine.cost.stack_switch + plat.machine.cost.gate_dispatch);
             result.map_err(GuardError::from)
-        })();
-        plat.machine.cycles.exit(span);
-        plat.machine.span_close(tspan);
-        plat.machine.trace.emit(Event::Gate { kind: GateKind::Type3, op: privop_label(&op) });
-        result
+        })
     }
 }
 

@@ -19,6 +19,7 @@
 //!    hypervisor's address space.
 
 use crate::fidelius::Fidelius;
+use fidelius_hw::cpu::{scope, Site};
 use fidelius_hw::PAGE_SIZE;
 use fidelius_sev::{EncryptedImage, GuestPolicy, SevError};
 use fidelius_telemetry::{DenialReason, Event};
@@ -28,28 +29,13 @@ use fidelius_xen::frontend::gplayout;
 use fidelius_xen::layout::direct_map;
 use fidelius_xen::{System, XenError};
 
-/// Runs one lifecycle phase under a flight-recorder span of the given
-/// kind, closing it on success and failure alike.
-pub(crate) fn traced_phase<R>(
-    sys: &mut System,
-    kind: SpanKind,
-    label: &'static str,
-    body: impl FnOnce(&mut System) -> Result<R, XenError>,
-) -> Result<R, XenError> {
-    let span = sys.plat.machine.span_open(kind, label, &[]);
-    let result = body(sys);
-    sys.plat.machine.span_close(span);
-    result
-}
-
-/// [`traced_phase`] pinned to [`SpanKind::LaunchStep`].
-fn step<R>(
-    sys: &mut System,
-    label: &'static str,
-    body: impl FnOnce(&mut System) -> Result<R, XenError>,
-) -> Result<R, XenError> {
-    traced_phase(sys, SpanKind::LaunchStep, label, body)
-}
+/// Flight-recorder sites of the six launch steps.
+const RECEIVE_START: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:receive_start");
+const CREATE_DOMAIN: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:create_domain");
+const LOAD_IMAGE: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:load_image");
+const RECEIVE_UPDATE: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:receive_update");
+const FINISH_ACTIVATE: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:finish_activate");
+const BOOT_AND_SEAL: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:boot_and_seal");
 
 /// Downcasts the system's guardian to Fidelius.
 ///
@@ -77,7 +63,7 @@ pub fn boot_encrypted_guest(
 ) -> Result<DomainId, XenError> {
     // 1. RECEIVE_START — Fidelius self-maintains the returned handle as
     //    SEV metadata.
-    let handle = step(sys, "launch:receive_start", |sys| {
+    let handle = scope(sys, RECEIVE_START, |sys| {
         match sys.plat.firmware.receive_start(&image.session, GuestPolicy::default()) {
             Ok(h) => Ok(h),
             Err(SevError::SessionNonceReplayed) => {
@@ -97,7 +83,7 @@ pub fn boot_encrypted_guest(
     })?;
 
     // 2. Domain shell + memory (the hypervisor's job).
-    let dom = step(sys, "launch:create_domain", |sys| {
+    let dom = scope(sys, CREATE_DOMAIN, |sys| -> Result<_, XenError> {
         let dom = sys.xen.create_domain(&mut sys.plat, &mut *sys.guardian, mem_pages)?;
         sys.xen.populate_all(&mut sys.plat, &mut *sys.guardian, dom)?;
         Ok(dom)
@@ -109,7 +95,7 @@ pub fn boot_encrypted_guest(
     if gplayout::KERNEL_PAGE + npages > mem_pages {
         return Err(XenError::OutOfMemory);
     }
-    step(sys, "launch:load_image", |sys| {
+    scope(sys, LOAD_IMAGE, |sys| -> Result<_, XenError> {
         for (i, page) in image.pages.iter().enumerate() {
             let frame = sys
                 .xen
@@ -122,7 +108,7 @@ pub fn boot_encrypted_guest(
     })?;
 
     // 4. RECEIVE_UPDATE: in-place re-encryption Ktek → Kvek.
-    step(sys, "launch:receive_update", |sys| {
+    scope(sys, RECEIVE_UPDATE, |sys| -> Result<_, XenError> {
         for i in 0..npages {
             let frame = sys
                 .xen
@@ -140,7 +126,7 @@ pub fn boot_encrypted_guest(
     })?;
 
     // 5. RECEIVE_FINISH verifies Mvm; ACTIVATE installs Kvek.
-    step(sys, "launch:finish_activate", |sys| {
+    scope(sys, FINISH_ACTIVATE, |sys| -> Result<_, XenError> {
         sys.plat.firmware.receive_finish(handle, &image.measurement)?;
         let asid = sys.xen.domain(dom)?.asid;
         sys.plat.firmware.activate(&mut sys.plat.machine, handle, asid)?;
@@ -154,7 +140,7 @@ pub fn boot_encrypted_guest(
     })?;
 
     // 6. VMCB + guest early boot (encrypted stage-1 tables), then seal.
-    step(sys, "launch:boot_and_seal", |sys| {
+    scope(sys, BOOT_AND_SEAL, |sys| -> Result<_, XenError> {
         let gcr3 = fidelius_hw::Gpa(gplayout::PT_POOL_PAGE * PAGE_SIZE);
         let rip = gplayout::KERNEL_PAGE * PAGE_SIZE;
         sys.xen.init_vmcb(&mut sys.plat, dom, gcr3, rip, true)?;

@@ -8,7 +8,8 @@
 //! is why the paper notes Fidelius does not support *live* migration.
 
 use crate::fidelius::Fidelius;
-use crate::lifecycle::{fidelius_mut, traced_phase};
+use crate::lifecycle::fidelius_mut;
+use fidelius_hw::cpu::{scope, Site};
 use fidelius_hw::inject::{FaultAction, InjectPoint};
 use fidelius_hw::{Gpa, PAGE_SIZE};
 use fidelius_sev::firmware::SessionBlob;
@@ -18,6 +19,13 @@ use fidelius_trace::SpanKind;
 use fidelius_xen::domain::{DomainId, DomainState};
 use fidelius_xen::frontend::gplayout;
 use fidelius_xen::{System, XenError};
+
+/// Flight-recorder sites of the five migration phases.
+const SEND_START: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:send_start");
+const SEND_PAGES: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:send_pages");
+const SEND_FINISH: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:send_finish");
+const RECEIVE_START: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:receive_start");
+const RECEIVE_BODY: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:receive_body");
 
 /// An in-flight migrated VM: transport-encrypted memory plus the session
 /// needed to receive it.
@@ -53,10 +61,10 @@ pub fn migrate_out(
     sys.ensure_host()?;
     let handle = fidelius_mut(sys)?.sev_handle(dom).ok_or(XenError::BadDomainState(dom))?;
     let mem_pages = sys.xen.domain(dom)?.mem_pages();
-    let session = traced_phase(sys, SpanKind::MigratePhase, "migrate:send_start", |sys| {
+    let session = scope(sys, SEND_START, |sys| -> Result<_, XenError> {
         Ok(sys.plat.firmware.send_start(handle, target_pdh)?)
     })?;
-    let pages = traced_phase(sys, SpanKind::MigratePhase, "migrate:send_pages", |sys| {
+    let pages = scope(sys, SEND_PAGES, |sys| -> Result<_, XenError> {
         let mut pages = Vec::new();
         for p in 0..mem_pages {
             if let Some(frame) = sys.xen.domain(dom)?.frame_of(p) {
@@ -67,7 +75,7 @@ pub fn migrate_out(
         }
         Ok(pages)
     })?;
-    let tag = traced_phase(sys, SpanKind::MigratePhase, "migrate:send_finish", |sys| {
+    let tag = scope(sys, SEND_FINISH, |sys| -> Result<_, XenError> {
         let tag = sys.plat.firmware.send_finish(handle)?;
         sys.shutdown_guest(dom)?;
         Ok(tag)
@@ -149,7 +157,7 @@ pub fn migrate_in(sys: &mut System, package: &MigrationPackage) -> Result<Domain
             .emit(Event::Denial { reason: DenialReason::MigrationStreamTruncated });
         return Err(XenError::FailClosed(DenialReason::MigrationStreamTruncated));
     }
-    let handle = traced_phase(sys, SpanKind::MigratePhase, "migrate:receive_start", |sys| {
+    let handle = scope(sys, RECEIVE_START, |sys| {
         match sys.plat.firmware.receive_start(&package.session, GuestPolicy::default()) {
             Ok(h) => Ok(h),
             Err(fidelius_sev::SevError::SessionNonceReplayed) => {
@@ -169,9 +177,7 @@ pub fn migrate_in(sys: &mut System, package: &MigrationPackage) -> Result<Domain
     // From here on the receive is transactional: any failure rolls the
     // half-built domain back (frames freed, firmware state decommissioned)
     // so a tampered stream cannot leak a zombie guest on the target.
-    match traced_phase(sys, SpanKind::MigratePhase, "migrate:receive_body", |sys| {
-        receive_body(sys, package, handle, dom)
-    }) {
+    match scope(sys, RECEIVE_BODY, |sys| receive_body(sys, package, handle, dom)) {
         Ok(()) => Ok(dom),
         Err(e) => {
             rollback_receive(sys, dom, handle);

@@ -296,6 +296,74 @@ pub enum Fidelity {
     Reference,
 }
 
+/// One instrumented crossing, booked by [`scope`]: the flight-recorder
+/// span it opens (kind, label, args) and, optionally, the cycle category
+/// its body charges to and the telemetry event that completes it.
+#[derive(Debug, Clone)]
+pub struct Site<'a> {
+    kind: SpanKind,
+    label: &'static str,
+    args: &'a [(&'static str, ArgValue)],
+    category: Option<CycleCategory>,
+    done: Option<Event>,
+}
+
+impl Site<'static> {
+    /// A `kind` span labelled `label`, with no args, category or event.
+    pub const fn new(kind: SpanKind, label: &'static str) -> Self {
+        Site { kind, label, args: &[], category: None, done: None }
+    }
+}
+
+impl<'a> Site<'a> {
+    /// Records `args` on the span.
+    pub fn args<'b>(self, args: &'b [(&'static str, ArgValue)]) -> Site<'b> {
+        Site { kind: self.kind, label: self.label, args, category: self.category, done: self.done }
+    }
+
+    /// Charges the body's cycles to `category` (the previous category is
+    /// restored when the body returns).
+    pub fn charged_to(mut self, category: CycleCategory) -> Self {
+        self.category = Some(category);
+        self
+    }
+
+    /// Emits `event` once the span has closed.
+    pub fn then_emit(mut self, event: Event) -> Self {
+        self.done = Some(event);
+        self
+    }
+}
+
+/// Runs `body` as one crossing of `site` on whatever `host` reaches the
+/// machine ([`Machine`], `Platform`, `System`), booking everything the
+/// site names at one point: span open → category enter → `body` →
+/// category exit → span close → completion event. The order is the same
+/// whatever `body` returns, so an `Err` closes its span, restores the
+/// category and still emits the event, with no hand-written close.
+///
+/// With the recorder disarmed the span costs one relaxed atomic load; the
+/// category and the event are booked all the same.
+#[inline]
+pub fn scope<H, R>(host: &mut H, site: Site<'_>, body: impl FnOnce(&mut H) -> R) -> R
+where
+    H: AsMut<Machine>,
+{
+    let m = host.as_mut();
+    let span = m.span_open(site.kind, site.label, site.args);
+    let previous = site.category.map(|c| m.cycles.enter(c));
+    let result = body(host);
+    let m = host.as_mut();
+    if let Some(previous) = previous {
+        m.cycles.exit(previous);
+    }
+    m.span_close(span);
+    if let Some(event) = site.done {
+        m.trace.emit(event);
+    }
+    result
+}
+
 /// The machine: memory system + one CPU + cycle accounting.
 #[derive(Debug)]
 pub struct Machine {
@@ -321,6 +389,12 @@ pub struct Machine {
     pub rec: Recorder,
     /// Fast or reference paths; see [`Machine::set_fidelity`].
     fidelity: Fidelity,
+}
+
+impl AsMut<Machine> for Machine {
+    fn as_mut(&mut self) -> &mut Machine {
+        self
+    }
 }
 
 impl Machine {
@@ -402,10 +476,10 @@ impl Machine {
     /// and the current track. Disarmed, this is one relaxed atomic load
     /// and returns [`SpanId::NONE`] — no float work, no lock.
     ///
-    /// Every layer above opens its spans through this helper so the
+    /// Every span opens here ([`scope`] for the layers above), so the
     /// timestamp source (`cycles.total_f64()`) and track assignment can
     /// never disagree with the cycle attribution in the same snapshot.
-    pub fn span_open(
+    fn span_open(
         &self,
         kind: SpanKind,
         label: &'static str,
@@ -419,7 +493,7 @@ impl Machine {
 
     /// Closes a span at the current modeled-cycle stamp. A null id — what
     /// [`Machine::span_open`] returns while disarmed — is a no-op.
-    pub fn span_close(&self, id: SpanId) {
+    fn span_close(&self, id: SpanId) {
         if id.is_none() {
             return;
         }
@@ -1078,6 +1152,7 @@ mod tests {
     use crate::mem::FrameAllocator;
     use crate::paging::{Mapper, PhysPtAccess, PTE_C_BIT, PTE_NX, PTE_WRITABLE};
     use crate::regs::Gpr;
+    use fidelius_telemetry::GateKind;
 
     const MEM: u64 = 1024 * PAGE_SIZE; // 4 MiB
 
@@ -1365,5 +1440,78 @@ mod tests {
         let reloaded = VmcbImage::load(&m.mc, pa).unwrap();
         assert_eq!(reloaded.get(VmcbField::NCr3), 0xAAAA_0000 ^ 0x55);
         assert_eq!(img.diff(&reloaded), vec![VmcbField::NCr3]);
+    }
+
+    // ----- scope ------------------------------------------------------------
+
+    /// The site of a gate-like crossing charged to `Gates` and completed by
+    /// an `Event::Gate`.
+    fn gate_site() -> Site<'static> {
+        Site::new(SpanKind::Gate, "gate:test")
+            .charged_to(CycleCategory::Gates)
+            .then_emit(Event::Gate { kind: GateKind::Type2, op: "test" })
+    }
+
+    fn gate_events(m: &Machine) -> u64 {
+        m.trace.metrics().gates_by_type[GateKind::Type2.index()]
+    }
+
+    #[test]
+    fn scope_books_an_err_body_like_an_ok_one() {
+        let mut m = Machine::new(MEM);
+        m.rec.arm();
+        m.cycles.charge(10.0);
+        let out: Result<(), &str> = scope(&mut m, gate_site(), |m| {
+            assert_eq!(m.cycles.current_category(), CycleCategory::Gates);
+            m.cycles.charge(16.0);
+            Err("refused")
+        });
+        assert_eq!(out, Err("refused"));
+        assert_eq!(m.cycles.current_category(), CycleCategory::Baseline, "category restored");
+        assert_eq!(m.cycles.in_category(CycleCategory::Gates), 16.0);
+        m.cycles.charge(1.0);
+        let spans = m.rec.take().spans;
+        assert_eq!(spans.len(), 1, "the span closed");
+        assert_eq!((spans[0].label, spans[0].begin, spans[0].end), ("gate:test", 10.0, 26.0));
+        assert_eq!(gate_events(&m), 1, "the completion event was emitted");
+        let last = m.trace.events().pop().map(|t| t.event);
+        assert_eq!(last, Some(Event::Gate { kind: GateKind::Type2, op: "test" }));
+    }
+
+    #[test]
+    fn nested_scopes_parent_and_restore_in_order() {
+        let mut m = Machine::new(MEM);
+        m.rec.arm();
+        let outer = Site::new(SpanKind::Hypercall, "hc:test")
+            .args(&[("nr", ArgValue::U64(7))])
+            .charged_to(CycleCategory::WorldSwitch);
+        scope(&mut m, outer, |m| {
+            m.cycles.charge(100.0);
+            scope(m, gate_site(), |m| m.cycles.charge(16.0));
+            assert_eq!(m.cycles.current_category(), CycleCategory::WorldSwitch);
+            m.cycles.charge(4.0);
+        });
+        assert_eq!(m.cycles.in_category(CycleCategory::WorldSwitch), 104.0);
+        assert_eq!(m.cycles.in_category(CycleCategory::Gates), 16.0);
+        let spans = m.rec.take().spans;
+        let [inner, outer] = &spans[..] else { panic!("two spans expected, got {spans:?}") };
+        assert_eq!((inner.label, outer.label), ("gate:test", "hc:test"));
+        assert_eq!(inner.parent, outer.id, "the inner span nests under the outer one");
+        assert_eq!(outer.parent, 0);
+        assert_eq!(outer.args, vec![("nr", ArgValue::U64(7))]);
+        assert_eq!((inner.begin, inner.end, outer.end), (100.0, 116.0, 120.0));
+    }
+
+    #[test]
+    fn disarmed_scope_records_no_span_but_books_category_and_event() {
+        let mut m = Machine::new(MEM);
+        assert!(!m.rec.is_armed());
+        scope(&mut m, gate_site(), |m| m.cycles.charge(16.0));
+        let trace = m.rec.take();
+        assert!(trace.spans.is_empty());
+        assert_eq!(trace.opened_total, 0);
+        assert_eq!(m.cycles.in_category(CycleCategory::Gates), 16.0);
+        assert_eq!(m.cycles.current_category(), CycleCategory::Baseline);
+        assert_eq!(gate_events(&m), 1);
     }
 }

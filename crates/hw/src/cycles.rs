@@ -173,8 +173,8 @@ pub const MAX_EXACT_CYCLES: f64 = 9_007_199_254_740_992.0; // 2^53
 /// simulated `rdtsc`.
 ///
 /// Every charge lands in exactly one [`CycleCategory`]: either the
-/// *current* category (a span entered with [`Cycles::enter`]) or an
-/// explicit one via [`Cycles::charge_as`]. There is no separate grand-total
+/// *current* category (the one a [`crate::cpu::Site`] charged to sets
+/// for its body) or an explicit one via [`Cycles::charge_as`]. There is no separate grand-total
 /// accumulator — [`Cycles::total_f64`] is *defined* as the fixed-order sum
 /// of the per-category array — so the breakdown sums to the total exactly,
 /// by construction, regardless of float rounding.
@@ -213,12 +213,12 @@ impl Cycles {
     /// [`Cycles::exit`] when the span closes (spans nest by stacking the
     /// returned values).
     #[must_use = "pass the previous category back to `exit` to close the span"]
-    pub fn enter(&mut self, category: CycleCategory) -> CycleCategory {
+    pub(crate) fn enter(&mut self, category: CycleCategory) -> CycleCategory {
         std::mem::replace(&mut self.current, category)
     }
 
     /// Closes a span opened by [`Cycles::enter`], restoring `previous`.
-    pub fn exit(&mut self, previous: CycleCategory) {
+    pub(crate) fn exit(&mut self, previous: CycleCategory) {
         self.current = previous;
     }
 

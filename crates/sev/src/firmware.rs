@@ -9,7 +9,8 @@ use fidelius_crypto::rng::Xoshiro256;
 use fidelius_crypto::sha256::Sha256;
 use fidelius_crypto::x25519::KeyPair;
 use fidelius_crypto::Key128;
-use fidelius_hw::cpu::Machine;
+use fidelius_hw::cpu::{scope, Machine, Site};
+use fidelius_hw::cycles::CycleCategory;
 use fidelius_hw::{Asid, Hpa, PAGE_SIZE};
 use fidelius_trace::{ArgValue, SpanKind};
 use std::collections::{HashMap, HashSet};
@@ -70,8 +71,6 @@ pub enum FwMode {
 /// Guest policy bits (simplified).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GuestPolicy {
-    /// Debugging the guest through firmware is forbidden.
-    pub no_debug: bool,
     /// The guest's key may not be shared with another guest context.
     pub no_key_sharing: bool,
 }
@@ -157,6 +156,16 @@ pub fn wrap_transport_keys(kek: &Key128, tek: &Key128, tik: &Key128) -> Vec<u8> 
     keys.extend_from_slice(tek);
     keys.extend_from_slice(tik);
     keywrap::wrap(kek, &keys).expect("32-byte wrap input is always valid")
+}
+
+/// Charges the engine's two passes over `len` bytes (decrypt under one
+/// key, encrypt under the other) to [`CycleCategory::CryptoEngine`].
+fn charge_reencrypt(machine: &mut Machine, len: u64) {
+    let lines = len.div_ceil(fidelius_hw::CACHE_LINE).max(1);
+    machine.cycles.charge_as(
+        CycleCategory::CryptoEngine,
+        2.0 * lines as f64 * machine.cost.engine_line_extra,
+    );
 }
 
 fn unwrap_transport_keys(kek: &Key128, wrapped: &[u8]) -> Result<(Key128, Key128), SevError> {
@@ -345,10 +354,9 @@ impl Firmware {
         ctx.measurement.update(cells);
         ciphers.engine.encrypt_blocks(pa.0, cells);
         let lines = len.div_ceil(fidelius_hw::CACHE_LINE);
-        machine.cycles.charge_as(
-            fidelius_hw::cycles::CycleCategory::CryptoEngine,
-            lines as f64 * machine.cost.engine_line_extra,
-        );
+        machine
+            .cycles
+            .charge_as(CycleCategory::CryptoEngine, lines as f64 * machine.cost.engine_line_extra);
         Ok(())
     }
 
@@ -504,30 +512,17 @@ impl Firmware {
         page_index: u64,
     ) -> Result<Vec<u8>, SevError> {
         let (ciphers, ctx) = self.cached_ciphers(h, GuestState::Sending)?;
-        let span = machine.span_open(
-            SpanKind::CryptoRun,
-            "crypto:send_update",
-            &[("page", ArgValue::U64(page_index))],
-        );
-        let mut page = vec![0u8; PAGE_SIZE as usize];
-        let ciphertext = match machine.mc.dram().raw_span(src_pa, page.len()) {
-            Ok(ciphertext) => ciphertext,
-            Err(e) => {
-                machine.span_close(span);
-                return Err(SevError::Hw(e));
-            }
-        };
-        ciphers.engine.decrypt_blocks_to(src_pa.0, ciphertext, &mut page);
-        ctx.measurement.update(&page);
-        let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
-        Ctr128::apply_with(tek, PAGE_NONCE, page_index * (PAGE_SIZE / 16), &mut page);
-        let lines = PAGE_SIZE.div_ceil(fidelius_hw::CACHE_LINE);
-        machine.cycles.charge_as(
-            fidelius_hw::cycles::CycleCategory::CryptoEngine,
-            2.0 * lines as f64 * machine.cost.engine_line_extra,
-        );
-        machine.span_close(span);
-        Ok(page)
+        let args = [("page", ArgValue::U64(page_index))];
+        scope(machine, Site::new(SpanKind::CryptoRun, "crypto:send_update").args(&args), |m| {
+            let mut page = vec![0u8; PAGE_SIZE as usize];
+            let ciphertext = m.mc.dram().raw_span(src_pa, page.len()).map_err(SevError::Hw)?;
+            ciphers.engine.decrypt_blocks_to(src_pa.0, ciphertext, &mut page);
+            ctx.measurement.update(&page);
+            let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
+            Ctr128::apply_with(tek, PAGE_NONCE, page_index * (PAGE_SIZE / 16), &mut page);
+            charge_reencrypt(m, PAGE_SIZE);
+            Ok(page)
+        })
     }
 
     /// `SEND_FINISH`: returns the transport integrity tag and puts the
@@ -633,26 +628,16 @@ impl Firmware {
         dst_pa: Hpa,
     ) -> Result<(), SevError> {
         let (ciphers, ctx) = self.cached_ciphers(h, GuestState::Receiving)?;
-        let span = machine.span_open(
-            SpanKind::CryptoRun,
-            "crypto:receive_update",
-            &[("page", ArgValue::U64(page_index))],
-        );
-        let tek = ciphers.tek.as_ref().expect("receiving state implies transport keys");
-        Ctr128::apply_with(tek, PAGE_NONCE, page_index * (PAGE_SIZE / 16), page);
-        ctx.measurement.update(page);
-        ciphers.engine.encrypt_blocks(dst_pa.0, page);
-        if let Err(e) = machine.mc.dram_mut().write_raw(dst_pa, page) {
-            machine.span_close(span);
-            return Err(SevError::Hw(e));
-        }
-        let lines = PAGE_SIZE.div_ceil(fidelius_hw::CACHE_LINE);
-        machine.cycles.charge_as(
-            fidelius_hw::cycles::CycleCategory::CryptoEngine,
-            2.0 * lines as f64 * machine.cost.engine_line_extra,
-        );
-        machine.span_close(span);
-        Ok(())
+        let args = [("page", ArgValue::U64(page_index))];
+        scope(machine, Site::new(SpanKind::CryptoRun, "crypto:receive_update").args(&args), |m| {
+            let tek = ciphers.tek.as_ref().expect("receiving state implies transport keys");
+            Ctr128::apply_with(tek, PAGE_NONCE, page_index * (PAGE_SIZE / 16), page);
+            ctx.measurement.update(page);
+            ciphers.engine.encrypt_blocks(dst_pa.0, page);
+            m.mc.dram_mut().write_raw(dst_pa, page).map_err(SevError::Hw)?;
+            charge_reencrypt(m, PAGE_SIZE);
+            Ok(())
+        })
     }
 
     /// `RECEIVE_FINISH`: verifies the transport integrity tag; on success
@@ -742,11 +727,7 @@ impl Firmware {
         let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
         Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, &mut buf);
         machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
-        let lines = len.div_ceil(fidelius_hw::CACHE_LINE).max(1);
-        machine.cycles.charge_as(
-            fidelius_hw::cycles::CycleCategory::CryptoEngine,
-            2.0 * lines as f64 * machine.cost.engine_line_extra,
-        );
+        charge_reencrypt(machine, len);
         Ok(())
     }
 
@@ -775,11 +756,7 @@ impl Firmware {
         Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, &mut buf);
         ciphers.engine.encrypt_blocks(dst_pa.0, &mut buf);
         machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
-        let lines = len.div_ceil(fidelius_hw::CACHE_LINE).max(1);
-        machine.cycles.charge_as(
-            fidelius_hw::cycles::CycleCategory::CryptoEngine,
-            2.0 * lines as f64 * machine.cost.engine_line_extra,
-        );
+        charge_reencrypt(machine, len);
         Ok(())
     }
 
@@ -850,11 +827,7 @@ impl Firmware {
             Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, sector);
         }
         machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
-        let lines = len.div_ceil(fidelius_hw::CACHE_LINE).max(1);
-        machine.cycles.charge_as(
-            fidelius_hw::cycles::CycleCategory::CryptoEngine,
-            2.0 * lines as f64 * machine.cost.engine_line_extra,
-        );
+        charge_reencrypt(machine, len);
         Ok(())
     }
 
@@ -892,11 +865,7 @@ impl Firmware {
         }
         ciphers.engine.encrypt_blocks(dst_pa.0, &mut buf);
         machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
-        let lines = len.div_ceil(fidelius_hw::CACHE_LINE).max(1);
-        machine.cycles.charge_as(
-            fidelius_hw::cycles::CycleCategory::CryptoEngine,
-            2.0 * lines as f64 * machine.cost.engine_line_extra,
-        );
+        charge_reencrypt(machine, len);
         Ok(())
     }
 }
@@ -1140,7 +1109,7 @@ mod tests {
     #[test]
     fn io_helpers_respect_no_key_sharing_policy() {
         let (_m, mut fw) = setup();
-        let h = fw.launch_start(GuestPolicy { no_key_sharing: true, no_debug: false }).unwrap();
+        let h = fw.launch_start(GuestPolicy { no_key_sharing: true }).unwrap();
         assert!(fw.create_io_helpers(h).is_err());
     }
 

@@ -6,7 +6,6 @@ use crate::event::{CryptoDir, EncKey, Event};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default ring capacity (events retained for forensics/tests).
@@ -107,14 +106,8 @@ impl Inner {
 
 /// A cheaply cloneable tracing handle. All clones share one ring buffer and
 /// one metrics registry.
-///
-/// The enabled flag lives *outside* the mutex: a disabled tracer rejects
-/// `emit`/`crypto` after one relaxed atomic load, never touching the lock
-/// — the memory-controller path calls `crypto` per engine pass, and a
-/// disabled tracer must not serialize it.
 #[derive(Debug, Clone)]
 pub struct Tracer {
-    enabled: Arc<AtomicBool>,
     inner: Arc<Mutex<Inner>>,
 }
 
@@ -133,7 +126,6 @@ impl Tracer {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "tracer ring needs capacity");
         Tracer {
-            enabled: Arc::new(AtomicBool::new(true)),
             inner: Arc::new(Mutex::new(Inner {
                 ring: VecDeque::with_capacity(capacity),
                 capacity,
@@ -147,12 +139,8 @@ impl Tracer {
     }
 
     /// Emits one event: appends to the ring (evicting the oldest when full)
-    /// and folds it into the metrics registry. Disabled, this is one
-    /// relaxed atomic load — the lock is never taken.
+    /// and folds it into the metrics registry.
     pub fn emit(&self, event: Event) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let mut inner = self.inner.lock().expect("tracer lock");
         inner.close_crypto_run();
         inner.metrics.observe(&event, 0, 0);
@@ -164,9 +152,6 @@ impl Tracer {
     /// grow, so a bulk copy is one event, not millions; the byte counters in
     /// the metrics registry always account every call exactly.
     pub fn crypto(&self, key: EncKey, dir: CryptoDir, bytes: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let mut guard = self.inner.lock().expect("tracer lock");
         let inner = &mut *guard;
         inner.add_crypto_bytes(key, dir, bytes);
@@ -186,12 +171,6 @@ impl Tracer {
         inner.close_crypto_run();
         inner.open_crypto = Some((key, dir, bytes));
         inner.push(event);
-    }
-
-    /// Disables (`false`) or re-enables event ingestion. Disabled tracers
-    /// drop events without recording anything — and without locking.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Snapshot of the retained events, oldest first.
@@ -385,16 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::new(4);
-        t.set_enabled(false);
-        t.emit(Event::Denial { reason: DenialReason::GrantNotAuthorized });
-        t.crypto(EncKey::Sme, CryptoDir::Decrypt, 64);
-        assert!(t.events().is_empty());
-        assert_eq!(t.metrics().denials_total(), 0);
-    }
-
-    #[test]
     fn json_lines_parse_back() {
         let t = Tracer::new(8);
         t.emit(Event::Vmrun { asid: 2, sev: true });
@@ -423,25 +392,6 @@ mod tests {
         assert_eq!(parsed[0].get("dropped").unwrap().as_u64(), Some(3));
         // The counters round-trip: retained + dropped == total.
         assert_eq!(parsed.len() as u64 - 1 + 3, 5);
-    }
-
-    #[test]
-    fn disabled_ingestion_never_touches_the_lock() {
-        let t = Tracer::new(4);
-        t.set_enabled(false);
-        // Poison the mutex: any future lock() inside emit/crypto would
-        // panic through `expect("tracer lock")`.
-        let t2 = t.clone();
-        std::thread::spawn(move || {
-            let _guard = t2.inner.lock().unwrap();
-            panic!("poison the tracer lock");
-        })
-        .join()
-        .unwrap_err();
-        // The disabled fast path must bail on the atomic alone, so these
-        // cannot observe the poisoned mutex.
-        t.emit(Event::Vmrun { asid: 1, sev: false });
-        t.crypto(EncKey::Sme, CryptoDir::Encrypt, 64);
     }
 
     #[test]

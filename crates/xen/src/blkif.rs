@@ -44,7 +44,7 @@ use crate::layout::direct_map;
 use crate::platform::Platform;
 use crate::XenError;
 use fidelius_crypto::modes::SECTOR_SIZE;
-use fidelius_hw::cpu::Fidelity;
+use fidelius_hw::cpu::{scope, Fidelity, Site};
 use fidelius_hw::inject::{FaultAction, InjectPoint};
 use fidelius_hw::memctrl::EncSel;
 use fidelius_hw::{Hpa, Hva, PAGE_SIZE};
@@ -306,17 +306,13 @@ impl BlockBackend {
     ///
     /// Same as [`BlockBackend::process`].
     pub fn process_queue(&mut self, plat: &mut Platform, q: usize) -> Result<u64, XenError> {
-        let span = plat.machine.span_open(
-            SpanKind::BlkifDrain,
-            "blkif:drain",
-            &[("queue", ArgValue::U64(q as u64))],
-        );
-        let result = match plat.machine.fidelity() {
-            Fidelity::Fast => self.drain_batched(plat, q),
-            Fidelity::Reference => self.drain_reference(plat, q),
-        };
-        plat.machine.span_close(span);
-        result
+        let args = [("queue", ArgValue::U64(q as u64))];
+        scope(plat, Site::new(SpanKind::BlkifDrain, "blkif:drain").args(&args), |plat| {
+            match plat.machine.fidelity() {
+                Fidelity::Fast => self.drain_batched(plat, q),
+                Fidelity::Reference => self.drain_reference(plat, q),
+            }
+        })
     }
 
     /// Sanity window on a freshly read producer index; a consumer cursor
@@ -356,14 +352,9 @@ impl BlockBackend {
             let count = plat.machine.host_read_u64(direct_map(ring.add(slot + 24)))?;
             let buf_page = plat.machine.host_read_u64(direct_map(ring.add(slot + 32)))?;
             let _ = id;
-            let span = plat.machine.span_open(
-                SpanKind::BlkifRequest,
-                Self::request_label(op),
-                &[("sector", ArgValue::U64(sector)), ("count", ArgValue::U64(count))],
-            );
-            let handled_res = self.handle_reference(plat, qi, op, sector, count, buf_page);
-            plat.machine.span_close(span);
-            let status = handled_res?;
+            let status = Self::request_scope(plat, op, sector, count, |plat| {
+                self.handle_reference(plat, qi, op, sector, count, buf_page)
+            })?;
             plat.machine.host_write_u64(direct_map(ring.add(slot + 40)), status as u64)?;
             self.queues[qi].req_cons += 1;
             handled += 1;
@@ -374,12 +365,21 @@ impl BlockBackend {
         Ok(handled)
     }
 
-    fn request_label(op: u64) -> &'static str {
-        match op {
+    /// Runs `body` under one request's `blkif:{read,write,unknown}` span.
+    fn request_scope<R>(
+        plat: &mut Platform,
+        op: u64,
+        sector: u64,
+        count: u64,
+        body: impl FnOnce(&mut Platform) -> R,
+    ) -> R {
+        let label = match op {
             x if x == BlkOp::Read as u64 => "blkif:read",
             x if x == BlkOp::Write as u64 => "blkif:write",
             _ => "blkif:unknown",
-        }
+        };
+        let args = [("sector", ArgValue::U64(sector)), ("count", ArgValue::U64(count))];
+        scope(plat, Site::new(SpanKind::BlkifRequest, label).args(&args), body)
     }
 
     fn handle_reference(
@@ -556,25 +556,13 @@ impl BlockBackend {
             if plan.status != BlkStatus::Pending {
                 // Already refused at validation; the reference drain still
                 // opens the request span before deciding, so mirror it.
-                let span = plat.machine.span_open(
-                    SpanKind::BlkifRequest,
-                    Self::request_label(plan.op),
-                    &[("sector", ArgValue::U64(plan.sector)), ("count", ArgValue::U64(plan.count))],
-                );
-                plat.machine.span_close(span);
+                Self::request_scope(plat, plan.op, plan.sector, plan.count, |_| ());
                 continue;
             }
-            let span = plat.machine.span_open(
-                SpanKind::BlkifRequest,
-                Self::request_label(plan.op),
-                &[("sector", ArgValue::U64(plan.sector)), ("count", ArgValue::U64(plan.count))],
-            );
-            let moved = self.move_request_data(plat, qi, plan, &mut undo);
-            plat.machine.span_close(span);
-            match moved {
-                Ok(()) => plan.status = BlkStatus::Ok,
-                Err(e) => return Err(e),
-            }
+            Self::request_scope(plat, plan.op, plan.sector, plan.count, |plat| {
+                self.move_request_data(plat, qi, plan, &mut undo)
+            })?;
+            plan.status = BlkStatus::Ok;
         }
         // Commit: the shadow-index check. The producer index we validated
         // must still be what the ring says (virtio's shadow-avail idiom);

@@ -15,6 +15,7 @@ use crate::hypercall::*;
 use crate::layout::{direct_map, InstrSites};
 use crate::platform::{BootInfo, Platform, FIDELIUS_CODE_PA, XEN_CODE_PA};
 use crate::XenError;
+use fidelius_hw::cpu::{scope, Site};
 use fidelius_hw::inject::{FaultAction, InjectPoint};
 use fidelius_hw::mem::FrameAllocator;
 use fidelius_hw::paging::{table_index, Pte, PTE_C_BIT, PTE_PRESENT, PTE_WRITABLE};
@@ -591,128 +592,109 @@ impl Hypervisor {
         nr: u64,
         args: [u64; 4],
     ) -> Result<u64, XenError> {
-        let span = plat.machine.span_open(
-            SpanKind::Hypercall,
-            hc_label(nr),
-            &[("nr", ArgValue::U64(nr)), ("dom", ArgValue::U64(id.0 as u64))],
-        );
-        let result = self.hypercall_inner(plat, guardian, id, nr, args);
-        plat.machine.span_close(span);
-        result
-    }
-
-    fn hypercall_inner(
-        &mut self,
-        plat: &mut Platform,
-        guardian: &mut dyn Guardian,
-        id: DomainId,
-        nr: u64,
-        args: [u64; 4],
-    ) -> Result<u64, XenError> {
-        plat.machine.cycles.charge(plat.machine.cost.hypercall_base);
-        plat.machine.trace.emit(Event::Hypercall { dom: id.0, nr });
-        // Adversarial hook: while the hypervisor holds the CPU to service a
-        // request, it may misuse its NPT-management powers (Table 1).
-        if let Some(action) = plat.machine.inject_at(InjectPoint::Hypercall) {
-            self.apply_npt_adversary(plat, guardian, id, action)?;
-        }
-        match nr {
-            HC_VOID => Ok(RET_OK),
-            HC_CONSOLE_IO => Ok(RET_OK),
-            HC_EVTCHN_SEND => {
-                // Adversarial hook: notifications pass through hypervisor
-                // hands — it can swallow them, or use the delivery window
-                // to yank the grants the pending I/O depends on.
-                if let Some(action) = plat.machine.inject_at(InjectPoint::EventSend) {
-                    match action {
-                        FaultAction::DropEvent => {
-                            // The notification is silently discarded; the
-                            // sender observes the error return and retries
-                            // (the outcome event is emitted by whoever owns
-                            // the retry loop).
-                            return Ok(RET_ERROR);
-                        }
-                        FaultAction::RevokeGrants => {
-                            match self.revoke_all_grants(plat, guardian, id) {
-                                // Outcome is emitted by the back-end when
-                                // its re-validation trips over this.
-                                Ok(()) => {}
-                                Err(XenError::Guard(_)) => {
-                                    plat.machine.trace.emit(Event::FaultOutcome {
-                                        kind: fidelius_telemetry::FaultKind::GrantRevokeMidIo,
-                                        outcome: InjectionOutcome::Tolerated,
-                                    });
+        let span_args = [("nr", ArgValue::U64(nr)), ("dom", ArgValue::U64(id.0 as u64))];
+        scope(plat, Site::new(SpanKind::Hypercall, hc_label(nr)).args(&span_args), |plat| {
+            plat.machine.cycles.charge(plat.machine.cost.hypercall_base);
+            plat.machine.trace.emit(Event::Hypercall { dom: id.0, nr });
+            // Adversarial hook: while the hypervisor holds the CPU to service a
+            // request, it may misuse its NPT-management powers (Table 1).
+            if let Some(action) = plat.machine.inject_at(InjectPoint::Hypercall) {
+                self.apply_npt_adversary(plat, guardian, id, action)?;
+            }
+            match nr {
+                HC_VOID => Ok(RET_OK),
+                HC_CONSOLE_IO => Ok(RET_OK),
+                HC_EVTCHN_SEND => {
+                    // Adversarial hook: notifications pass through hypervisor
+                    // hands — it can swallow them, or use the delivery window
+                    // to yank the grants the pending I/O depends on.
+                    if let Some(action) = plat.machine.inject_at(InjectPoint::EventSend) {
+                        match action {
+                            FaultAction::DropEvent => {
+                                // The notification is silently discarded; the
+                                // sender observes the error return and retries
+                                // (the outcome event is emitted by whoever owns
+                                // the retry loop).
+                                return Ok(RET_ERROR);
+                            }
+                            FaultAction::RevokeGrants => {
+                                match self.revoke_all_grants(plat, guardian, id) {
+                                    // Outcome is emitted by the back-end when
+                                    // its re-validation trips over this.
+                                    Ok(()) => {}
+                                    Err(XenError::Guard(_)) => {
+                                        plat.machine.trace.emit(Event::FaultOutcome {
+                                            kind: fidelius_telemetry::FaultKind::GrantRevokeMidIo,
+                                            outcome: InjectionOutcome::Tolerated,
+                                        });
+                                    }
+                                    Err(e) => return Err(e),
                                 }
-                                Err(e) => return Err(e),
+                            }
+                            other => {
+                                plat.machine.trace.emit(Event::FaultOutcome {
+                                    kind: other.kind(),
+                                    outcome: InjectionOutcome::Tolerated,
+                                });
                             }
                         }
-                        other => {
-                            plat.machine.trace.emit(Event::FaultOutcome {
-                                kind: other.kind(),
-                                outcome: InjectionOutcome::Tolerated,
-                            });
+                    }
+                    let port = args[0] as u32;
+                    let span_args = [("port", ArgValue::U64(port as u64))];
+                    let send = Site::new(SpanKind::EventSend, "evtchn:send").args(&span_args);
+                    let sent = scope(plat, send, |_| self.events.send(id, port));
+                    match sent {
+                        Some(_peer) => Ok(RET_OK),
+                        None => Ok(RET_ERROR),
+                    }
+                }
+                HC_GRANT_TABLE_OP => {
+                    let Some(op) = GrantOp::from_raw(args[0]) else {
+                        return Ok(RET_ERROR);
+                    };
+                    let res = match op {
+                        GrantOp::GrantAccess => self.grant_access(
+                            plat,
+                            guardian,
+                            id,
+                            DomainId(args[1] as u16),
+                            args[2],
+                            args[3] & 1 != 0,
+                        ),
+                        GrantOp::MapGrantRef => self
+                            .map_grant_ref(plat, guardian, id, args[1], args[2], args[3] & 1 != 0)
+                            .map(|()| RET_OK),
+                        GrantOp::UnmapGrantRef => {
+                            self.unmap_grant_ref(plat, guardian, id, args[2]).map(|()| RET_OK)
                         }
+                        GrantOp::EndAccess => {
+                            self.end_access(plat, guardian, id, args[1]).map(|()| RET_OK)
+                        }
+                    };
+                    match res {
+                        Ok(v) => Ok(v),
+                        Err(XenError::Guard(_)) => Ok(RET_EPERM),
+                        Err(_) => Ok(RET_ERROR),
                     }
                 }
-                let port = args[0] as u32;
-                let span = plat.machine.span_open(
-                    SpanKind::EventSend,
-                    "evtchn:send",
-                    &[("port", ArgValue::U64(port as u64))],
-                );
-                let sent = self.events.send(id, port);
-                plat.machine.span_close(span);
-                match sent {
-                    Some(_peer) => Ok(RET_OK),
-                    None => Ok(RET_ERROR),
+                HC_PRE_SHARING_OP => {
+                    let target = DomainId(args[0] as u16);
+                    let gpa_page = args[1];
+                    let nframes = args[2];
+                    let writable = args[3] & 1 != 0;
+                    match guardian.pre_sharing(plat, id, target, gpa_page, nframes, writable) {
+                        Ok(()) => Ok(RET_OK),
+                        Err(_) => Ok(RET_ENOSYS),
+                    }
                 }
-            }
-            HC_GRANT_TABLE_OP => {
-                let Some(op) = GrantOp::from_raw(args[0]) else {
-                    return Ok(RET_ERROR);
-                };
-                let res = match op {
-                    GrantOp::GrantAccess => self.grant_access(
-                        plat,
-                        guardian,
-                        id,
-                        DomainId(args[1] as u16),
-                        args[2],
-                        args[3] & 1 != 0,
-                    ),
-                    GrantOp::MapGrantRef => self
-                        .map_grant_ref(plat, guardian, id, args[1], args[2], args[3] & 1 != 0)
-                        .map(|()| RET_OK),
-                    GrantOp::UnmapGrantRef => {
-                        self.unmap_grant_ref(plat, guardian, id, args[2]).map(|()| RET_OK)
-                    }
-                    GrantOp::EndAccess => {
-                        self.end_access(plat, guardian, id, args[1]).map(|()| RET_OK)
-                    }
-                };
-                match res {
-                    Ok(v) => Ok(v),
+                HC_MEM_ENCRYPT => match self.enable_npt_encryption(plat, guardian, id) {
+                    Ok(()) => Ok(RET_OK),
                     Err(XenError::Guard(_)) => Ok(RET_EPERM),
                     Err(_) => Ok(RET_ERROR),
-                }
+                },
+                _ => Ok(RET_ENOSYS),
             }
-            HC_PRE_SHARING_OP => {
-                let target = DomainId(args[0] as u16);
-                let gpa_page = args[1];
-                let nframes = args[2];
-                let writable = args[3] & 1 != 0;
-                match guardian.pre_sharing(plat, id, target, gpa_page, nframes, writable) {
-                    Ok(()) => Ok(RET_OK),
-                    Err(_) => Ok(RET_ENOSYS),
-                }
-            }
-            HC_MEM_ENCRYPT => match self.enable_npt_encryption(plat, guardian, id) {
-                Ok(()) => Ok(RET_OK),
-                Err(XenError::Guard(_)) => Ok(RET_EPERM),
-                Err(_) => Ok(RET_ERROR),
-            },
-            _ => Ok(RET_ENOSYS),
-        }
+        })
     }
 
     /// Applies an injected NPT remap/swap against domain `id`'s populated

@@ -45,6 +45,12 @@ pub struct Platform {
     pub firmware: Firmware,
 }
 
+impl AsMut<Machine> for Platform {
+    fn as_mut(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+}
+
 /// Everything boot hands to the hypervisor.
 #[derive(Debug)]
 pub struct BootInfo {

@@ -20,7 +20,7 @@ use crate::platform::Platform;
 use crate::XenError;
 use fidelius_crypto::modes::SECTOR_SIZE;
 use fidelius_crypto::Key128;
-use fidelius_hw::cpu::Fidelity;
+use fidelius_hw::cpu::{scope, Fidelity, Machine, Site};
 use fidelius_hw::inject::{FaultAction, InjectPoint};
 use fidelius_hw::mem::FrameAllocator;
 use fidelius_hw::paging::{Mapper, PTE_C_BIT, PTE_WRITABLE};
@@ -118,6 +118,12 @@ impl std::fmt::Debug for System {
             .field("guardian", &self.guardian.name())
             .field("domains", &self.xen.domains.len())
             .finish()
+    }
+}
+
+impl AsMut<Machine> for System {
+    fn as_mut(&mut self) -> &mut Machine {
+        &mut self.plat.machine
     }
 }
 
@@ -242,36 +248,23 @@ impl System {
         // on the exiting guest's track; everything the hypervisor does in
         // between (handlers, hypercall dispatch, adversary hooks) nests
         // under it.
-        let span = self.plat.machine.span_open(
-            SpanKind::VmExit,
-            exit_label(code),
-            &[("code", ArgValue::U64(code as u64))],
-        );
-        let result = self.exit_and_handle_inner(code, info1, info2);
-        self.plat.machine.span_close(span);
-        result
-    }
-
-    fn exit_and_handle_inner(
-        &mut self,
-        code: ExitCode,
-        info1: u64,
-        info2: u64,
-    ) -> Result<ExitAction, XenError> {
-        let dom = self.current_guest.take().expect("no guest to exit");
-        self.plat.machine.vmexit(code, info1, info2)?;
-        let d = self.xen.domains.get_mut(&dom).ok_or(XenError::NoSuchDomain(dom))?;
-        self.guardian.on_vmexit(&mut self.plat, d)?;
-        let action = self.xen.handle_exit(&mut self.plat, &mut *self.guardian, dom)?;
-        // Adversarial hook: between exit handling and the next entry the
-        // hypervisor holds the CPU and may tamper with the (unencrypted)
-        // VMCB or go after the guest's sealed memory.
-        if action != ExitAction::Destroyed {
-            if let Some(fault) = self.plat.machine.inject_at(InjectPoint::PostExit) {
-                self.apply_post_exit_adversary(dom, fault)?;
+        let args = [("code", ArgValue::U64(code as u64))];
+        scope(self, Site::new(SpanKind::VmExit, exit_label(code)).args(&args), |sys| {
+            let dom = sys.current_guest.take().expect("no guest to exit");
+            sys.plat.machine.vmexit(code, info1, info2)?;
+            let d = sys.xen.domains.get_mut(&dom).ok_or(XenError::NoSuchDomain(dom))?;
+            sys.guardian.on_vmexit(&mut sys.plat, d)?;
+            let action = sys.xen.handle_exit(&mut sys.plat, &mut *sys.guardian, dom)?;
+            // Adversarial hook: between exit handling and the next entry the
+            // hypervisor holds the CPU and may tamper with the (unencrypted)
+            // VMCB or go after the guest's sealed memory.
+            if action != ExitAction::Destroyed {
+                if let Some(fault) = sys.plat.machine.inject_at(InjectPoint::PostExit) {
+                    sys.apply_post_exit_adversary(dom, fault)?;
+                }
             }
-        }
-        Ok(action)
+            Ok(action)
+        })
     }
 
     /// Applies a post-exit adversarial action against `dom`.
