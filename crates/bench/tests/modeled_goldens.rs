@@ -1,0 +1,80 @@
+//! Modeled-cost goldens: outputs whose every line is a modeled figure,
+//! compared line by line with committed copies under `artifacts/modeled/`.
+//!
+//! - `io_stream.jsonl` — `io_stream --json`: multi-queue block-device
+//!   setup and `disk_batch` windows on the plain, AES and SEV-API paths,
+//!   with their modeled cycles.
+//! - `fault_matrix_8.jsonl` — `faultinject_matrix --json --seeds 8`:
+//!   every fault kind against a Fidelius guest doing SEV-API
+//!   `disk_write`/`disk_read` rounds, with the merged cycle categories.
+//! - `fault_matrix_64.jsonl` — the same at the binary's default 64 seeds,
+//!   which CI's `determinism` job diffs its `faultinject_matrix --json`
+//!   output against.
+//!
+//! To regenerate all three after a change that means to move them (and
+//! explain each moved line in CHANGES.md):
+//!
+//! ```text
+//! cargo test -p fidelius-bench --test modeled_goldens -- --ignored regenerate
+//! ```
+
+use fidelius_faultinject::harness::{matrix_artifact, run_matrix_par};
+use std::process::Command;
+
+const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../artifacts/modeled");
+
+/// The `faultinject_matrix` binary's default seed base.
+const SEED_BASE: u64 = 0xF1DE;
+
+fn render_io_stream() -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_io_stream"))
+        .arg("--json")
+        .output()
+        .expect("running io_stream");
+    assert!(out.status.success(), "io_stream failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf8 output")
+}
+
+fn render_matrix(seeds: u64) -> String {
+    let seeds: Vec<u64> = (0..seeds).map(|s| SEED_BASE + s).collect();
+    matrix_artifact(&run_matrix_par(&seeds, 2))
+}
+
+/// Compares `actual` with the committed golden `name`, naming the first
+/// line that differs.
+fn check(name: &str, actual: &str) {
+    let path = format!("{GOLDEN_DIR}/{name}");
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let (mut want, mut got) = (golden.lines(), actual.lines());
+    for line in 1.. {
+        match (want.next(), got.next()) {
+            (None, None) => break,
+            (w, g) if w == g => {}
+            (w, g) => panic!(
+                "{name}: line {line} differs\n golden: {}\n actual: {}\n\
+                 (regenerate: cargo test -p fidelius-bench --test modeled_goldens -- --ignored regenerate)",
+                w.unwrap_or("<end of file>"),
+                g.unwrap_or("<end of file>"),
+            ),
+        }
+    }
+}
+
+#[test]
+fn io_stream_matches_golden() {
+    check("io_stream.jsonl", &render_io_stream());
+}
+
+#[test]
+fn fault_matrix_matches_golden() {
+    check("fault_matrix_8.jsonl", &render_matrix(8));
+}
+
+#[test]
+#[ignore = "rewrites the committed goldens"]
+fn regenerate() {
+    std::fs::create_dir_all(GOLDEN_DIR).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/io_stream.jsonl"), render_io_stream()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/fault_matrix_8.jsonl"), render_matrix(8)).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/fault_matrix_64.jsonl"), render_matrix(64)).unwrap();
+}

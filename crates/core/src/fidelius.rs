@@ -1219,6 +1219,7 @@ mod tests {
     use crate::lifecycle::fidelius_mut;
     use fidelius_hw::paging::PTE_WRITABLE;
     use fidelius_hw::Gpa;
+    use fidelius_xen::frontend::{gplayout, IoPath};
     use fidelius_xen::{System, XenError};
 
     fn system() -> System {
@@ -1338,5 +1339,106 @@ mod tests {
         assert_eq!(last, Some(DenialReason::FrameAlreadyBacksGpa));
         // Re-mapping the GPA it backs is still a permission update.
         map(&mut sys, dom, 1, frame).unwrap();
+    }
+
+    /// A 192-page encrypted guest with a booted SEV-API block device.
+    fn sev_api_device(sys: &mut System) -> DomainId {
+        let mut owner = fidelius_sev::GuestOwner::new(41);
+        let image = owner.package_image(b"kernel", &sys.plat.firmware.pdh_public());
+        let dom = crate::lifecycle::boot_encrypted_guest(sys, &image, 192).unwrap();
+        let disk = vec![0u8; 64 * fidelius_crypto::modes::SECTOR_SIZE];
+        sys.setup_block_device(dom, disk, IoPath::SevApi, None).unwrap();
+        dom
+    }
+
+    /// Every entry of the grant table, as the hardware sees it.
+    fn grant_table(sys: &System) -> Vec<GrantEntry> {
+        (0..GRANT_TABLE_ENTRIES)
+            .map(|i| read_entry_phys(&sys.plat.machine.mc, sys.xen.grant_table_pa, i).unwrap())
+            .collect()
+    }
+
+    /// Calls a grant-path gate the way dom0's relay does and checks that
+    /// it refuses with `reason`, books the refusal once (one rejection,
+    /// one audit entry, one `Denial` event) and leaves the grant table as
+    /// it was.
+    fn assert_relay_refused(
+        sys: &mut System,
+        reason: DenialReason,
+        relay: impl FnOnce(&mut dyn Guardian, &mut Platform) -> Result<(), GuardError>,
+    ) {
+        let table = grant_table(sys);
+        let (rejections, audited, denials) = refusal_books(sys);
+        let err = relay(&mut *sys.guardian, &mut sys.plat).unwrap_err();
+        assert_eq!(err, GuardError::Denied(reason));
+        assert_eq!(refusal_books(sys), (rejections + 1, audited + 1, denials + 1));
+        assert_eq!(grant_table(sys), table, "a refused relay must not touch the grant table");
+    }
+
+    #[test]
+    fn out_of_range_grant_index_is_refused_and_booked_once() {
+        let mut sys = system();
+        let dom = sev_api_device(&mut sys);
+        let frame = sys.xen.domain(dom).unwrap().frame_of(gplayout::RING_PAGE).unwrap();
+        let entry = GrantEntry {
+            valid: true,
+            writable: true,
+            owner: dom.0,
+            grantee: DomainId::DOM0.0,
+            gpa_page: gplayout::RING_PAGE,
+            frame,
+        };
+        assert_relay_refused(&mut sys, DenialReason::GrantIndexOutOfRange, |g, plat| {
+            g.grant_write(plat, GRANT_TABLE_ENTRIES, entry)
+        });
+    }
+
+    #[test]
+    fn grant_naming_another_frame_is_refused_and_booked_once() {
+        let mut sys = system();
+        let dom = sev_api_device(&mut sys);
+        let path = format!("/local/domain/{}/device/vbd/ring-ref", dom.0);
+        let ring_ref: u64 = sys.xen.xenstore.read(&path).unwrap().parse().unwrap();
+        let ring = read_entry_phys(&sys.plat.machine.mc, sys.xen.grant_table_pa, ring_ref).unwrap();
+        assert!(ring.valid && ring.gpa_page == gplayout::RING_PAGE);
+        let other = sys.xen.domain(dom).unwrap().frame_of(gplayout::HEAP_PAGE).unwrap();
+        let forged = GrantEntry { frame: other, ..ring };
+        assert_relay_refused(&mut sys, DenialReason::GrantFrameMismatch, |g, plat| {
+            g.grant_write(plat, ring_ref, forged)
+        });
+    }
+
+    #[test]
+    fn undeclared_pre_sharing_relay_is_refused_and_booked_once() {
+        let mut sys = system();
+        let dom = sev_api_device(&mut sys);
+        assert_relay_refused(&mut sys, DenialReason::PreSharingRelayMismatch, |g, plat| {
+            g.pre_sharing(plat, dom, DomainId::DOM0, gplayout::HEAP_PAGE, 1, true)
+        });
+    }
+
+    /// An SEV-API read larger than the buffer window is refused before any
+    /// world switch: no ring descriptor is pushed and Fidelius's transform
+    /// never walks past the `Md` window into the page-table pool.
+    #[test]
+    fn oversized_sev_api_read_leaves_every_guest_page_intact() {
+        let mut sys = system();
+        let dom = sev_api_device(&mut sys);
+        let pages = |sys: &System| -> Vec<Vec<u8>> {
+            let d = sys.xen.domain(dom).unwrap();
+            (0..d.mem_pages())
+                .map(|p| {
+                    let mut page = vec![0u8; PAGE_SIZE as usize];
+                    let frame = d.frame_of(p).unwrap();
+                    sys.plat.machine.mc.dram().read_raw(frame, &mut page).unwrap();
+                    page
+                })
+                .collect()
+        };
+        let before = pages(&sys);
+        assert!(matches!(sys.disk_read(dom, 0, 200), Err(XenError::BadBlockRequest)));
+        let after = pages(&sys);
+        let changed: Vec<usize> = (0..before.len()).filter(|&p| before[p] != after[p]).collect();
+        assert!(changed.is_empty(), "guest pages changed by a refused read: {changed:?}");
     }
 }

@@ -10,6 +10,11 @@
 //! them (AES-NI path) or Fidelius does (SEV-API path) before they land
 //! there.
 //!
+//! [`BlockBackend::attach`] sets the disk image; [`BlockBackend::attach_queue`]
+//! then appends queues in order, each with the grant references that back
+//! its mapped frames. Queue 0 is an ordinary queue, and every queue's
+//! grants are re-validated on every drain.
+//!
 //! # Batched drains
 //!
 //! The default drain validates a whole ring window as one unit (snapshot
@@ -107,19 +112,20 @@ pub fn slot_offset(i: u64) -> u64 {
     SLOTS_BASE + (i % RING_SLOTS) * SLOT_SIZE
 }
 
-/// One queue of the device: its ring frame, buffer frames, consumer
-/// cursor and the grant references backing the mapped frames.
-#[derive(Debug, Default)]
+/// One queue of the device: its mapped ring and buffer frames, the grant
+/// references backing them, and its consumer cursor. A well-behaved
+/// back-end re-validates its grants before touching the shared pages — a
+/// grant can be revoked at any instant by the guest or the (adversarial)
+/// hypervisor, and the back-end must fail the request closed rather than
+/// read through a stale mapping.
+#[derive(Debug)]
 struct QueueState {
-    ring_frame: Option<Hpa>,
+    ring_frame: Hpa,
+    ring_ref: u64,
     buf_frames: Vec<Hpa>,
+    buf_refs: Vec<u64>,
+    grant_table: Hpa,
     req_cons: u64,
-    /// `(ring_ref, buf_refs, grant_table_pa)` when known. A well-behaved
-    /// back-end re-validates its grants before touching the shared pages —
-    /// a grant can be revoked at any instant by the guest or the
-    /// (adversarial) hypervisor, and the back-end must fail the request
-    /// closed rather than read through a stale mapping.
-    grants: Option<(u64, Vec<u64>, Hpa)>,
 }
 
 /// A validated descriptor from the snapshot phase of a batched drain.
@@ -150,71 +156,46 @@ impl BlockBackend {
         BlockBackend::default()
     }
 
-    /// Attaches the device: the disk image plus queue 0's granted frames.
-    ///
-    /// Without grant references the back-end cannot re-validate its
-    /// mappings mid-I/O; prefer [`BlockBackend::attach_with_grants`].
-    pub fn attach(&mut self, disk: Vec<u8>, ring_frame: Hpa, buf_frames: Vec<Hpa>) {
+    /// Attaches a device with disk image `disk` and no queues yet,
+    /// detaching the previous device and its queues.
+    pub fn attach(&mut self, disk: Vec<u8>) {
         assert_eq!(disk.len() % SECTOR_SIZE, 0, "disk must be whole sectors");
         self.disk = disk;
-        self.queues = vec![QueueState {
-            ring_frame: Some(ring_frame),
-            buf_frames,
-            req_cons: 0,
-            grants: None,
-        }];
+        self.queues.clear();
     }
 
-    /// Attaches the device and remembers which grant references back each
-    /// of queue 0's mapped frames, so every drain re-validates them
-    /// against the grant table at `grant_table_pa` before the shared pages
-    /// are touched.
-    pub fn attach_with_grants(
+    /// Appends the next queue of the attached device: its ring and buffer
+    /// frames, each with the grant reference backing it, so every drain
+    /// re-validates them against the grant table at `grant_table_pa`
+    /// before the shared pages are touched. Returns the queue's index.
+    pub fn attach_queue(
         &mut self,
-        disk: Vec<u8>,
         ring: (Hpa, u64),
         bufs: Vec<(Hpa, u64)>,
         grant_table_pa: Hpa,
-    ) {
+    ) -> usize {
+        assert!(!self.disk.is_empty(), "attach the disk first");
         let (ring_frame, ring_ref) = ring;
-        let (buf_frames, buf_refs): (Vec<Hpa>, Vec<u64>) = bufs.into_iter().unzip();
-        self.attach(disk, ring_frame, buf_frames);
-        self.queues[0].grants = Some((ring_ref, buf_refs, grant_table_pa));
-    }
-
-    /// Attaches one additional queue (index `q > 0`) of an already
-    /// attached device. Queues may arrive in any order; gaps stay
-    /// detached until filled.
-    pub fn attach_queue_with_grants(
-        &mut self,
-        q: usize,
-        ring: (Hpa, u64),
-        bufs: Vec<(Hpa, u64)>,
-        grant_table_pa: Hpa,
-    ) {
-        assert!(self.is_attached(), "attach queue 0 first");
-        assert!(q > 0, "queue 0 is attached by attach_with_grants");
-        if self.queues.len() <= q {
-            self.queues.resize_with(q + 1, QueueState::default);
-        }
-        let (ring_frame, ring_ref) = ring;
-        let (buf_frames, buf_refs): (Vec<Hpa>, Vec<u64>) = bufs.into_iter().unzip();
-        self.queues[q] = QueueState {
-            ring_frame: Some(ring_frame),
+        let (buf_frames, buf_refs) = bufs.into_iter().unzip();
+        self.queues.push(QueueState {
+            ring_frame,
+            ring_ref,
             buf_frames,
+            buf_refs,
+            grant_table: grant_table_pa,
             req_cons: 0,
-            grants: Some((ring_ref, buf_refs, grant_table_pa)),
-        };
+        });
+        self.queues.len() - 1
     }
 
-    /// Number of attached queues (including detached gaps).
+    /// Number of attached queues.
     pub fn num_queues(&self) -> usize {
         self.queues.len()
     }
 
-    /// Whether a device is attached.
+    /// Whether a device with at least one queue is attached.
     pub fn is_attached(&self) -> bool {
-        self.queues.first().is_some_and(|q| q.ring_frame.is_some())
+        !self.queues.is_empty()
     }
 
     /// Disk capacity in sectors.
@@ -234,12 +215,9 @@ impl BlockBackend {
     }
 
     /// Re-validates that grant `grant_ref` is still live, granted to dom0
-    /// and still backed by `frame`. `true` when the queue carries no grant
-    /// bookkeeping (legacy attach, nothing to check against). Hardware-view
-    /// read: charge-free.
+    /// and still backed by `frame`. Hardware-view read: charge-free.
     fn grant_ok(plat: &Platform, q: &QueueState, grant_ref: u64, frame: Hpa) -> bool {
-        let Some((_, _, table)) = q.grants else { return true };
-        match read_entry_phys(&plat.machine.mc, table, grant_ref) {
+        match read_entry_phys(&plat.machine.mc, q.grant_table, grant_ref) {
             Ok(e) => e.valid && e.grantee == DomainId::DOM0.0 && e.frame == frame,
             Err(_) => false,
         }
@@ -247,15 +225,14 @@ impl BlockBackend {
 
     /// Whether every buffer grant in `pages` is still live.
     fn buf_grants_ok(plat: &Platform, q: &QueueState, pages: Range<usize>) -> bool {
-        let Some((_, ref buf_refs, _)) = q.grants else { return true };
-        pages.into_iter().all(|p| Self::grant_ok(plat, q, buf_refs[p], q.buf_frames[p]))
+        pages.into_iter().all(|p| Self::grant_ok(plat, q, q.buf_refs[p], q.buf_frames[p]))
     }
 
     /// Whether every grant request `plan` touches (and the ring grant) is
     /// still live.
-    fn plan_grants_ok(plat: &Platform, q: &QueueState, ring: Hpa, plan: &ReqPlan) -> bool {
-        let Some((ring_ref, _, _)) = q.grants else { return true };
-        Self::grant_ok(plat, q, ring_ref, ring) && Self::buf_grants_ok(plat, q, plan.pages.clone())
+    fn plan_grants_ok(plat: &Platform, q: &QueueState, plan: &ReqPlan) -> bool {
+        Self::grant_ok(plat, q, q.ring_ref, q.ring_frame)
+            && Self::buf_grants_ok(plat, q, plan.pages.clone())
     }
 
     /// The structural check both drains run on a descriptor before any
@@ -280,8 +257,8 @@ impl BlockBackend {
         (end <= mapped as u64).then_some(buf_page as usize..end as usize)
     }
 
-    /// Processes all outstanding requests on every queue, in queue order.
-    /// Returns how many were handled.
+    /// Processes all outstanding requests on queue `q`. Returns how many
+    /// were handled.
     ///
     /// The back-end runs in dom0 / host context: it accesses the shared
     /// pages through its own mappings of the granted frames.
@@ -290,21 +267,6 @@ impl BlockBackend {
     ///
     /// Access faults (e.g. if protection revoked the mapping) and typed
     /// fail-closed refusals.
-    pub fn process(&mut self, plat: &mut Platform) -> Result<u64, XenError> {
-        let mut handled = 0;
-        for q in 0..self.queues.len() {
-            if self.queues[q].ring_frame.is_some() {
-                handled += self.process_queue(plat, q)?;
-            }
-        }
-        Ok(handled)
-    }
-
-    /// Processes all outstanding requests on queue `q`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BlockBackend::process`].
     pub fn process_queue(&mut self, plat: &mut Platform, q: usize) -> Result<u64, XenError> {
         let args = [("queue", ArgValue::U64(q as u64))];
         scope(plat, Site::new(SpanKind::BlkifDrain, "blkif:drain").args(&args), |plat| {
@@ -322,27 +284,33 @@ impl BlockBackend {
         req_prod >= req_cons && req_prod - req_cons <= RING_SLOTS
     }
 
-    // ----- the seed's one-request-at-a-time reference drain -------------
-
-    fn drain_reference(&mut self, plat: &mut Platform, qi: usize) -> Result<u64, XenError> {
-        let ring = self.queues[qi].ring_frame.ok_or(XenError::BadBlockRequest)?;
-        // The ring page itself rides on a grant; if that grant is gone the
-        // back-end cannot even respond — fail the whole pass closed.
-        if let Some((ring_ref, _, _)) = self.queues[qi].grants {
-            if !Self::grant_ok(plat, &self.queues[qi], ring_ref, ring) {
-                return Err(XenError::FailClosed(
-                    plat.machine
-                        .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo),
-                ));
-            }
+    /// The prologue both drains share: re-validate queue `qi`'s ring grant
+    /// (if it is gone the back-end cannot even respond, so the whole pass
+    /// fails closed), then read and sanity-check the producer index.
+    /// Returns the ring frame and the producer index.
+    fn open_window(&self, plat: &mut Platform, qi: usize) -> Result<(Hpa, u64), XenError> {
+        let q = &self.queues[qi];
+        let ring = q.ring_frame;
+        if !Self::grant_ok(plat, q, q.ring_ref, ring) {
+            return Err(XenError::FailClosed(
+                plat.machine
+                    .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo),
+            ));
         }
         let req_prod = plat.machine.host_read_u64(direct_map(ring.add(OFF_REQ_PROD)))?;
-        if !Self::window_ok(self.queues[qi].req_cons, req_prod) {
+        if !Self::window_ok(q.req_cons, req_prod) {
             return Err(XenError::FailClosed(
                 plat.machine
                     .fail_closed(DenialReason::RingIndexTampered, FaultKind::RingIndexCorrupt),
             ));
         }
+        Ok((ring, req_prod))
+    }
+
+    // ----- the seed's one-request-at-a-time reference drain -------------
+
+    fn drain_reference(&mut self, plat: &mut Platform, qi: usize) -> Result<u64, XenError> {
+        let (ring, req_prod) = self.open_window(plat, qi)?;
         let mut handled = 0;
         while self.queues[qi].req_cons < req_prod {
             let slot = slot_offset(self.queues[qi].req_cons);
@@ -439,27 +407,22 @@ impl BlockBackend {
                 // what a hostile hypervisor flipping the table under a
                 // validated drain looks like. Hardware-view writes:
                 // charge-free, like the adversary's own stores.
-                if let Some((ring_ref, buf_refs, table)) = self.queues[qi].grants.clone() {
+                let q = &self.queues[qi];
+                for &r in std::iter::once(&q.ring_ref).chain(&q.buf_refs) {
                     let _ = write_entry_phys(
                         &mut plat.machine.mc,
-                        table,
-                        ring_ref,
+                        q.grant_table,
+                        r,
                         GrantEntry::default(),
                     );
-                    for r in buf_refs {
-                        let _ =
-                            write_entry_phys(&mut plat.machine.mc, table, r, GrantEntry::default());
-                    }
                 }
             }
             FaultAction::CorruptRingIndex { xor } => {
                 // Flip bits in the published producer index out from under
                 // the drain's snapshot.
-                if let Some(ring) = self.queues[qi].ring_frame {
-                    let pa = ring.add(OFF_REQ_PROD);
-                    if let Ok(cur) = plat.machine.mc.read_u64(pa, EncSel::None) {
-                        let _ = plat.machine.mc.write_u64(pa, cur ^ xor, EncSel::None);
-                    }
+                let pa = self.queues[qi].ring_frame.add(OFF_REQ_PROD);
+                if let Ok(cur) = plat.machine.mc.read_u64(pa, EncSel::None) {
+                    let _ = plat.machine.mc.write_u64(pa, cur ^ xor, EncSel::None);
                 }
             }
             // Foreign actions are declined by the scheduler at this point;
@@ -476,27 +439,12 @@ impl BlockBackend {
     }
 
     fn drain_batched(&mut self, plat: &mut Platform, qi: usize) -> Result<u64, XenError> {
-        let ring = self.queues[qi].ring_frame.ok_or(XenError::BadBlockRequest)?;
-        if let Some((ring_ref, _, _)) = self.queues[qi].grants {
-            if !Self::grant_ok(plat, &self.queues[qi], ring_ref, ring) {
-                return Err(XenError::FailClosed(
-                    plat.machine
-                        .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo),
-                ));
-            }
-        }
         // Snapshot the window. Everything the reference drain charges per
         // request is charged here too, just hoisted: the multiset of
         // translated accesses (and therefore modeled cycles and TLB
         // counters) is identical.
-        let req_prod = plat.machine.host_read_u64(direct_map(ring.add(OFF_REQ_PROD)))?;
+        let (ring, req_prod) = self.open_window(plat, qi)?;
         let req_cons = self.queues[qi].req_cons;
-        if !Self::window_ok(req_cons, req_prod) {
-            return Err(XenError::FailClosed(
-                plat.machine
-                    .fail_closed(DenialReason::RingIndexTampered, FaultKind::RingIndexCorrupt),
-            ));
-        }
         let mut plans = Vec::with_capacity((req_prod - req_cons) as usize);
         for i in req_cons..req_prod {
             let slot = slot_offset(i);
@@ -516,7 +464,7 @@ impl BlockBackend {
         // grant was already gone before the batch was dispatched — fails
         // *that request* with a status, exactly as the reference drain does.
         for plan in plans.iter_mut().filter(|p| p.status == BlkStatus::Pending) {
-            if !Self::plan_grants_ok(plat, &self.queues[qi], ring, plan) {
+            if !Self::plan_grants_ok(plat, &self.queues[qi], plan) {
                 plat.machine
                     .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo);
                 plan.status = BlkStatus::Error;
@@ -534,7 +482,7 @@ impl BlockBackend {
                 self.apply_drain_fault(plat, qi, action);
                 if kind == FaultKind::RingIndexCorrupt {
                     // Detected below at commit; nothing else to do here.
-                } else if !Self::plan_grants_ok(plat, &self.queues[qi], ring, plan) {
+                } else if !Self::plan_grants_ok(plat, &self.queues[qi], plan) {
                     self.rollback(undo);
                     return Err(XenError::FailClosed(plat.machine.fail_closed(
                         DenialReason::GrantRevokedMidIo,
@@ -542,7 +490,7 @@ impl BlockBackend {
                     )));
                 }
             } else if plan.status == BlkStatus::Pending
-                && !Self::plan_grants_ok(plat, &self.queues[qi], ring, plan)
+                && !Self::plan_grants_ok(plat, &self.queues[qi], plan)
             {
                 // Revoked between window validation and this request by
                 // something other than the injector (e.g. a concurrent
@@ -646,30 +594,34 @@ mod tests {
     fn backend_attach_state() {
         let mut b = BlockBackend::new();
         assert!(!b.is_attached());
-        b.attach(vec![0; 2 * SECTOR_SIZE], Hpa(0x1000), vec![Hpa(0x2000)]);
+        b.attach(vec![0; 2 * SECTOR_SIZE]);
+        assert!(!b.is_attached(), "a disk without queues serves nothing");
+        assert_eq!(b.attach_queue((Hpa(0x1000), 0), vec![(Hpa(0x2000), 1)], Hpa(0x8000)), 0);
         assert!(b.is_attached());
         assert_eq!(b.sectors(), 2);
         assert_eq!(b.num_queues(), 1);
+        // Re-attaching detaches the previous device's queues.
+        b.attach(vec![0; SECTOR_SIZE]);
+        assert_eq!((b.sectors(), b.num_queues()), (1, 0));
     }
 
     #[test]
     fn extra_queues_grow_the_device() {
         let mut b = BlockBackend::new();
-        b.attach_with_grants(
-            vec![0; 2 * SECTOR_SIZE],
-            (Hpa(0x1000), 0),
-            vec![(Hpa(0x2000), 1)],
-            Hpa(0x8000),
-        );
-        b.attach_queue_with_grants(2, (Hpa(0x3000), 4), vec![(Hpa(0x4000), 5)], Hpa(0x8000));
+        b.attach(vec![0; 2 * SECTOR_SIZE]);
+        for q in 0..3 {
+            let ring = (Hpa(0x1000 * (2 * q + 1)), 2 * q);
+            let bufs = vec![(Hpa(0x1000 * (2 * q + 2)), 2 * q + 1)];
+            assert_eq!(b.attach_queue(ring, bufs, Hpa(0x8000)), q as usize);
+        }
         assert_eq!(b.num_queues(), 3);
         assert!(b.is_attached());
     }
 
     #[test]
-    #[should_panic(expected = "attach queue 0 first")]
+    #[should_panic(expected = "attach the disk first")]
     fn extra_queue_requires_attachment() {
-        BlockBackend::new().attach_queue_with_grants(1, (Hpa(0), 0), vec![], Hpa(0));
+        BlockBackend::new().attach_queue((Hpa(0), 0), vec![], Hpa(0));
     }
 
     #[test]
@@ -683,6 +635,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole sectors")]
     fn ragged_disk_panics() {
-        BlockBackend::new().attach(vec![0; 100], Hpa(0), vec![]);
+        BlockBackend::new().attach(vec![0; 100]);
     }
 }

@@ -8,8 +8,10 @@
 //! The front-end is multi-queue (virtio-style): queue 0 lives at the
 //! legacy [`gplayout::RING_PAGE`]/[`gplayout::BUF_PAGE`] window, extra
 //! queues stride through the dedicated [`gplayout::MQ_REGION_PAGE`]
-//! region. Each queue owns its producer cursor, request-id counter and —
-//! for the AES paths — its own clone of the expanded `Kblk` schedule, so
+//! region; [`gplayout::ring_page`] and [`gplayout::buf_page`] are the only
+//! places that tell them apart. Each queue owns its producer cursor and
+//! request-id counter. The device owns one expanded `Kblk` schedule,
+//! built once when the front-end is created and read by every queue, so
 //! request dispatch never re-derives round keys (the same expansion-hoist
 //! that fixed the memory controller's per-call rebuild).
 
@@ -18,6 +20,7 @@ use crate::events::Port;
 use fidelius_crypto::modes::{SectorCipher, SECTOR_SIZE};
 use fidelius_crypto::Key128;
 use fidelius_hw::cpu::Machine;
+use fidelius_hw::cycles::CycleCategory;
 use fidelius_hw::paging::PtAccess;
 use fidelius_hw::{Fault, Gpa, Hpa, HwError, PAGE_SIZE};
 
@@ -87,16 +90,13 @@ pub enum IoPath {
     SevApi,
 }
 
-/// Per-queue front-end state: the producer cursor, the request-id counter
-/// and the queue's own expanded `Kblk` schedule (cloned from the device
-/// key at queue creation — cloning copies the round keys, so no queue ever
-/// re-runs key expansion on the dispatch path).
+/// Per-queue front-end state: the event-channel port, the producer cursor
+/// and the request-id counter.
 #[derive(Debug)]
 struct FeQueue {
     port: Port,
     req_prod: u64,
     next_id: u64,
-    kblk: Option<SectorCipher>,
 }
 
 /// Per-domain front-end driver state.
@@ -104,38 +104,34 @@ struct FeQueue {
 pub struct FrontEnd {
     /// Data-protection path.
     pub io_path: IoPath,
+    /// The device's expanded `Kblk` schedule (AES paths), shared by every
+    /// queue.
+    kblk: Option<SectorCipher>,
     queues: Vec<FeQueue>,
 }
 
 impl FrontEnd {
-    /// Creates the front-end state with queue 0 bound to `port`. `kblk` is
-    /// required for the AES paths; key expansion happens here, once.
+    /// Creates the front-end state with queue `q` bound to `ports[q]`.
+    /// `kblk` is required for the AES paths; key expansion happens here,
+    /// once per device.
     ///
     /// # Panics
     ///
-    /// Panics if an AES path is selected without a key.
-    pub fn new(io_path: IoPath, kblk: Option<Key128>, port: Port) -> Self {
+    /// Panics if an AES path is selected without a key, or if the SEV-API
+    /// path (whose `Md` window is not striped) gets more than one queue.
+    pub fn new(io_path: IoPath, kblk: Option<Key128>, ports: Vec<Port>) -> Self {
         if matches!(io_path, IoPath::AesNi | IoPath::SoftCrypto) {
             assert!(kblk.is_some(), "AES I/O paths need Kblk");
         }
+        assert!(io_path != IoPath::SevApi || ports.len() == 1, "SEV-API path is single-queue");
         FrontEnd {
             io_path,
-            queues: vec![FeQueue {
-                port,
-                req_prod: 0,
-                next_id: 1,
-                kblk: kblk.map(|k| SectorCipher::new(&k)),
-            }],
+            kblk: kblk.map(|k| SectorCipher::new(&k)),
+            queues: ports
+                .into_iter()
+                .map(|port| FeQueue { port, req_prod: 0, next_id: 1 })
+                .collect(),
         }
-    }
-
-    /// Adds one queue bound to `port`, cloning queue 0's already expanded
-    /// key schedule into the new queue's state. Returns the queue index.
-    pub fn add_queue(&mut self, port: Port) -> u64 {
-        assert!((self.queues.len() as u64) < gplayout::MAX_QUEUES, "queue limit reached");
-        let kblk = self.queues[0].kblk.clone();
-        self.queues.push(FeQueue { port, req_prod: 0, next_id: 1, kblk });
-        self.queues.len() as u64 - 1
     }
 
     /// Number of queues.
@@ -154,31 +150,28 @@ impl FrontEnd {
         self.io_path == IoPath::SevApi
     }
 
-    /// Stages `data` (whole sectors) for a disk write: encrypts per the
-    /// I/O path and writes it into the appropriate guest buffer. Runs in
-    /// guest mode. Returns the buffer page index used.
-    ///
-    /// # Errors
-    ///
-    /// Guest access faults (NPF must be handled by the caller loop).
-    pub fn stage_write_data(
-        &mut self,
-        machine: &mut Machine,
-        sector: u64,
-        data: &[u8],
-    ) -> Result<u64, Fault> {
-        self.stage_write_data_at(0, machine, sector, data, 0)
+    /// Books the guest-side AES cost of `len` bytes on the crypto engine.
+    fn charge_aes(&self, machine: &mut Machine, len: usize) {
+        let lines = (len as u64).div_ceil(fidelius_hw::CACHE_LINE);
+        let per_line = if self.io_path == IoPath::AesNi {
+            machine.cost.aesni_line
+        } else {
+            machine.cost.soft_aes_line
+        };
+        machine.cycles.charge_as(CycleCategory::CryptoEngine, lines as f64 * per_line);
     }
 
-    /// Stages `data` on queue `q`, starting at buffer page `buf_page` of
-    /// that queue (batch dispatch places several requests side by side in
-    /// the buffer window). Returns `buf_page`.
+    /// Stages `data` (whole sectors) for a disk write on queue `q`:
+    /// encrypts per the I/O path and writes it into the queue's buffer
+    /// window starting at its buffer page `buf_page` (batch dispatch
+    /// places several requests side by side). Runs in guest mode. Returns
+    /// `buf_page`.
     ///
     /// # Errors
     ///
     /// Guest access faults.
     pub fn stage_write_data_at(
-        &mut self,
+        &self,
         q: u64,
         machine: &mut Machine,
         sector: u64,
@@ -197,28 +190,18 @@ impl FrontEnd {
                 machine.guest_write_gpa(buf_gpa, data, false)?;
             }
             IoPath::AesNi | IoPath::SoftCrypto => {
-                let cipher = self.queues[q as usize].kblk.as_ref().expect("AES path has Kblk");
+                let cipher = self.kblk.as_ref().expect("AES path has Kblk");
                 let mut ct = data.to_vec();
                 // One batch dispatch for the whole run; byte-identical to
                 // the per-sector loop by SectorCipher's contract.
                 cipher.encrypt_sectors(sector, &mut ct);
-                let lines = (data.len() as u64).div_ceil(fidelius_hw::CACHE_LINE);
-                let per_line = if self.io_path == IoPath::AesNi {
-                    machine.cost.aesni_line
-                } else {
-                    machine.cost.soft_aes_line
-                };
-                machine.cycles.charge_as(
-                    fidelius_hw::cycles::CycleCategory::CryptoEngine,
-                    lines as f64 * per_line,
-                );
+                self.charge_aes(machine, data.len());
                 machine.guest_write_gpa(buf_gpa, &ct, false)?;
             }
             IoPath::SevApi => {
                 // Plaintext into Md; it rests Kvek-encrypted. Fidelius
                 // moves it to the shared buffer via SEND_UPDATE. The Md
-                // window mirrors queue 0's buffer layout.
-                assert_eq!(q, 0, "SEV-API path is single-queue");
+                // window mirrors the (single) queue's buffer layout.
                 let md_gpa = Gpa((gplayout::MD_PAGE + buf_page) * PAGE_SIZE);
                 machine.guest_write_gpa(md_gpa, data, true)?;
             }
@@ -226,29 +209,15 @@ impl FrontEnd {
         Ok(buf_page)
     }
 
-    /// Retrieves `count` sectors of read data after the back-end (and, for
-    /// the SEV path, Fidelius) filled the buffers. Runs in guest mode.
-    ///
-    /// # Errors
-    ///
-    /// Guest access faults.
-    pub fn retrieve_read_data(
-        &mut self,
-        machine: &mut Machine,
-        sector: u64,
-        count: u64,
-    ) -> Result<Vec<u8>, Fault> {
-        self.retrieve_read_data_at(0, machine, sector, count, 0)
-    }
-
-    /// Retrieves `count` sectors from queue `q`'s buffers starting at its
-    /// buffer page `buf_page`.
+    /// Retrieves `count` sectors of read data from queue `q`'s buffers
+    /// starting at its buffer page `buf_page`, after the back-end (and,
+    /// for the SEV path, Fidelius) filled them. Runs in guest mode.
     ///
     /// # Errors
     ///
     /// Guest access faults.
     pub fn retrieve_read_data_at(
-        &mut self,
+        &self,
         q: u64,
         machine: &mut Machine,
         sector: u64,
@@ -264,21 +233,11 @@ impl FrontEnd {
             }
             IoPath::AesNi | IoPath::SoftCrypto => {
                 machine.guest_read_gpa(buf_gpa, &mut data, false)?;
-                let cipher = self.queues[q as usize].kblk.as_ref().expect("AES path has Kblk");
+                let cipher = self.kblk.as_ref().expect("AES path has Kblk");
                 cipher.decrypt_sectors(sector, &mut data);
-                let lines = (len as u64).div_ceil(fidelius_hw::CACHE_LINE);
-                let per_line = if self.io_path == IoPath::AesNi {
-                    machine.cost.aesni_line
-                } else {
-                    machine.cost.soft_aes_line
-                };
-                machine.cycles.charge_as(
-                    fidelius_hw::cycles::CycleCategory::CryptoEngine,
-                    lines as f64 * per_line,
-                );
+                self.charge_aes(machine, len);
             }
             IoPath::SevApi => {
-                assert_eq!(q, 0, "SEV-API path is single-queue");
                 let md_gpa = Gpa((gplayout::MD_PAGE + buf_page) * PAGE_SIZE);
                 machine.guest_read_gpa(md_gpa, &mut data, true)?;
             }
@@ -286,24 +245,8 @@ impl FrontEnd {
         Ok(data)
     }
 
-    /// Pushes one request into queue 0's ring (guest mode) and bumps the
+    /// Pushes one request into queue `q`'s ring (guest mode) and bumps the
     /// producer index. Returns the slot index used.
-    ///
-    /// # Errors
-    ///
-    /// Guest access faults.
-    pub fn push_request(
-        &mut self,
-        machine: &mut Machine,
-        op: BlkOp,
-        sector: u64,
-        count: u64,
-        buf_page: u64,
-    ) -> Result<u64, Fault> {
-        self.push_request_on(0, machine, op, sector, count, buf_page)
-    }
-
-    /// Pushes one request into queue `q`'s ring.
     ///
     /// # Errors
     ///
@@ -333,17 +276,8 @@ impl FrontEnd {
         Ok(this_slot)
     }
 
-    /// Reads the status of a previously pushed slot on queue 0 (guest
+    /// Reads the status of a previously pushed slot on queue `q` (guest
     /// mode).
-    ///
-    /// # Errors
-    ///
-    /// Guest access faults.
-    pub fn slot_status(&self, machine: &mut Machine, slot: u64) -> Result<BlkStatus, Fault> {
-        self.slot_status_on(0, machine, slot)
-    }
-
-    /// Reads the status of a previously pushed slot on queue `q`.
     ///
     /// # Errors
     ///
@@ -400,16 +334,22 @@ mod tests {
 
     #[test]
     fn front_end_paths_need_keys() {
-        let fe = FrontEnd::new(IoPath::Plain, None, 1);
+        let fe = FrontEnd::new(IoPath::Plain, None, vec![1]);
         assert!(!fe.uses_md());
-        let fe = FrontEnd::new(IoPath::SevApi, None, 1);
+        let fe = FrontEnd::new(IoPath::SevApi, None, vec![1]);
         assert!(fe.uses_md());
     }
 
     #[test]
     #[should_panic(expected = "need Kblk")]
     fn aesni_without_key_panics() {
-        let _ = FrontEnd::new(IoPath::AesNi, None, 1);
+        let _ = FrontEnd::new(IoPath::AesNi, None, vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "single-queue")]
+    fn sev_api_front_end_is_single_queue() {
+        let _ = FrontEnd::new(IoPath::SevApi, None, vec![1, 2]);
     }
 
     #[test]
@@ -426,11 +366,9 @@ mod tests {
 
     #[test]
     fn added_queues_share_the_expanded_key() {
-        let mut fe = FrontEnd::new(IoPath::AesNi, Some([0x4Bu8; 16]), 1);
-        let q = fe.add_queue(2);
-        assert_eq!(q, 1);
+        let fe = FrontEnd::new(IoPath::AesNi, Some([0x4Bu8; 16]), vec![1, 2]);
         assert_eq!(fe.num_queues(), 2);
         assert_eq!(fe.port(1), 2);
-        assert!(fe.queues[1].kblk.is_some(), "queue 1 must hold a cloned schedule");
+        assert!(fe.kblk.is_some(), "the device holds one expanded schedule");
     }
 }

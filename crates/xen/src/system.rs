@@ -10,6 +10,7 @@
 
 use crate::blkif::{BlkOp, BlkStatus, RING_SLOTS, SECTORS_PER_PAGE};
 use crate::domain::{DomainId, DomainState};
+use crate::events::Port;
 use crate::frontend::{gplayout, FrontEnd, GuestPtAccess, IoPath};
 use crate::grants::read_entry_phys;
 use crate::guardian::{Guardian, IoDir};
@@ -72,10 +73,9 @@ pub struct System {
     pub guardian: Box<dyn Guardian>,
     /// Per-domain front-end driver state.
     pub frontends: HashMap<DomainId, FrontEnd>,
-    /// Per-domain I/O queue plan (queues the guest was booted for;
-    /// absent = 1, the legacy single-queue window).
+    /// Per-domain I/O queue plan: the queues the guest was booted for
+    /// (see [`System::queue_plan`]).
     queue_plan: HashMap<DomainId, u64>,
-    pending_io_queues: Option<u64>,
     current_guest: Option<DomainId>,
 }
 
@@ -161,7 +161,6 @@ impl System {
             guardian,
             frontends: HashMap::new(),
             queue_plan: HashMap::new(),
-            pending_io_queues: None,
             current_guest: None,
         })
     }
@@ -304,7 +303,7 @@ impl System {
             | FaultAction::SpliceCiphertext { page_hint } => {
                 let kind = fault.kind();
                 let splice = matches!(fault, FaultAction::SpliceCiphertext { .. });
-                let plan = self.queue_plan.get(&dom).copied().unwrap_or(1);
+                let plan = self.queue_plan(dom);
                 let d = self.xen.domain(dom)?;
                 // Only private pages: shared ring/buffer pages (any queue)
                 // are hypervisor-writable by design and prove nothing.
@@ -469,15 +468,43 @@ impl System {
     /// Creates, populates and boots a guest the *vanilla* way: the
     /// hypervisor drives everything, including the SEV launch sequence
     /// when `cfg.sev` (so it holds the handle and sees the launch flow —
-    /// the paper's baseline trust model).
+    /// the paper's baseline trust model). The guest is booted for one
+    /// block-device queue.
     ///
     /// # Errors
     ///
     /// Creation/SEV/boot failures.
     pub fn create_guest(&mut self, cfg: GuestConfig) -> Result<DomainId, XenError> {
+        self.create_guest_mq(cfg, 1)
+    }
+
+    /// Like [`System::create_guest`], but boots the guest with room for
+    /// `io_queues` block-device queues: each queue's ring and buffer pages
+    /// ([`gplayout::ring_page`], [`gplayout::QUEUE_STRIDE`] pages) are
+    /// mapped shared (no C-bit) so dom0 can reach them.
+    ///
+    /// # Errors
+    ///
+    /// Creation/SEV/boot failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `io_queues` is out of `1..=MAX_QUEUES` or the guest is
+    /// too small for its queues' pages.
+    pub fn create_guest_mq(
+        &mut self,
+        cfg: GuestConfig,
+        io_queues: u64,
+    ) -> Result<DomainId, XenError> {
+        assert!(
+            (1..=gplayout::MAX_QUEUES).contains(&io_queues),
+            "io_queues must be in 1..={}",
+            gplayout::MAX_QUEUES
+        );
+        let top = gplayout::ring_page(io_queues - 1) + gplayout::QUEUE_STRIDE;
+        assert!(cfg.mem_pages >= top, "guest too small for {io_queues} queues");
         let dom = self.xen.create_domain(&mut self.plat, &mut *self.guardian, cfg.mem_pages)?;
-        let plan = self.pending_io_queues.take().unwrap_or(1);
-        self.queue_plan.insert(dom, plan);
+        self.queue_plan.insert(dom, io_queues);
         self.xen.populate_all(&mut self.plat, &mut *self.guardian, dom)?;
 
         // Load the kernel image into guest frames through the hypervisor's
@@ -523,49 +550,19 @@ impl System {
         Ok(dom)
     }
 
-    /// Like [`System::create_guest`], but boots the guest with room for
-    /// `io_queues` block-device queues: queue 0 keeps the legacy shared
-    /// window, queues 1.. get their pages in [`gplayout::MQ_REGION_PAGE`]
-    /// mapped shared (no C-bit) so dom0 can reach the rings and buffers.
-    ///
-    /// # Errors
-    ///
-    /// Creation/SEV/boot failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `io_queues` is out of `1..=MAX_QUEUES` or the guest is
-    /// too small for the queue region.
-    pub fn create_guest_mq(
-        &mut self,
-        cfg: GuestConfig,
-        io_queues: u64,
-    ) -> Result<DomainId, XenError> {
-        assert!(
-            (1..=gplayout::MAX_QUEUES).contains(&io_queues),
-            "io_queues must be in 1..={}",
-            gplayout::MAX_QUEUES
-        );
-        if io_queues > 1 {
-            let top = gplayout::ring_page(io_queues - 1) + gplayout::QUEUE_STRIDE;
-            assert!(cfg.mem_pages >= top, "guest too small for {io_queues} queues");
-        }
-        self.pending_io_queues = Some(io_queues);
-        let result = self.create_guest(cfg);
-        self.pending_io_queues = None;
-        result
+    /// The queues `dom` was booted for: 1 for a domain not created
+    /// through [`System::create_guest_mq`] (the encrypted launch flow).
+    fn queue_plan(&self, dom: DomainId) -> u64 {
+        self.queue_plan.get(&dom).copied().unwrap_or(1)
     }
 
-    /// Whether guest-physical `page` belongs to the dom0-shared I/O window
-    /// of a guest booted for `plan` queues. Exactly the legacy
-    /// ring+buffer window for single-queue guests.
+    /// Whether guest-physical `page` is one of the dom0-shared ring and
+    /// buffer pages of a guest booted for `plan` queues.
     fn shared_io_page(plan: u64, page: u64) -> bool {
-        if (gplayout::RING_PAGE..gplayout::BUF_PAGE + gplayout::BUF_PAGES).contains(&page) {
-            return true;
-        }
-        plan > 1
-            && page >= gplayout::MQ_REGION_PAGE
-            && page < gplayout::MQ_REGION_PAGE + (plan - 1) * gplayout::QUEUE_STRIDE
+        (0..plan).any(|q| {
+            let ring = gplayout::ring_page(q);
+            (ring..ring + gplayout::QUEUE_STRIDE).contains(&page)
+        })
     }
 
     /// The guest kernel's early boot: build stage-1 page tables (identity
@@ -579,12 +576,12 @@ impl System {
         self.ensure_guest(dom)?;
         let sev = self.xen.domain(dom)?.sev;
         let mem_pages = self.xen.domain(dom)?.mem_pages();
+        let plan = self.queue_plan(dom);
         let mut pt_alloc =
             FrameAllocator::new(Hpa(gplayout::PT_POOL_PAGE * PAGE_SIZE), gplayout::PT_POOL_PAGES);
         let mut acc = GuestPtAccess::new(&mut self.plat.machine, sev);
         let mapper = Mapper::create(&mut acc, &mut pt_alloc)?;
         debug_assert_eq!(mapper.root().0, gplayout::PT_POOL_PAGE * PAGE_SIZE);
-        let plan = self.queue_plan.get(&dom).copied().unwrap_or(1);
         for page in 0..mem_pages {
             let shared = Self::shared_io_page(plan, page);
             let c = if sev && !shared { PTE_C_BIT } else { 0 };
@@ -603,14 +600,20 @@ impl System {
 
     // ----- block device --------------------------------------------------------
 
-    /// Sets up the PV block device for `dom`: the guest grants the ring
-    /// and buffer pages to dom0 via hypercalls, dom0 maps them and
-    /// attaches the disk, and an event channel is bound.
+    /// Sets up the PV block device for `dom`, one queue per queue the
+    /// guest was booted for: dom0 attaches the disk, then each queue is
+    /// granted, published, mapped back and bound the same way, queue 0
+    /// included.
     ///
     /// # Errors
     ///
     /// Grant failures (including policy rejections surfaced as grant
     /// errors).
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any hypercall, when the SEV-API path is asked for
+    /// more than one queue (its `Md` window is not striped).
     pub fn setup_block_device(
         &mut self,
         dom: DomainId,
@@ -618,137 +621,72 @@ impl System {
         io_path: IoPath,
         kblk: Option<Key128>,
     ) -> Result<(), XenError> {
-        // If the Fidelius pre-sharing extension is available, declare the
-        // sharing first (ignored by vanilla Xen with ENOSYS).
-        let shared_pages = 1 + gplayout::BUF_PAGES;
-        let _ =
-            self.hypercall(dom, HC_PRE_SHARING_OP, [0, gplayout::RING_PAGE, shared_pages, 1])?;
+        let plan = self.queue_plan(dom);
+        assert!(
+            io_path != IoPath::SevApi || plan == 1,
+            "SEV-API path is single-queue (Md window is not striped)"
+        );
+        self.xen.backend.attach(disk);
+        let ports = (0..plan).map(|q| self.attach_queue(dom, q)).collect::<Result<_, _>>()?;
+        self.frontends.insert(dom, FrontEnd::new(io_path, kblk, ports));
+        Ok(())
+    }
 
-        // Grant the ring page and buffer pages to dom0.
-        let ring_ref = self.hypercall(
-            dom,
-            HC_GRANT_TABLE_OP,
-            [GrantOp::GrantAccess as u64, 0, gplayout::RING_PAGE, 1],
-        )?;
-        if ring_ref >= crate::grants::GRANT_TABLE_ENTRIES {
-            return Err(XenError::BadGrant(ring_ref));
-        }
-        let mut buf_refs = Vec::new();
-        for i in 0..gplayout::BUF_PAGES {
-            let r = self.hypercall(
-                dom,
-                HC_GRANT_TABLE_OP,
-                [GrantOp::GrantAccess as u64, 0, gplayout::BUF_PAGE + i, 1],
-            )?;
+    /// Attaches queue `q` of `dom`'s block device: the guest declares the
+    /// queue's pages shared (if the Fidelius pre-sharing extension is
+    /// there; vanilla Xen answers ENOSYS), grants its ring and buffer
+    /// pages to dom0 and publishes the references in the XenStore; dom0
+    /// reads them back, maps the grants, appends the queue to the back-end
+    /// and binds an event channel. Returns the channel's port.
+    fn attach_queue(&mut self, dom: DomainId, q: u64) -> Result<Port, XenError> {
+        let ring_page = gplayout::ring_page(q);
+        let _ =
+            self.hypercall(dom, HC_PRE_SHARING_OP, [0, ring_page, gplayout::QUEUE_STRIDE, 1])?;
+        let pages = std::iter::once(ring_page)
+            .chain((0..gplayout::BUF_PAGES).map(|i| gplayout::buf_page(q, i)));
+        let mut refs = Vec::new();
+        for page in pages {
+            let r =
+                self.hypercall(dom, HC_GRANT_TABLE_OP, [GrantOp::GrantAccess as u64, 0, page, 1])?;
             if r >= crate::grants::GRANT_TABLE_ENTRIES {
                 return Err(XenError::BadGrant(r));
             }
-            buf_refs.push(r);
+            refs.push(r);
         }
         self.ensure_host()?;
 
         // The front-end publishes the grant references in the XenStore
         // (untrusted rendezvous; a tampered reference fails the back-end's
-        // map validation rather than leaking anything).
-        let prefix = format!("/local/domain/{}/device/vbd", dom.0);
-        self.xen.xenstore.write(dom, &format!("{prefix}/ring-ref"), &ring_ref.to_string());
-        for (i, r) in buf_refs.iter().enumerate() {
-            self.xen.xenstore.write(dom, &format!("{prefix}/buf-ref/{i}"), &r.to_string());
+        // map validation rather than leaking anything). Queue 0 keeps the
+        // device's own keys.
+        let mut prefix = format!("/local/domain/{}/device/vbd", dom.0);
+        if q > 0 {
+            prefix += &format!("/queue/{q}");
+        }
+        let keys: Vec<String> = std::iter::once(format!("{prefix}/ring-ref"))
+            .chain((0..gplayout::BUF_PAGES).map(|i| format!("{prefix}/buf-ref/{i}")))
+            .collect();
+        for (key, r) in keys.iter().zip(&refs) {
+            self.xen.xenstore.write(dom, key, &r.to_string());
         }
 
         // dom0 side: take the references from the XenStore, resolve the
-        // grants and attach the back-end.
-        let ring_ref: u64 = self
-            .xen
-            .xenstore
-            .read(&format!("{prefix}/ring-ref"))
-            .and_then(|s| s.parse().ok())
-            .ok_or(XenError::BadBlockRequest)?;
-        let ring_frame = self.backend_map_grant(ring_ref)?;
-        let mut bufs = Vec::new();
-        for i in 0..gplayout::BUF_PAGES {
+        // grants and attach the queue.
+        let mut mapped = Vec::new();
+        for key in &keys {
             let r: u64 = self
                 .xen
                 .xenstore
-                .read(&format!("{prefix}/buf-ref/{i}"))
+                .read(key)
                 .and_then(|s| s.parse().ok())
                 .ok_or(XenError::BadBlockRequest)?;
-            bufs.push((self.backend_map_grant(r)?, r));
+            mapped.push((self.backend_map_grant(r)?, r));
         }
+        let ring = mapped.remove(0);
         let table = self.xen.grant_table_pa;
-        self.xen.backend.attach_with_grants(disk, (ring_frame, ring_ref), bufs, table);
-
-        let port = self.xen.events.bind(dom, DomainId::DOM0);
-        self.frontends.insert(dom, FrontEnd::new(io_path, kblk, port));
-
-        // Extra queues for guests booted with a multi-queue plan: same
-        // grant/XenStore/attach dance per queue, pages from the MQ region.
-        let plan = self.queue_plan.get(&dom).copied().unwrap_or(1);
-        assert!(
-            io_path != IoPath::SevApi || plan == 1,
-            "SEV-API path is single-queue (Md window is not striped)"
-        );
-        for q in 1..plan {
-            self.setup_extra_queue(dom, q)?;
-        }
-        Ok(())
-    }
-
-    /// Grants, publishes and attaches queue `q` (> 0) of `dom`'s block
-    /// device, then binds its event channel.
-    fn setup_extra_queue(&mut self, dom: DomainId, q: u64) -> Result<(), XenError> {
-        let ring_page = gplayout::ring_page(q);
-        let _ =
-            self.hypercall(dom, HC_PRE_SHARING_OP, [0, ring_page, gplayout::QUEUE_STRIDE, 1])?;
-        let ring_ref =
-            self.hypercall(dom, HC_GRANT_TABLE_OP, [GrantOp::GrantAccess as u64, 0, ring_page, 1])?;
-        if ring_ref >= crate::grants::GRANT_TABLE_ENTRIES {
-            return Err(XenError::BadGrant(ring_ref));
-        }
-        let mut buf_refs = Vec::new();
-        for i in 0..gplayout::BUF_PAGES {
-            let r = self.hypercall(
-                dom,
-                HC_GRANT_TABLE_OP,
-                [GrantOp::GrantAccess as u64, 0, gplayout::buf_page(q, i), 1],
-            )?;
-            if r >= crate::grants::GRANT_TABLE_ENTRIES {
-                return Err(XenError::BadGrant(r));
-            }
-            buf_refs.push(r);
-        }
-        self.ensure_host()?;
-
-        let prefix = format!("/local/domain/{}/device/vbd/queue/{q}", dom.0);
-        self.xen.xenstore.write(dom, &format!("{prefix}/ring-ref"), &ring_ref.to_string());
-        for (i, r) in buf_refs.iter().enumerate() {
-            self.xen.xenstore.write(dom, &format!("{prefix}/buf-ref/{i}"), &r.to_string());
-        }
-
-        let ring_ref: u64 = self
-            .xen
-            .xenstore
-            .read(&format!("{prefix}/ring-ref"))
-            .and_then(|s| s.parse().ok())
-            .ok_or(XenError::BadBlockRequest)?;
-        let ring_frame = self.backend_map_grant(ring_ref)?;
-        let mut bufs = Vec::new();
-        for i in 0..gplayout::BUF_PAGES {
-            let r: u64 = self
-                .xen
-                .xenstore
-                .read(&format!("{prefix}/buf-ref/{i}"))
-                .and_then(|s| s.parse().ok())
-                .ok_or(XenError::BadBlockRequest)?;
-            bufs.push((self.backend_map_grant(r)?, r));
-        }
-        let table = self.xen.grant_table_pa;
-        self.xen.backend.attach_queue_with_grants(q as usize, (ring_frame, ring_ref), bufs, table);
-        let port = self.xen.events.bind(dom, DomainId::DOM0);
-        let fe = self.frontends.get_mut(&dom).expect("front-end attached with queue 0");
-        let added = fe.add_queue(port);
-        debug_assert_eq!(added, q);
-        Ok(())
+        let attached = self.xen.backend.attach_queue(ring, mapped, table);
+        debug_assert_eq!(attached as u64, q);
+        Ok(self.xen.events.bind(dom, DomainId::DOM0))
     }
 
     /// Retries after this many failed sends before declaring the channel
@@ -801,83 +739,43 @@ impl System {
     }
 
     /// Writes `data` (whole sectors) to disk at `sector` through the PV
-    /// path, with the front-end's configured protection.
+    /// path, with the front-end's configured protection: a one-op
+    /// [`System::disk_batch`] on queue 0.
     ///
     /// # Errors
     ///
-    /// I/O failures, policy rejections.
+    /// As [`System::disk_batch`]; a request the back-end refused is
+    /// [`XenError::BadBlockRequest`].
     pub fn disk_write(&mut self, dom: DomainId, sector: u64, data: &[u8]) -> Result<(), XenError> {
-        assert_eq!(data.len() % SECTOR_SIZE, 0, "whole sectors only");
-        let count = (data.len() / SECTOR_SIZE) as u64;
-        self.ensure_guest(dom)?;
-        let fe = self.frontends.get_mut(&dom).ok_or(XenError::BadBlockRequest)?;
-        fe.stage_write_data(&mut self.plat.machine, sector, data)?;
-        let slot = fe.push_request(&mut self.plat.machine, BlkOp::Write, sector, count, 0)?;
-        let port = fe.port(0);
-        let uses_md = fe.uses_md();
-        self.notify_backend(dom, port)?;
-        self.ensure_host()?;
-        if uses_md {
-            // Fidelius transforms Md (Kvek) → shared buffer (Ktek),
-            // sector by sector so streams key off absolute sector numbers.
-            self.sev_io_transform(dom, IoDir::GuestToShared, sector, count)?;
+        let op = BatchOp::Write { sector, data: data.to_vec() };
+        match self.disk_batch(dom, 0, &[op])?.pop() {
+            Some((BlkStatus::Ok, _)) => Ok(()),
+            _ => Err(XenError::BadBlockRequest),
         }
-        self.xen.backend.process(&mut self.plat)?;
-        self.ensure_guest(dom)?;
-        let fe = self.frontends.get_mut(&dom).ok_or(XenError::BadBlockRequest)?;
-        let status = fe.slot_status(&mut self.plat.machine, slot)?;
-        if status != BlkStatus::Ok {
-            return Err(XenError::BadBlockRequest);
-        }
-        Ok(())
     }
 
-    /// Reads `count` sectors from disk at `sector` through the PV path.
+    /// Reads `count` sectors from disk at `sector` through the PV path: a
+    /// one-op [`System::disk_batch`] on queue 0.
     ///
     /// # Errors
     ///
-    /// I/O failures, policy rejections.
+    /// As [`System::disk_write`].
     pub fn disk_read(
         &mut self,
         dom: DomainId,
         sector: u64,
         count: u64,
     ) -> Result<Vec<u8>, XenError> {
-        self.ensure_guest(dom)?;
-        let fe = self.frontends.get_mut(&dom).ok_or(XenError::BadBlockRequest)?;
-        let slot = fe.push_request(&mut self.plat.machine, BlkOp::Read, sector, count, 0)?;
-        let port = fe.port(0);
-        let uses_md = fe.uses_md();
-        self.notify_backend(dom, port)?;
-        self.ensure_host()?;
-        self.xen.backend.process(&mut self.plat)?;
-        if uses_md {
-            self.sev_io_transform(dom, IoDir::SharedToGuest, sector, count)?;
+        match self.disk_batch(dom, 0, &[BatchOp::Read { sector, count }])?.pop() {
+            Some((BlkStatus::Ok, Some(data))) => Ok(data),
+            _ => Err(XenError::BadBlockRequest),
         }
-        self.ensure_guest(dom)?;
-        let fe = self.frontends.get_mut(&dom).ok_or(XenError::BadBlockRequest)?;
-        let status = fe.slot_status(&mut self.plat.machine, slot)?;
-        if status != BlkStatus::Ok {
-            return Err(XenError::BadBlockRequest);
-        }
-        let data = fe.retrieve_read_data(&mut self.plat.machine, sector, count)?;
-        Ok(data)
     }
 
     /// Runs the SEV-API I/O transform for `count` sectors starting at
-    /// absolute `sector`, between the Md pages and the shared buffer.
-    fn sev_io_transform(
-        &mut self,
-        dom: DomainId,
-        dir: IoDir,
-        sector: u64,
-        count: u64,
-    ) -> Result<(), XenError> {
-        self.sev_io_transform_at(dom, dir, sector, count, 0)
-    }
-
-    /// The transform with the request's staging window starting at buffer
-    /// page `buf_page` (batched dispatch places requests side by side).
+    /// absolute `sector`, between the Md pages and the shared buffer, with
+    /// the request's staging window starting at buffer page `buf_page`
+    /// (batched dispatch places requests side by side).
     ///
     /// Contiguous in-page sector runs go through the guardian's batched
     /// [`Guardian::io_transform_run`] entry point — one dispatch per page
@@ -947,7 +845,7 @@ impl System {
     /// descriptor, notify once, let the back-end drain the window in one
     /// batched pass. Returns per-request `(status, read_data)` in order —
     /// a structurally bad request yields `BlkStatus::Error` without
-    /// failing its neighbours, exactly like the one-at-a-time path.
+    /// failing its neighbours, exactly as when it is submitted alone.
     ///
     /// The batch must fit the ring ([`RING_SLOTS`]) and the queue's buffer
     /// window ([`gplayout::BUF_PAGES`] pages; each request occupies whole
@@ -955,22 +853,27 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Fail-closed refusals from the drain, world-switch failures.
+    /// [`XenError::BadBlockRequest`], before any world switch, when the
+    /// batch exceeds the ring or the buffer window; fail-closed refusals
+    /// from the drain, world-switch failures.
     ///
     /// # Panics
     ///
-    /// Panics when the batch exceeds the ring or buffer capacity, or `q`
-    /// is not an attached queue.
+    /// Panics when `q` is not an attached queue or a write is not whole
+    /// sectors.
     pub fn disk_batch(
         &mut self,
         dom: DomainId,
         q: u64,
         ops: &[BatchOp],
     ) -> Result<BatchResults, XenError> {
-        assert!(ops.len() as u64 <= RING_SLOTS, "batch exceeds ring capacity");
-        let pages_needed: u64 =
-            ops.iter().map(|op| op.sector_count().div_ceil(SECTORS_PER_PAGE)).sum();
-        assert!(pages_needed <= gplayout::BUF_PAGES, "batch exceeds buffer window");
+        let pages_needed = ops
+            .iter()
+            .map(|op| op.sector_count().div_ceil(SECTORS_PER_PAGE))
+            .fold(0, u64::saturating_add);
+        if ops.len() as u64 > RING_SLOTS || pages_needed > gplayout::BUF_PAGES {
+            return Err(XenError::BadBlockRequest);
+        }
         self.ensure_guest(dom)?;
         let fe = self.frontends.get_mut(&dom).ok_or(XenError::BadBlockRequest)?;
         assert!(q < fe.num_queues(), "queue {q} not attached");
@@ -1249,6 +1152,25 @@ mod tests {
         sys.setup_block_device(dom, vec![0u8; 8 * SECTOR_SIZE], IoPath::Plain, None).unwrap();
         let data = vec![0u8; SECTOR_SIZE];
         assert!(sys.disk_write(dom, 100, &data).is_err());
+    }
+
+    #[test]
+    fn oversized_batches_are_refused_before_any_world_switch() {
+        let mut sys = vanilla();
+        let dom = sys.create_guest(GuestConfig::default()).unwrap();
+        sys.setup_block_device(dom, vec![0u8; 8 * SECTOR_SIZE], IoPath::Plain, None).unwrap();
+        let read = |count| BatchOp::Read { sector: 0, count };
+        let cycles = sys.plat.machine.cycles.total_f64();
+        let too_big: [Vec<BatchOp>; 3] = [
+            vec![read(1); RING_SLOTS as usize + 1],
+            vec![read(gplayout::BUF_PAGES * SECTORS_PER_PAGE + 1)],
+            vec![read(u64::MAX); RING_SLOTS as usize],
+        ];
+        for ops in &too_big {
+            assert!(matches!(sys.disk_batch(dom, 0, ops), Err(XenError::BadBlockRequest)));
+        }
+        assert!(matches!(sys.disk_read(dom, 0, 65), Err(XenError::BadBlockRequest)));
+        assert_eq!(sys.plat.machine.cycles.total_f64(), cycles, "no world switch was made");
     }
 
     #[test]

@@ -154,14 +154,14 @@ fn plain_device(fidelity: Fidelity) -> (System, DomainId) {
 fn raw_slot(sys: &mut System, dom: DomainId, word: u64, value: u64, obs: &mut Observed) {
     sys.ensure_guest(dom).unwrap();
     let fe = sys.frontends.get_mut(&dom).unwrap();
-    let slot = fe.push_request(&mut sys.plat.machine, BlkOp::Read, 0, 1, 0).unwrap();
+    let slot = fe.push_request_on(0, &mut sys.plat.machine, BlkOp::Read, 0, 1, 0).unwrap();
     let at = gplayout::RING_PAGE * PAGE_SIZE + slot_offset(slot) + 8 * word;
     sys.plat.machine.guest_write_gpa(Gpa(at), &value.to_le_bytes(), false).unwrap();
     sys.ensure_host().unwrap();
-    obs.step("drain", sys.xen.backend.process(&mut sys.plat));
+    obs.step("drain", sys.xen.backend.process_queue(&mut sys.plat, 0));
     sys.ensure_guest(dom).unwrap();
     let fe = sys.frontends.get_mut(&dom).unwrap();
-    obs.step("status", fe.slot_status(&mut sys.plat.machine, slot));
+    obs.step("status", fe.slot_status_on(0, &mut sys.plat.machine, slot));
     let denials = sys
         .plat
         .machine
