@@ -175,10 +175,10 @@ impl Guardian for SevEsSim {
         dir: IoDir,
         src_pa: fidelius_hw::Hpa,
         dst_pa: fidelius_hw::Hpa,
-        len: u64,
-        stream: u64,
+        sectors: u64,
+        first_stream: u64,
     ) -> Result<(), GuardError> {
-        self.inner.io_transform(plat, dom, dir, src_pa, dst_pa, len, stream)
+        self.inner.io_transform(plat, dom, dir, src_pa, dst_pa, sectors, first_stream)
     }
 
     fn on_domain_created(&mut self, plat: &mut Platform, dom: &Domain) -> Result<(), GuardError> {

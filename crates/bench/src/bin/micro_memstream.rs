@@ -112,13 +112,13 @@ fn ctr128(iters: u32, len: usize) -> Throughput {
     .with_aes_backend(default_backend().name())
 }
 
-/// Disk sectors under Kblk.
+/// Disk sectors under Kblk, one sector per call (runs of one).
 fn sector_cipher(iters: u32, len: usize) -> Throughput {
     let mut buf = vec![0xA5u8; len];
     let sc = SectorCipher::new(&[0x11; 16]);
     measure_throughput("sector_cipher", len as u64, iters, || {
         for (i, sector) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
-            sc.encrypt_sector(i as u64, sector);
+            sc.encrypt_sectors(i as u64, sector);
         }
     })
     .with_aes_backend(default_backend().name())

@@ -10,8 +10,11 @@
 //! - `fault_matrix_64.jsonl` — the same at the binary's default 64 seeds,
 //!   which CI's `determinism` job diffs its `faultinject_matrix --json`
 //!   output against.
+//! - `attack_matrix.jsonl` — `attack_matrix --json`: every attack against
+//!   every defense (vanilla Xen, SEV, SEV-ES, Fidelius), which drives the
+//!   `Unprotected`, `SevEsSim` and Fidelius guardians end to end.
 //!
-//! To regenerate all three after a change that means to move them (and
+//! To regenerate all four after a change that means to move them (and
 //! explain each moved line in CHANGES.md):
 //!
 //! ```text
@@ -26,13 +29,19 @@ const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../artifacts/m
 /// The `faultinject_matrix` binary's default seed base.
 const SEED_BASE: u64 = 0xF1DE;
 
-fn render_io_stream() -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_io_stream"))
-        .arg("--json")
-        .output()
-        .expect("running io_stream");
-    assert!(out.status.success(), "io_stream failed: {}", String::from_utf8_lossy(&out.stderr));
+/// Runs a bench binary with `--json` and returns its output.
+fn render_json(bin: &str) -> String {
+    let out = Command::new(bin).arg("--json").output().unwrap_or_else(|e| panic!("{bin}: {e}"));
+    assert!(out.status.success(), "{bin} failed: {}", String::from_utf8_lossy(&out.stderr));
     String::from_utf8(out.stdout).expect("utf8 output")
+}
+
+fn render_io_stream() -> String {
+    render_json(env!("CARGO_BIN_EXE_io_stream"))
+}
+
+fn render_attack_matrix() -> String {
+    render_json(env!("CARGO_BIN_EXE_attack_matrix"))
 }
 
 fn render_matrix(seeds: u64) -> String {
@@ -66,6 +75,11 @@ fn io_stream_matches_golden() {
 }
 
 #[test]
+fn attack_matrix_matches_golden() {
+    check("attack_matrix.jsonl", &render_attack_matrix());
+}
+
+#[test]
 fn fault_matrix_matches_golden() {
     check("fault_matrix_8.jsonl", &render_matrix(8));
 }
@@ -75,6 +89,7 @@ fn fault_matrix_matches_golden() {
 fn regenerate() {
     std::fs::create_dir_all(GOLDEN_DIR).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/io_stream.jsonl"), render_io_stream()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/attack_matrix.jsonl"), render_attack_matrix()).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/fault_matrix_8.jsonl"), render_matrix(8)).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/fault_matrix_64.jsonl"), render_matrix(64)).unwrap();
 }

@@ -1055,38 +1055,6 @@ impl Guardian for Fidelius {
         dir: IoDir,
         src_pa: Hpa,
         dst_pa: Hpa,
-        len: u64,
-        stream: u64,
-    ) -> Result<(), GuardError> {
-        let meta =
-            self.sev_meta.get(&dom).copied().ok_or(GuardError::Sev(SevError::NotActivated))?;
-        let helpers = match meta.io {
-            Some(h) => h,
-            None => {
-                let h = plat.firmware.create_io_helpers(meta.handle).map_err(GuardError::Sev)?;
-                self.sev_meta.get_mut(&dom).expect("meta exists").io = Some(h);
-                h
-            }
-        };
-        match dir {
-            IoDir::GuestToShared => plat
-                .firmware
-                .io_encrypt(&mut plat.machine, helpers.sdom, src_pa, dst_pa, len, stream)
-                .map_err(GuardError::Sev),
-            IoDir::SharedToGuest => plat
-                .firmware
-                .io_decrypt(&mut plat.machine, helpers.rdom, src_pa, dst_pa, len, stream)
-                .map_err(GuardError::Sev),
-        }
-    }
-
-    fn io_transform_run(
-        &mut self,
-        plat: &mut Platform,
-        dom: DomainId,
-        dir: IoDir,
-        src_pa: Hpa,
-        dst_pa: Hpa,
         sectors: u64,
         first_stream: u64,
     ) -> Result<(), GuardError> {
@@ -1100,31 +1068,16 @@ impl Guardian for Fidelius {
                 h
             }
         };
-        // Whole-run SEV commands: one DRAM round trip and a streaming XEX
-        // pass over cached key schedules, byte- and cycle-identical to the
-        // per-sector default (`io_sector_batch_matches_per_sector_oracle`).
+        // One SEV command per run: s-dom's SEND_UPDATE on the write path,
+        // r-dom's RECEIVE_UPDATE on the read path (paper §4.3.5).
         match dir {
             IoDir::GuestToShared => plat
                 .firmware
-                .io_encrypt_sectors(
-                    &mut plat.machine,
-                    helpers.sdom,
-                    src_pa,
-                    dst_pa,
-                    sectors,
-                    first_stream,
-                )
+                .io_encrypt(&mut plat.machine, helpers.sdom, src_pa, dst_pa, sectors, first_stream)
                 .map_err(GuardError::Sev),
             IoDir::SharedToGuest => plat
                 .firmware
-                .io_decrypt_sectors(
-                    &mut plat.machine,
-                    helpers.rdom,
-                    src_pa,
-                    dst_pa,
-                    sectors,
-                    first_stream,
-                )
+                .io_decrypt(&mut plat.machine, helpers.rdom, src_pa, dst_pa, sectors, first_stream)
                 .map_err(GuardError::Sev),
         }
     }
@@ -1417,28 +1370,41 @@ mod tests {
         });
     }
 
-    /// An SEV-API read larger than the buffer window is refused before any
-    /// world switch: no ring descriptor is pushed and Fidelius's transform
-    /// never walks past the `Md` window into the page-table pool.
+    /// A refused SEV-API read leaves every private guest page intact. One
+    /// larger than the buffer window is refused before any world switch,
+    /// so Fidelius's transform never walks past the `Md` window into the
+    /// page-table pool. One past the end of the 64-sector disk is answered
+    /// `Error` by the back-end, so the stale shared buffer is never
+    /// transformed into `Md`. Only the queue's shared ring and buffer
+    /// pages may change: pushing the descriptor writes the ring.
     #[test]
     fn oversized_sev_api_read_leaves_every_guest_page_intact() {
-        let mut sys = system();
-        let dom = sev_api_device(&mut sys);
-        let pages = |sys: &System| -> Vec<Vec<u8>> {
-            let d = sys.xen.domain(dom).unwrap();
-            (0..d.mem_pages())
-                .map(|p| {
-                    let mut page = vec![0u8; PAGE_SIZE as usize];
-                    let frame = d.frame_of(p).unwrap();
-                    sys.plat.machine.mc.dram().read_raw(frame, &mut page).unwrap();
-                    page
-                })
-                .collect()
-        };
-        let before = pages(&sys);
-        assert!(matches!(sys.disk_read(dom, 0, 200), Err(XenError::BadBlockRequest)));
-        let after = pages(&sys);
-        let changed: Vec<usize> = (0..before.len()).filter(|&p| before[p] != after[p]).collect();
-        assert!(changed.is_empty(), "guest pages changed by a refused read: {changed:?}");
+        let shared = gplayout::RING_PAGE..gplayout::RING_PAGE + gplayout::QUEUE_STRIDE;
+        for (sector, count) in [(0, 200), (100, 1)] {
+            let mut sys = system();
+            let dom = sev_api_device(&mut sys);
+            let pages = |sys: &System| -> Vec<Vec<u8>> {
+                let d = sys.xen.domain(dom).unwrap();
+                (0..d.mem_pages())
+                    .map(|p| {
+                        let mut page = vec![0u8; PAGE_SIZE as usize];
+                        let frame = d.frame_of(p).unwrap();
+                        sys.plat.machine.mc.dram().read_raw(frame, &mut page).unwrap();
+                        page
+                    })
+                    .collect()
+            };
+            let before = pages(&sys);
+            let refused = sys.disk_read(dom, sector, count);
+            assert!(matches!(refused, Err(XenError::BadBlockRequest)), "{refused:?}");
+            let after = pages(&sys);
+            let changed: Vec<usize> = (0..before.len())
+                .filter(|&p| !shared.contains(&(p as u64)) && before[p] != after[p])
+                .collect();
+            assert!(
+                changed.is_empty(),
+                "guest pages changed by the refused read ({sector}, {count}): {changed:?}"
+            );
+        }
     }
 }

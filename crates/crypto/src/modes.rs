@@ -110,28 +110,9 @@ impl SectorCipher {
         Ok(SectorCipher { cipher: Aes128::with_backend(kblk, backend)? })
     }
 
-    /// Encrypts one sector in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sector.len() != SECTOR_SIZE`.
-    pub fn encrypt_sector(&self, sector_no: u64, sector: &mut [u8]) {
-        self.apply(sector_no, sector);
-    }
-
-    /// Decrypts one sector in place (same keystream as encryption).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sector.len() != SECTOR_SIZE`.
-    pub fn decrypt_sector(&self, sector_no: u64, sector: &mut [u8]) {
-        self.apply(sector_no, sector);
-    }
-
     /// Encrypts a run of consecutive sectors in place, sector `i` of the
-    /// buffer being sector number `first_sector + i` on disk. Byte-identical
-    /// to calling [`SectorCipher::encrypt_sector`] per 512-byte chunk; the
-    /// batch entry point exists so a whole ring drain is one dispatch.
+    /// buffer being sector number `first_sector + i` on disk; a single
+    /// sector is a run of one.
     ///
     /// # Panics
     ///
@@ -159,11 +140,6 @@ impl SectorCipher {
             |i| (first_sector.wrapping_add(i / SECTOR_BLOCKS), i % SECTOR_BLOCKS),
             data,
         );
-    }
-
-    fn apply(&self, sector_no: u64, sector: &mut [u8]) {
-        assert_eq!(sector.len(), SECTOR_SIZE, "sector must be {SECTOR_SIZE} bytes");
-        ctr64(&self.cipher, |i| (sector_no, i), sector);
     }
 }
 
@@ -410,16 +386,16 @@ mod tests {
         let plain = [0xC3u8; SECTOR_SIZE];
         let mut s0 = plain;
         let mut s1 = plain;
-        sc.encrypt_sector(0, &mut s0);
-        sc.encrypt_sector(1, &mut s1);
+        sc.encrypt_sectors(0, &mut s0);
+        sc.encrypt_sectors(1, &mut s1);
         assert_ne!(s0, s1, "same plaintext in different sectors must differ");
-        sc.decrypt_sector(0, &mut s0);
+        sc.decrypt_sectors(0, &mut s0);
         assert_eq!(s0, plain);
     }
 
-    /// The batched multi-sector path must equal per-sector calls — this is
-    /// what keeps ciphertext byte-identical when the block front-end drains
-    /// a whole ring through one dispatch.
+    /// One run of sectors must equal the same sectors as runs of one —
+    /// this is what keeps ciphertext byte-identical when the block
+    /// front-end drains a whole ring through one dispatch.
     #[test]
     fn sector_batch_matches_per_sector() {
         let sc = SectorCipher::new(&[0x47u8; 16]);
@@ -428,7 +404,7 @@ mod tests {
         sc.encrypt_sectors(9, &mut batched);
         let mut manual = plain.clone();
         for (i, sector) in manual.chunks_exact_mut(SECTOR_SIZE).enumerate() {
-            sc.encrypt_sector(9 + i as u64, sector);
+            sc.encrypt_sectors(9 + i as u64, sector);
         }
         assert_eq!(batched, manual);
         sc.decrypt_sectors(9, &mut batched);
@@ -444,11 +420,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sector must be")]
+    #[should_panic(expected = "whole sectors")]
     fn sector_cipher_rejects_short_sector() {
         let sc = SectorCipher::new(&[0u8; 16]);
         let mut bad = [0u8; 100];
-        sc.encrypt_sector(0, &mut bad);
+        sc.encrypt_sectors(0, &mut bad);
     }
 
     #[test]

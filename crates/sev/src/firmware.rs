@@ -701,65 +701,6 @@ impl Firmware {
         Ok(IoHelpers { sdom, rdom })
     }
 
-    /// I/O write path: reads `len` bytes of `Kvek`-encrypted data at
-    /// `src_pa` (the guest's dedicated buffer `Md`) and writes
-    /// `Ktek`-encrypted data to `dst_pa` (the shared I/O buffer).
-    /// `stream` keys the CTR stream (use the sector number).
-    ///
-    /// # Errors
-    ///
-    /// Requires a `Sending`-state helper context.
-    pub fn io_encrypt(
-        &mut self,
-        machine: &mut Machine,
-        sdom: Handle,
-        src_pa: Hpa,
-        dst_pa: Hpa,
-        len: u64,
-        stream: u64,
-    ) -> Result<(), SevError> {
-        let (ciphers, _) = self.cached_ciphers(sdom, GuestState::Sending)?;
-        assert_eq!(len % 16, 0, "io length must be block aligned");
-        assert_eq!(src_pa.0 % 16, 0, "io buffers must be block aligned");
-        let mut buf = vec![0u8; len as usize];
-        let ciphertext = machine.mc.dram().raw_span(src_pa, buf.len()).map_err(SevError::Hw)?;
-        ciphers.engine.decrypt_blocks_to(src_pa.0, ciphertext, &mut buf);
-        let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
-        Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, &mut buf);
-        machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
-        charge_reencrypt(machine, len);
-        Ok(())
-    }
-
-    /// I/O read path: reads `Ktek`-encrypted data at `src_pa` (shared
-    /// buffer) and writes `Kvek`-encrypted data to `dst_pa` (the guest's
-    /// dedicated buffer).
-    ///
-    /// # Errors
-    ///
-    /// Requires a `Receiving`-state helper context.
-    pub fn io_decrypt(
-        &mut self,
-        machine: &mut Machine,
-        rdom: Handle,
-        src_pa: Hpa,
-        dst_pa: Hpa,
-        len: u64,
-        stream: u64,
-    ) -> Result<(), SevError> {
-        let (ciphers, _) = self.cached_ciphers(rdom, GuestState::Receiving)?;
-        assert_eq!(len % 16, 0, "io length must be block aligned");
-        assert_eq!(dst_pa.0 % 16, 0, "io buffers must be block aligned");
-        let mut buf = vec![0u8; len as usize];
-        machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
-        let tek = ciphers.tek.as_ref().expect("receiving state implies transport keys");
-        Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, &mut buf);
-        ciphers.engine.encrypt_blocks(dst_pa.0, &mut buf);
-        machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
-        charge_reencrypt(machine, len);
-        Ok(())
-    }
-
     /// The cached expanded key schedules for context `h`, validating its
     /// state. Built on first use; the `Kvek` is immutable and handle
     /// numbers are never reused, so the engine schedule cannot go stale.
@@ -787,19 +728,21 @@ impl Firmware {
         Ok((entry, ctx))
     }
 
-    /// Batched I/O write path: byte- and cycle-identical to `sectors`
-    /// consecutive [`Firmware::io_encrypt`] calls of one sector each
-    /// (sector `s` at `src_pa + 512·s` → `dst_pa + 512·s` with stream
-    /// `first_stream + s`), but the whole run moves through one DRAM read,
-    /// one streaming XEX pass over the cached `Kvek` schedule, per-sector
-    /// CTR runs over the borrowed `Ktek` schedule, and one DRAM write. The
-    /// source and destination runs must not overlap (they are the disjoint
-    /// `Md` and shared-buffer windows).
+    /// I/O write path (`SEND_UPDATE` on s-dom): re-encrypts `sectors`
+    /// whole sectors of `Kvek` ciphertext at `src_pa` (the guest's
+    /// dedicated buffer `Md`) into `Ktek` ciphertext at `dst_pa` (the
+    /// shared I/O buffer). Sector `s` moves from `src_pa + 512·s` to
+    /// `dst_pa + 512·s` under CTR stream `first_stream + s` (the sector
+    /// number); a single sector is a run of one. The whole run moves
+    /// through one DRAM read, one streaming XEX pass over the cached
+    /// `Kvek` schedule, per-sector CTR runs over the cached `Ktek`
+    /// schedule, and one DRAM write. The source and destination runs must
+    /// not overlap (they are the disjoint `Md` and shared-buffer windows).
     ///
     /// # Errors
     ///
     /// Requires a `Sending`-state helper context.
-    pub fn io_encrypt_sectors(
+    pub fn io_encrypt(
         &mut self,
         machine: &mut Machine,
         sdom: Handle,
@@ -831,13 +774,15 @@ impl Firmware {
         Ok(())
     }
 
-    /// Batched I/O read path; the mirror of
-    /// [`Firmware::io_encrypt_sectors`] over [`Firmware::io_decrypt`].
+    /// I/O read path (`RECEIVE_UPDATE` on r-dom): re-encrypts `sectors`
+    /// whole sectors of `Ktek` ciphertext at `src_pa` (the shared buffer)
+    /// into `Kvek` ciphertext at `dst_pa` (the guest's `Md`); the mirror
+    /// of [`Firmware::io_encrypt`].
     ///
     /// # Errors
     ///
     /// Requires a `Receiving`-state helper context.
-    pub fn io_decrypt_sectors(
+    pub fn io_decrypt(
         &mut self,
         machine: &mut Machine,
         rdom: Handle,
@@ -1028,28 +973,29 @@ mod tests {
         fw.activate(&mut m, h, Asid(4)).unwrap();
         let helpers = fw.create_io_helpers(h).unwrap();
 
-        // The guest writes plaintext through the engine at Md.
+        // The guest writes one sector of plaintext through the engine at Md.
         let md = Hpa(0x6000);
         let shared = Hpa(0x7000);
-        let md_back = Hpa(0x6800);
-        m.mc.write(md, b"disk sector data", EncSel::Guest(Asid(4))).unwrap();
+        let md_back = Hpa(0x8000);
+        let sector: Vec<u8> = b"disk sector data".iter().copied().cycle().take(512).collect();
+        m.mc.write(md, &sector, EncSel::Guest(Asid(4))).unwrap();
 
         // Fidelius: SEND_UPDATE (Kvek → Ktek) into the shared buffer.
-        fw.io_encrypt(&mut m, helpers.sdom, md, shared, 16, 5).unwrap();
-        let mut shared_raw = [0u8; 16];
+        fw.io_encrypt(&mut m, helpers.sdom, md, shared, 1, 5).unwrap();
+        let mut shared_raw = vec![0u8; 512];
         m.mc.dram().read_raw(shared, &mut shared_raw).unwrap();
-        assert_ne!(&shared_raw, b"disk sector data", "shared buffer holds Ktek ciphertext");
+        assert_ne!(shared_raw, sector, "shared buffer holds Ktek ciphertext");
 
         // Fidelius: RECEIVE_UPDATE (Ktek → Kvek) back into guest memory.
-        fw.io_decrypt(&mut m, helpers.rdom, shared, md_back, 16, 5).unwrap();
-        let mut plain = [0u8; 16];
+        fw.io_decrypt(&mut m, helpers.rdom, shared, md_back, 1, 5).unwrap();
+        let mut plain = vec![0u8; 512];
         m.mc.read(md_back, &mut plain, EncSel::Guest(Asid(4))).unwrap();
-        assert_eq!(&plain, b"disk sector data");
+        assert_eq!(plain, sector);
     }
 
-    /// The batched sector entry points must be byte- and cycle-identical
-    /// to the per-sector oracle loop — the contract the blkif batched
-    /// drain is built on.
+    /// A run of sectors must be byte- and cycle-identical to the same
+    /// sectors as runs of one — the contract `Fidelity::Reference` checks
+    /// the whole-stack SEV-API path against.
     #[test]
     fn io_sector_batch_matches_per_sector_oracle() {
         // Same seed + same command sequence → same helper keys on both
@@ -1072,37 +1018,30 @@ mod tests {
         mb.mc.dram_mut().write_raw(src, &data).unwrap();
 
         for s in 0..sectors {
-            fa.io_encrypt(&mut ma, ha.sdom, Hpa(src.0 + 512 * s), Hpa(dst.0 + 512 * s), 512, 9 + s)
+            fa.io_encrypt(&mut ma, ha.sdom, Hpa(src.0 + 512 * s), Hpa(dst.0 + 512 * s), 1, 9 + s)
                 .unwrap();
         }
-        fb.io_encrypt_sectors(&mut mb, hb.sdom, src, dst, sectors, 9).unwrap();
+        fb.io_encrypt(&mut mb, hb.sdom, src, dst, sectors, 9).unwrap();
         let mut ct_a = vec![0u8; data.len()];
         let mut ct_b = vec![0u8; data.len()];
         ma.mc.dram().read_raw(dst, &mut ct_a).unwrap();
         mb.mc.dram().read_raw(dst, &mut ct_b).unwrap();
-        assert_eq!(ct_a, ct_b, "batched ciphertext must match per-sector");
+        assert_eq!(ct_a, ct_b, "one run must encrypt as four runs of one");
 
         for s in 0..sectors {
-            fa.io_decrypt(
-                &mut ma,
-                ha.rdom,
-                Hpa(dst.0 + 512 * s),
-                Hpa(back.0 + 512 * s),
-                512,
-                9 + s,
-            )
-            .unwrap();
+            fa.io_decrypt(&mut ma, ha.rdom, Hpa(dst.0 + 512 * s), Hpa(back.0 + 512 * s), 1, 9 + s)
+                .unwrap();
         }
-        fb.io_decrypt_sectors(&mut mb, hb.rdom, dst, back, sectors, 9).unwrap();
+        fb.io_decrypt(&mut mb, hb.rdom, dst, back, sectors, 9).unwrap();
         let mut pt_a = vec![0u8; data.len()];
         let mut pt_b = vec![0u8; data.len()];
         ma.mc.dram().read_raw(back, &mut pt_a).unwrap();
         mb.mc.dram().read_raw(back, &mut pt_b).unwrap();
-        assert_eq!(pt_a, pt_b, "batched re-encryption must match per-sector");
+        assert_eq!(pt_a, pt_b, "one run must re-encrypt as four runs of one");
         assert_eq!(
             ma.cycles.total_f64(),
             mb.cycles.total_f64(),
-            "batched path must charge identical modeled cycles"
+            "one run must charge what four runs of one charge"
         );
     }
 
@@ -1120,8 +1059,8 @@ mod tests {
         fw.launch_finish(h).unwrap();
         let helpers = fw.create_io_helpers(h).unwrap();
         // io_decrypt on the sending helper must fail, and vice versa.
-        assert!(fw.io_decrypt(&mut m, helpers.sdom, Hpa(0), Hpa(16), 16, 0).is_err());
-        assert!(fw.io_encrypt(&mut m, helpers.rdom, Hpa(0), Hpa(16), 16, 0).is_err());
+        assert!(fw.io_decrypt(&mut m, helpers.sdom, Hpa(0), Hpa(0x1000), 1, 0).is_err());
+        assert!(fw.io_encrypt(&mut m, helpers.rdom, Hpa(0), Hpa(0x1000), 1, 0).is_err());
     }
 
     /// Attestation rollback at the firmware layer: a session blob consumed

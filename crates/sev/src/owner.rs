@@ -105,16 +105,13 @@ impl GuestOwner {
         self.rng.next_key128()
     }
 
-    /// Encrypts a raw disk image sector by sector under `kblk`. The input
-    /// is padded to whole sectors.
+    /// Encrypts a raw disk image under `kblk`, sector `i` of the image
+    /// being disk sector `i`. The input is padded to whole sectors.
     pub fn encrypt_disk_image(kblk: &Key128, plain: &[u8]) -> Vec<u8> {
         let nsectors = plain.len().div_ceil(SECTOR_SIZE).max(1);
         let mut padded = plain.to_vec();
         padded.resize(nsectors * SECTOR_SIZE, 0);
-        let cipher = SectorCipher::new(kblk);
-        for (i, sector) in padded.chunks_mut(SECTOR_SIZE).enumerate() {
-            cipher.encrypt_sector(i as u64, sector);
-        }
+        SectorCipher::new(kblk).encrypt_sectors(0, &mut padded);
         padded
     }
 }
@@ -193,11 +190,11 @@ mod tests {
         let enc = GuestOwner::encrypt_disk_image(&kblk, &plain);
         assert_eq!(enc.len(), 2 * SECTOR_SIZE);
         assert_ne!(&enc[..19], &plain[..19]);
-        // Decrypt with SectorCipher to verify format.
+        // Decrypt sector by sector (runs of one) to verify the numbering.
         let cipher = SectorCipher::new(&kblk);
         let mut dec = enc.clone();
         for (i, s) in dec.chunks_mut(SECTOR_SIZE).enumerate() {
-            cipher.decrypt_sector(i as u64, s);
+            cipher.decrypt_sectors(i as u64, s);
         }
         assert_eq!(&dec[..plain.len()], plain.as_slice());
     }

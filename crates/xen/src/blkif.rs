@@ -107,6 +107,10 @@ pub enum BlkStatus {
     Error = 2,
 }
 
+/// The statuses one drain published, as `(ring index, status)` in ring
+/// order.
+pub type Published = Vec<(u64, BlkStatus)>;
+
 /// Byte offset of slot `i` within the ring page.
 pub fn slot_offset(i: u64) -> u64 {
     SLOTS_BASE + (i % RING_SLOTS) * SLOT_SIZE
@@ -257,8 +261,8 @@ impl BlockBackend {
         (end <= mapped as u64).then_some(buf_page as usize..end as usize)
     }
 
-    /// Processes all outstanding requests on queue `q`. Returns how many
-    /// were handled.
+    /// Processes all outstanding requests on queue `q`. Returns the status
+    /// it published for each.
     ///
     /// The back-end runs in dom0 / host context: it accesses the shared
     /// pages through its own mappings of the granted frames.
@@ -267,7 +271,7 @@ impl BlockBackend {
     ///
     /// Access faults (e.g. if protection revoked the mapping) and typed
     /// fail-closed refusals.
-    pub fn process_queue(&mut self, plat: &mut Platform, q: usize) -> Result<u64, XenError> {
+    pub fn process_queue(&mut self, plat: &mut Platform, q: usize) -> Result<Published, XenError> {
         let args = [("queue", ArgValue::U64(q as u64))];
         scope(plat, Site::new(SpanKind::BlkifDrain, "blkif:drain").args(&args), |plat| {
             match plat.machine.fidelity() {
@@ -309,11 +313,12 @@ impl BlockBackend {
 
     // ----- the seed's one-request-at-a-time reference drain -------------
 
-    fn drain_reference(&mut self, plat: &mut Platform, qi: usize) -> Result<u64, XenError> {
+    fn drain_reference(&mut self, plat: &mut Platform, qi: usize) -> Result<Published, XenError> {
         let (ring, req_prod) = self.open_window(plat, qi)?;
-        let mut handled = 0;
+        let mut published = Vec::new();
         while self.queues[qi].req_cons < req_prod {
-            let slot = slot_offset(self.queues[qi].req_cons);
+            let index = self.queues[qi].req_cons;
+            let slot = slot_offset(index);
             let id = plat.machine.host_read_u64(direct_map(ring.add(slot)))?;
             let op = plat.machine.host_read_u64(direct_map(ring.add(slot + 8)))?;
             let sector = plat.machine.host_read_u64(direct_map(ring.add(slot + 16)))?;
@@ -325,12 +330,12 @@ impl BlockBackend {
             })?;
             plat.machine.host_write_u64(direct_map(ring.add(slot + 40)), status as u64)?;
             self.queues[qi].req_cons += 1;
-            handled += 1;
+            published.push((index, status));
         }
         // Publish responses.
         plat.machine
             .host_write_u64(direct_map(ring.add(OFF_RSP_PROD)), self.queues[qi].req_cons)?;
-        Ok(handled)
+        Ok(published)
     }
 
     /// Runs `body` under one request's `blkif:{read,write,unknown}` span.
@@ -438,7 +443,7 @@ impl BlockBackend {
         }
     }
 
-    fn drain_batched(&mut self, plat: &mut Platform, qi: usize) -> Result<u64, XenError> {
+    fn drain_batched(&mut self, plat: &mut Platform, qi: usize) -> Result<Published, XenError> {
         // Snapshot the window. Everything the reference drain charges per
         // request is charged here too, just hoisted: the multiset of
         // translated accesses (and therefore modeled cycles and TLB
@@ -534,7 +539,7 @@ impl BlockBackend {
         }
         self.queues[qi].req_cons = req_prod;
         plat.machine.host_write_u64(direct_map(ring.add(OFF_RSP_PROD)), req_prod)?;
-        Ok(plans.len() as u64)
+        Ok((req_cons..).zip(plans.iter().map(|p| p.status)).collect())
     }
 
     /// Moves one validated request's data between the disk image and the

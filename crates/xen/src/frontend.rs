@@ -192,8 +192,8 @@ impl FrontEnd {
             IoPath::AesNi | IoPath::SoftCrypto => {
                 let cipher = self.kblk.as_ref().expect("AES path has Kblk");
                 let mut ct = data.to_vec();
-                // One batch dispatch for the whole run; byte-identical to
-                // the per-sector loop by SectorCipher's contract.
+                // The whole run in one call; each sector keeps its own
+                // CTR stream, its sector number.
                 cipher.encrypt_sectors(sector, &mut ct);
                 self.charge_aes(machine, data.len());
                 machine.guest_write_gpa(buf_gpa, &ct, false)?;

@@ -6,6 +6,7 @@ use crate::domain::{Domain, DomainId};
 use crate::grants::{GrantEntry, GRANT_ENTRY_SIZE, GRANT_TABLE_ENTRIES};
 use crate::layout::{direct_map, InstrSites};
 use crate::platform::Platform;
+use fidelius_crypto::modes::SECTOR_SIZE;
 use fidelius_hw::cpu::PrivOp;
 use fidelius_hw::{Fault, Hpa, HwError};
 use fidelius_sev::SevError;
@@ -184,7 +185,10 @@ pub trait Guardian {
     fn exec_priv(&mut self, plat: &mut Platform, op: PrivOp) -> Result<(), GuardError>;
 
     /// The PV I/O data transform between a guest buffer and the shared
-    /// I/O buffer (the paper's SEV-based I/O path runs here).
+    /// I/O buffer (the paper's SEV-based I/O path runs here), over a run
+    /// of `sectors` contiguous sectors: sector `s` moves from
+    /// `src_pa + 512·s` to `dst_pa + 512·s` with stream id
+    /// `first_stream + s`. A single sector is a run of one.
     ///
     /// # Errors
     ///
@@ -197,44 +201,9 @@ pub trait Guardian {
         dir: IoDir,
         src_pa: Hpa,
         dst_pa: Hpa,
-        len: u64,
-        stream: u64,
-    ) -> Result<(), GuardError>;
-
-    /// The PV I/O transform over a run of `sectors` contiguous sectors:
-    /// sector `s` moves from `src_pa + 512·s` to `dst_pa + 512·s` with
-    /// stream id `first_stream + s`. The default loops
-    /// [`Guardian::io_transform`] per sector; guardians with batched
-    /// crypto override it with a byte- and cycle-identical fast path.
-    ///
-    /// # Errors
-    ///
-    /// Faults and SEV command failures.
-    #[allow(clippy::too_many_arguments)]
-    fn io_transform_run(
-        &mut self,
-        plat: &mut Platform,
-        dom: DomainId,
-        dir: IoDir,
-        src_pa: Hpa,
-        dst_pa: Hpa,
         sectors: u64,
         first_stream: u64,
-    ) -> Result<(), GuardError> {
-        let sz = fidelius_crypto::modes::SECTOR_SIZE as u64;
-        for s in 0..sectors {
-            self.io_transform(
-                plat,
-                dom,
-                dir,
-                Hpa(src_pa.0 + s * sz),
-                Hpa(dst_pa.0 + s * sz),
-                sz,
-                first_stream + s,
-            )?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), GuardError>;
 
     /// A domain was created (VMCB/NPT pages exist; frames may follow).
     ///
@@ -392,13 +361,16 @@ impl Guardian for Unprotected {
         _dir: IoDir,
         src_pa: Hpa,
         dst_pa: Hpa,
-        len: u64,
-        _stream: u64,
+        sectors: u64,
+        _first_stream: u64,
     ) -> Result<(), GuardError> {
-        // No protection: plain copy between the buffers.
-        let mut buf = vec![0u8; len as usize];
-        plat.machine.host_read(direct_map(src_pa), &mut buf)?;
-        plat.machine.host_write(direct_map(dst_pa), &buf)?;
+        // No protection: a plain copy between the buffers, one sector at
+        // a time (each sector's host access pays its own translation).
+        let mut buf = [0u8; SECTOR_SIZE];
+        for off in (0..sectors).map(|s| s * SECTOR_SIZE as u64) {
+            plat.machine.host_read(direct_map(Hpa(src_pa.0 + off)), &mut buf)?;
+            plat.machine.host_write(direct_map(Hpa(dst_pa.0 + off)), &buf)?;
+        }
         Ok(())
     }
 

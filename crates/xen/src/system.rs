@@ -777,14 +777,12 @@ impl System {
     /// the request's staging window starting at buffer page `buf_page`
     /// (batched dispatch places requests side by side).
     ///
-    /// Contiguous in-page sector runs go through the guardian's batched
-    /// [`Guardian::io_transform_run`] entry point — one dispatch per page
-    /// instead of one per sector, with ciphertext and modeled cycles
-    /// bit-identical by the firmware's batch contract. Under
-    /// [`Fidelity::Reference`] it runs the per-sector loop instead, so the
-    /// reference covers the whole datapath.
+    /// Each contiguous in-page sector run is one [`Guardian::io_transform`]
+    /// command. Under [`Fidelity::Reference`] every run is one sector
+    /// long, so the reference compares one command per sector against one
+    /// per page over the whole datapath.
     ///
-    /// [`Guardian::io_transform_run`]: crate::guardian::Guardian::io_transform_run
+    /// [`Guardian::io_transform`]: crate::guardian::Guardian::io_transform
     fn sev_io_transform_at(
         &mut self,
         dom: DomainId,
@@ -814,27 +812,7 @@ impl System {
                 IoDir::GuestToShared => (md_frame.add(in_page), buf_frame.add(in_page)),
                 IoDir::SharedToGuest => (buf_frame.add(in_page), md_frame.add(in_page)),
             };
-            if !fast {
-                self.guardian.io_transform(
-                    &mut self.plat,
-                    dom,
-                    dir,
-                    src,
-                    dst,
-                    SECTOR_SIZE as u64,
-                    sector + s,
-                )?;
-            } else {
-                self.guardian.io_transform_run(
-                    &mut self.plat,
-                    dom,
-                    dir,
-                    src,
-                    dst,
-                    run,
-                    sector + s,
-                )?;
-            }
+            self.guardian.io_transform(&mut self.plat, dom, dir, src, dst, run, sector + s)?;
             s += run;
         }
         Ok(())
@@ -924,10 +902,16 @@ impl System {
                 }
             }
         }
-        self.xen.backend.process_queue(&mut self.plat, q as usize)?;
+        let published = self.xen.backend.process_queue(&mut self.plat, q as usize)?;
         if uses_md {
-            for (op, (_, buf_page)) in ops.iter().zip(&slots) {
+            // Only a read the back-end answered `Ok` has data in the shared
+            // buffer; transforming a refused one would overwrite `Md` with
+            // the buffer's stale contents.
+            for (op, (slot, buf_page)) in ops.iter().zip(&slots) {
                 if let BatchOp::Read { sector, count } = op {
+                    if !published.contains(&(*slot, BlkStatus::Ok)) {
+                        continue;
+                    }
                     self.sev_io_transform_at(
                         dom,
                         IoDir::SharedToGuest,

@@ -186,7 +186,7 @@ fn guest_buf_page_overflow_fails_its_request() {
         raw_slot(&mut sys, dom, WORD_BUF_PAGE, u64::MAX, &mut obs);
         obs
     });
-    assert_eq!(obs.steps[..2], ["drain: Ok(1)", "status: Ok(Error)"]);
+    assert_eq!(obs.steps[..2], ["drain: Ok([(0, Error)])", "status: Ok(Error)"]);
 }
 
 #[test]
@@ -205,5 +205,5 @@ fn unknown_op_is_refused_before_grant_checks() {
         raw_slot(&mut sys, dom, WORD_OP, BlkOp::Write as u64 + 6, &mut obs);
         obs
     });
-    assert_eq!(obs.steps, ["drain: Ok(1)", "status: Ok(Error)", "denials: 0"]);
+    assert_eq!(obs.steps, ["drain: Ok([(0, Error)])", "status: Ok(Error)", "denials: 0"]);
 }

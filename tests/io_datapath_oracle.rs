@@ -14,7 +14,8 @@
 //! external dependencies. The mixes deliberately include overlapping
 //! sectors (read-after-write inside one window), cross-page sector runs,
 //! and out-of-range requests (which must fail their own slot without
-//! hurting their neighbours).
+//! hurting their neighbours). The SEV-API path runs under both its
+//! guardians: Fidelius's SEV commands and vanilla Xen's plain copy.
 
 use fidelius::core::lifecycle::boot_encrypted_guest;
 use fidelius::core::Fidelius;
@@ -50,10 +51,21 @@ impl Rng {
 /// overlapping and out-of-range draws are frequent.
 const DISK_SECTORS: u64 = 96;
 
-fn build(path: IoPath, queues: u64) -> (System, DomainId) {
+/// The guardian a differential system runs under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Guard {
+    /// An SEV-encrypted guest under Fidelius.
+    Fidelius,
+    /// A plain guest under vanilla Xen.
+    Unprotected,
+}
+
+fn build(guard: Guard, path: IoPath, queues: u64) -> (System, DomainId) {
     let disk = vec![0u8; (DISK_SECTORS as usize) * SECTOR_SIZE];
-    let (mut sys, dom) = if path == IoPath::SevApi {
+    if path == IoPath::SevApi {
         assert_eq!(queues, 1, "SEV-API path is single-queue");
+    }
+    let (mut sys, dom) = if guard == Guard::Fidelius {
         let mut sys = System::new(32 * 1024 * 1024, 0xD1FF, Box::new(Fidelius::new())).unwrap();
         let mut owner = GuestOwner::new(0xD1FF);
         let image = owner.package_image(&[0x90], &sys.plat.firmware.pdh_public());
@@ -113,8 +125,15 @@ struct Observed {
 /// Runs `windows` randomized ring windows from `seed` through `path`
 /// under `fidelity`. The submitted stream is identical between modes
 /// (same RNG, same windows, same queues) — only the internals differ.
-fn run_mix(path: IoPath, queues: u64, seed: u64, windows: u64, fidelity: Fidelity) -> Observed {
-    let (mut sys, dom) = build(path, queues);
+fn run_mix(
+    guard: Guard,
+    path: IoPath,
+    queues: u64,
+    seed: u64,
+    windows: u64,
+    fidelity: Fidelity,
+) -> Observed {
+    let (mut sys, dom) = build(guard, path, queues);
     sys.plat.machine.set_fidelity(fidelity);
     let mut rng = Rng::new(seed);
     let mut results = Vec::new();
@@ -132,23 +151,23 @@ fn run_mix(path: IoPath, queues: u64, seed: u64, windows: u64, fidelity: Fidelit
 }
 
 /// Runs the same seeded mix both ways and asserts exact equivalence.
-fn assert_modes_identical(path: IoPath, queues: u64, seed: u64, windows: u64) {
-    let batched = run_mix(path, queues, seed, windows, Fidelity::Fast);
-    let oracle = run_mix(path, queues, seed, windows, Fidelity::Reference);
+fn assert_modes_identical(guard: Guard, path: IoPath, queues: u64, seed: u64, windows: u64) {
+    let batched = run_mix(guard, path, queues, seed, windows, Fidelity::Fast);
+    let oracle = run_mix(guard, path, queues, seed, windows, Fidelity::Reference);
     for (w, (b, o)) in batched.results.iter().zip(&oracle.results).enumerate() {
-        assert_eq!(b, o, "{path:?} seed {seed} window {w}: statuses/payloads diverge");
+        assert_eq!(b, o, "{guard:?} {path:?} seed {seed} window {w}: statuses/payloads diverge");
     }
     assert_eq!(batched.results.len(), oracle.results.len());
-    assert_eq!(batched.disk, oracle.disk, "{path:?} seed {seed}: disk images diverge");
+    assert_eq!(batched.disk, oracle.disk, "{guard:?} {path:?} seed {seed}: disk images diverge");
     assert!(
         batched.cycles == oracle.cycles,
-        "{path:?} seed {seed}: modeled cycles diverge (batched {} vs oracle {})",
+        "{guard:?} {path:?} seed {seed}: modeled cycles diverge (batched {} vs oracle {})",
         batched.cycles,
         oracle.cycles
     );
     assert_eq!(
         batched.telemetry, oracle.telemetry,
-        "{path:?} seed {seed}: telemetry snapshots diverge"
+        "{guard:?} {path:?} seed {seed}: telemetry snapshots diverge"
     );
     // The mixes must actually exercise both outcomes.
     let statuses: Vec<BlkStatus> =
@@ -160,26 +179,35 @@ fn assert_modes_identical(path: IoPath, queues: u64, seed: u64, windows: u64) {
 #[test]
 fn plain_multi_queue_mix_matches_oracle() {
     for seed in [0xA11CE, 0xB0B, 0xC0FFEE, 0xD00D] {
-        assert_modes_identical(IoPath::Plain, 3, seed, 12);
+        assert_modes_identical(Guard::Unprotected, IoPath::Plain, 3, seed, 12);
     }
 }
 
 #[test]
 fn aesni_multi_queue_mix_matches_oracle() {
     for seed in [0xFEED, 0xFACE] {
-        assert_modes_identical(IoPath::AesNi, 2, seed, 10);
+        assert_modes_identical(Guard::Unprotected, IoPath::AesNi, 2, seed, 10);
     }
 }
 
 #[test]
 fn sev_api_single_queue_mix_matches_oracle() {
     for seed in [0x5E7, 0x5EED] {
-        assert_modes_identical(IoPath::SevApi, 1, seed, 8);
+        assert_modes_identical(Guard::Fidelius, IoPath::SevApi, 1, seed, 8);
+    }
+}
+
+/// The SEV-API path on a vanilla-Xen guest: `Unprotected`'s plain copy
+/// over a run of sectors must charge exactly what runs of one charge.
+#[test]
+fn sev_api_unprotected_mix_matches_oracle() {
+    for seed in [0x5E7, 0x5EED] {
+        assert_modes_identical(Guard::Unprotected, IoPath::SevApi, 1, seed, 8);
     }
 }
 
 #[test]
 fn single_queue_plain_mix_matches_oracle() {
     // The legacy shape: one queue, exactly the seed's window.
-    assert_modes_identical(IoPath::Plain, 1, 0x1, 16);
+    assert_modes_identical(Guard::Unprotected, IoPath::Plain, 1, 0x1, 16);
 }

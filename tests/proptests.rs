@@ -96,9 +96,9 @@ fn sector_cipher_roundtrips_and_differs() {
         let sc = SectorCipher::new(&key);
         let plain = [byte; SECTOR_SIZE];
         let mut s = plain;
-        sc.encrypt_sector(sector_no, &mut s);
+        sc.encrypt_sectors(sector_no, &mut s);
         assert_ne!(s, plain);
-        sc.decrypt_sector(sector_no, &mut s);
+        sc.decrypt_sectors(sector_no, &mut s);
         assert_eq!(s, plain);
     }
 }
