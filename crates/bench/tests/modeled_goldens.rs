@@ -13,8 +13,13 @@
 //! - `attack_matrix.jsonl` — `attack_matrix --json`: every attack against
 //!   every defense (vanilla Xen, SEV, SEV-ES, Fidelius), which drives the
 //!   `Unprotected`, `SevEsSim` and Fidelius guardians end to end.
+//! - `micro_shadow.jsonl` — `micro_shadow --json`: the void-hypercall
+//!   round trip with and without Fidelius, and the share of it spent
+//!   shadowing and checking the VMCB (paper Micro 2).
+//! - `micro_gates.jsonl` — `micro_gates --json`: the cost of each gate
+//!   type (paper Micro 1).
 //!
-//! To regenerate all four after a change that means to move them (and
+//! To regenerate all six after a change that means to move them (and
 //! explain each moved line in CHANGES.md):
 //!
 //! ```text
@@ -42,6 +47,14 @@ fn render_io_stream() -> String {
 
 fn render_attack_matrix() -> String {
     render_json(env!("CARGO_BIN_EXE_attack_matrix"))
+}
+
+fn render_micro_shadow() -> String {
+    render_json(env!("CARGO_BIN_EXE_micro_shadow"))
+}
+
+fn render_micro_gates() -> String {
+    render_json(env!("CARGO_BIN_EXE_micro_gates"))
 }
 
 fn render_matrix(seeds: u64) -> String {
@@ -80,6 +93,16 @@ fn attack_matrix_matches_golden() {
 }
 
 #[test]
+fn micro_shadow_matches_golden() {
+    check("micro_shadow.jsonl", &render_micro_shadow());
+}
+
+#[test]
+fn micro_gates_matches_golden() {
+    check("micro_gates.jsonl", &render_micro_gates());
+}
+
+#[test]
 fn fault_matrix_matches_golden() {
     check("fault_matrix_8.jsonl", &render_matrix(8));
 }
@@ -90,6 +113,8 @@ fn regenerate() {
     std::fs::create_dir_all(GOLDEN_DIR).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/io_stream.jsonl"), render_io_stream()).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/attack_matrix.jsonl"), render_attack_matrix()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/micro_shadow.jsonl"), render_micro_shadow()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/micro_gates.jsonl"), render_micro_gates()).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/fault_matrix_8.jsonl"), render_matrix(8)).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/fault_matrix_64.jsonl"), render_matrix(64)).unwrap();
 }

@@ -13,90 +13,91 @@
 use fidelius_hw::regs::Gpr;
 use fidelius_hw::vmcb::{ExitCode, VmcbField, VmcbImage, ALL_FIELDS};
 
-/// Per-exit-reason visibility and writability policy.
-#[derive(Debug, Clone)]
+/// Per-exit-reason visibility and writability policy: four static
+/// tables and an instruction length.
+#[derive(Debug, Clone, Copy)]
 pub struct ExitPolicy {
     /// VMCB fields left visible (unmasked) to the hypervisor.
-    pub visible_fields: Vec<VmcbField>,
+    pub visible_fields: &'static [VmcbField],
     /// VMCB fields the hypervisor may legitimately update before re-entry.
-    pub writable_fields: Vec<VmcbField>,
+    pub writable_fields: &'static [VmcbField],
     /// GPRs left visible.
-    pub visible_gprs: Vec<Gpr>,
+    pub visible_gprs: &'static [Gpr],
     /// GPRs whose hypervisor-written values are merged back into the guest.
-    pub writable_gprs: Vec<Gpr>,
+    pub writable_gprs: &'static [Gpr],
     /// Instruction length for the RIP-advance check (0 = RIP not
     /// writable).
     pub insn_len: u64,
 }
 
-/// Control fields are always visible (the hypervisor legitimately reads
-/// them) but never writable behind Fidelius's back.
-const CONTROL_FIELDS: [VmcbField; 5] = [
+/// What an emulated instruction's exit shows: the control fields (the
+/// hypervisor legitimately reads them, but may never write them behind
+/// Fidelius's back), the exit code and info fields, and the RIP and RAX
+/// the instruction updates.
+const INSN_VISIBLE: &[VmcbField] = &[
     VmcbField::Intercepts,
     VmcbField::Asid,
     VmcbField::NpEnable,
     VmcbField::NCr3,
     VmcbField::SevEnable,
+    VmcbField::ExitCode,
+    VmcbField::ExitInfo1,
+    VmcbField::ExitInfo2,
+    VmcbField::Rip,
+    VmcbField::Rax,
 ];
+
+/// What every exit shows: [`INSN_VISIBLE`] without RIP and RAX.
+const BASE_VISIBLE: &[VmcbField] = INSN_VISIBLE.split_at(8).0;
+
+/// An exit that hides all guest state and lets nothing be written.
+const SEALED: ExitPolicy = ExitPolicy {
+    visible_fields: BASE_VISIBLE,
+    writable_fields: &[],
+    visible_gprs: &[],
+    writable_gprs: &[],
+    insn_len: 0,
+};
 
 /// Returns the masking/verification policy for an exit reason, following
 /// §5.1: e.g. for CPUID "all states are masked except for specific four
 /// registers" and "only those four registers can be updated by the
 /// hypervisor"; for a nested page fault "mask all guest states since the
 /// fault address used by hypervisor is in the exitinfo field".
-pub fn policy_for(exit: ExitCode) -> ExitPolicy {
-    let mut base_visible: Vec<VmcbField> = CONTROL_FIELDS.to_vec();
-    base_visible.extend([VmcbField::ExitCode, VmcbField::ExitInfo1, VmcbField::ExitInfo2]);
+pub const fn policy_for(exit: ExitCode) -> ExitPolicy {
     match exit {
         ExitCode::Cpuid => ExitPolicy {
-            visible_fields: with(base_visible, &[VmcbField::Rip, VmcbField::Rax]),
-            writable_fields: vec![VmcbField::Rip, VmcbField::Rax],
-            visible_gprs: vec![Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx],
-            writable_gprs: vec![Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx],
+            visible_fields: INSN_VISIBLE,
+            writable_fields: &[VmcbField::Rip, VmcbField::Rax],
+            visible_gprs: &[Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx],
+            writable_gprs: &[Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx],
             insn_len: 2,
         },
         ExitCode::Vmmcall => ExitPolicy {
-            visible_fields: with(base_visible, &[VmcbField::Rip, VmcbField::Rax]),
-            writable_fields: vec![VmcbField::Rip, VmcbField::Rax],
-            visible_gprs: vec![Gpr::Rax, Gpr::Rdi, Gpr::Rsi, Gpr::Rdx, Gpr::R10],
-            writable_gprs: vec![Gpr::Rax],
+            visible_fields: INSN_VISIBLE,
+            writable_fields: &[VmcbField::Rip, VmcbField::Rax],
+            visible_gprs: &[Gpr::Rax, Gpr::Rdi, Gpr::Rsi, Gpr::Rdx, Gpr::R10],
+            writable_gprs: &[Gpr::Rax],
             insn_len: 3,
         },
-        ExitCode::NestedPageFault => ExitPolicy {
-            // All guest state masked; the fault address is in exitinfo.
-            visible_fields: base_visible,
-            writable_fields: vec![],
-            visible_gprs: vec![],
-            writable_gprs: vec![],
-            insn_len: 0,
-        },
-        ExitCode::Hlt | ExitCode::Intr | ExitCode::Shutdown => ExitPolicy {
-            visible_fields: base_visible,
-            writable_fields: if exit == ExitCode::Hlt { vec![VmcbField::Rip] } else { vec![] },
-            visible_gprs: vec![],
-            writable_gprs: vec![],
-            insn_len: if exit == ExitCode::Hlt { 1 } else { 0 },
-        },
+        // All guest state masked; the fault address is in exitinfo.
+        ExitCode::NestedPageFault | ExitCode::Intr | ExitCode::Shutdown => SEALED,
+        ExitCode::Hlt => ExitPolicy { writable_fields: &[VmcbField::Rip], insn_len: 1, ..SEALED },
         ExitCode::Msr => ExitPolicy {
-            visible_fields: with(base_visible, &[VmcbField::Rip, VmcbField::Rax]),
-            writable_fields: vec![VmcbField::Rip, VmcbField::Rax],
-            visible_gprs: vec![Gpr::Rax, Gpr::Rcx, Gpr::Rdx],
-            writable_gprs: vec![Gpr::Rax, Gpr::Rdx],
+            visible_fields: INSN_VISIBLE,
+            writable_fields: &[VmcbField::Rip, VmcbField::Rax],
+            visible_gprs: &[Gpr::Rax, Gpr::Rcx, Gpr::Rdx],
+            writable_gprs: &[Gpr::Rax, Gpr::Rdx],
             insn_len: 2,
         },
         ExitCode::IoPort => ExitPolicy {
-            visible_fields: with(base_visible, &[VmcbField::Rip, VmcbField::Rax]),
-            writable_fields: vec![VmcbField::Rip, VmcbField::Rax],
-            visible_gprs: vec![Gpr::Rax, Gpr::Rdx],
-            writable_gprs: vec![Gpr::Rax],
+            visible_fields: INSN_VISIBLE,
+            writable_fields: &[VmcbField::Rip, VmcbField::Rax],
+            visible_gprs: &[Gpr::Rax, Gpr::Rdx],
+            writable_gprs: &[Gpr::Rax],
             insn_len: 2,
         },
     }
-}
-
-fn with(mut base: Vec<VmcbField>, extra: &[VmcbField]) -> Vec<VmcbField> {
-    base.extend_from_slice(extra);
-    base
 }
 
 /// The private shadow of one domain's guest state.
@@ -114,7 +115,7 @@ pub struct ShadowCtx {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
     /// No illegal modification; the merged image to run is returned.
-    Clean(Box<VmcbImage>),
+    Clean(VmcbImage),
     /// A field outside the allowed set was modified.
     IllegalField(VmcbField),
     /// RIP was updated to something other than "advance past the exited
@@ -138,7 +139,7 @@ impl ShadowCtx {
     pub fn masked_vmcb(&self) -> VmcbImage {
         let pol = policy_for(self.exit);
         let mut img = self.vmcb;
-        img.mask_except(&pol.visible_fields);
+        img.mask_except(pol.visible_fields);
         img
     }
 
@@ -146,7 +147,7 @@ impl ShadowCtx {
     pub fn masked_gprs(&self) -> [u64; 16] {
         let pol = policy_for(self.exit);
         let mut out = [0u64; 16];
-        for g in pol.visible_gprs {
+        for &g in pol.visible_gprs {
             out[g as usize] = self.gprs[g as usize];
         }
         out
@@ -178,7 +179,7 @@ impl ShadowCtx {
             }
             merged.set(f, new);
         }
-        Verdict::Clean(Box::new(merged))
+        Verdict::Clean(merged)
     }
 
     /// The register file to hand back to the guest: the shadow, with the
@@ -186,7 +187,7 @@ impl ShadowCtx {
     pub fn merged_gprs(&self, hypervisor_regs: &[u64; 16]) -> [u64; 16] {
         let pol = policy_for(self.exit);
         let mut out = self.gprs;
-        for g in pol.writable_gprs {
+        for &g in pol.writable_gprs {
             out[g as usize] = hypervisor_regs[g as usize];
         }
         out
@@ -320,6 +321,95 @@ mod tests {
         let merged = sh.merged_gprs(&hv);
         assert_eq!(merged[Gpr::Rax as usize], 0x999, "hypercall return merged");
         assert_eq!(merged[Gpr::Rbx as usize], 0x111, "other registers restored");
+    }
+
+    #[test]
+    fn exit_policy_table_row_by_row() {
+        use Gpr as G;
+        use VmcbField as F;
+        // The five control fields and three exit-info fields every exit
+        // shows, then each exit's own extras.
+        const BASE: &[F] = &[
+            F::Intercepts,
+            F::Asid,
+            F::NpEnable,
+            F::NCr3,
+            F::SevEnable,
+            F::ExitCode,
+            F::ExitInfo1,
+            F::ExitInfo2,
+        ];
+        const BASE_RIP_RAX: &[F] = &[
+            F::Intercepts,
+            F::Asid,
+            F::NpEnable,
+            F::NCr3,
+            F::SevEnable,
+            F::ExitCode,
+            F::ExitInfo1,
+            F::ExitInfo2,
+            F::Rip,
+            F::Rax,
+        ];
+        // (exit, visible fields, writable fields, visible GPRs, writable GPRs, insn_len)
+        type Row = (ExitCode, &'static [F], &'static [F], &'static [G], &'static [G], u64);
+        let rows: [Row; 8] = [
+            (
+                ExitCode::Cpuid,
+                BASE_RIP_RAX,
+                &[F::Rip, F::Rax],
+                &[G::Rax, G::Rbx, G::Rcx, G::Rdx],
+                &[G::Rax, G::Rbx, G::Rcx, G::Rdx],
+                2,
+            ),
+            (
+                ExitCode::Vmmcall,
+                BASE_RIP_RAX,
+                &[F::Rip, F::Rax],
+                &[G::Rax, G::Rdi, G::Rsi, G::Rdx, G::R10],
+                &[G::Rax],
+                3,
+            ),
+            (ExitCode::NestedPageFault, BASE, &[], &[], &[], 0),
+            (ExitCode::Hlt, BASE, &[F::Rip], &[], &[], 1),
+            (ExitCode::Intr, BASE, &[], &[], &[], 0),
+            (ExitCode::Shutdown, BASE, &[], &[], &[], 0),
+            (
+                ExitCode::Msr,
+                BASE_RIP_RAX,
+                &[F::Rip, F::Rax],
+                &[G::Rax, G::Rcx, G::Rdx],
+                &[G::Rax, G::Rdx],
+                2,
+            ),
+            (ExitCode::IoPort, BASE_RIP_RAX, &[F::Rip, F::Rax], &[G::Rax, G::Rdx], &[G::Rax], 2),
+        ];
+        for (exit, visible, writable, vgprs, wgprs, insn_len) in rows {
+            let pol = policy_for(exit);
+            assert_eq!(pol.visible_fields, visible, "{exit:?} visible fields");
+            assert_eq!(pol.writable_fields, writable, "{exit:?} writable fields");
+            assert_eq!(pol.visible_gprs, vgprs, "{exit:?} visible GPRs");
+            assert_eq!(pol.writable_gprs, wgprs, "{exit:?} writable GPRs");
+            assert_eq!(pol.insn_len, insn_len, "{exit:?} instruction length");
+            for f in BASE {
+                assert!(pol.visible_fields.contains(f), "{exit:?} hides {f:?}");
+            }
+            // Everything writable is visible, with one exception: HLT
+            // lets RIP advance past the instruction but masks it, so a
+            // hypervisor can only write the one value it cannot see.
+            for f in pol.writable_fields.iter() {
+                let hidden_ok = exit == ExitCode::Hlt && *f == F::Rip;
+                assert!(
+                    pol.visible_fields.contains(f) || hidden_ok,
+                    "{exit:?} writes hidden {f:?}"
+                );
+            }
+            for g in pol.writable_gprs.iter() {
+                assert!(pol.visible_gprs.contains(g), "{exit:?} writes hidden {g:?}");
+            }
+            // RIP is writable exactly when there is an instruction to skip.
+            assert_eq!(pol.writable_fields.contains(&F::Rip), insn_len != 0, "{exit:?} RIP");
+        }
     }
 
     #[test]

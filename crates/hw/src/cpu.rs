@@ -150,6 +150,10 @@ pub enum PrivOp {
     Sti,
 }
 
+/// The longest [`PrivOp::encoding`]: `exec_priv` fetches into a stack
+/// buffer of this size.
+const MAX_INSN_LEN: usize = 3;
+
 impl PrivOp {
     /// The opcode bytes this instruction occupies in the code region. The
     /// CPU verifies these bytes at the execution site.
@@ -766,16 +770,14 @@ impl Machine {
         self.host_write(va, &v.to_le_bytes())
     }
 
-    /// Reads instruction bytes at `va`, requiring execute permission on
-    /// every page touched.
+    /// Reads `out.len()` instruction bytes at `va` into `out`, requiring
+    /// execute permission on every page touched.
     ///
     /// # Errors
     ///
     /// Faults on non-present or NX mappings.
-    pub fn host_fetch(&mut self, va: Hva, len: usize) -> Result<Vec<u8>, Fault> {
-        let mut out = vec![0u8; len];
-        self.stream(Addr::Host(va), Buf::Fetch(&mut out), NO_CHUNKING, false)?;
-        Ok(out)
+    pub fn host_fetch(&mut self, va: Hva, out: &mut [u8]) -> Result<(), Fault> {
+        self.stream(Addr::Host(va), Buf::Fetch(out), NO_CHUNKING, false)
     }
 
     /// Streaming host-virtual read: semantically `buf.len() / chunk`
@@ -828,7 +830,9 @@ impl Machine {
     pub fn exec_priv(&mut self, site: Hva, op: PrivOp) -> Result<(), HwError> {
         assert_eq!(self.cpu.mode, Mode::Host, "guest privileged ops exit instead");
         let enc = op.encoding();
-        let bytes = self.host_fetch(site, enc.len()).map_err(HwError::Fault)?;
+        let mut fetched = [0u8; MAX_INSN_LEN];
+        let bytes = &mut fetched[..enc.len()];
+        self.host_fetch(site, bytes).map_err(HwError::Fault)?;
         if bytes != enc {
             return Err(HwError::Fault(Fault::HostPageFault {
                 va: site,
@@ -1203,7 +1207,7 @@ mod tests {
             let mut acc = PhysPtAccess::new(&mut m.mc, EncSel::None);
             mapper.map(&mut acc, &mut alloc, 0x50_0000, Hpa(0xA000), PTE_NX).unwrap();
         }
-        let err = m.host_fetch(Hva(0x50_0000), 3).unwrap_err();
+        let err = m.host_fetch(Hva(0x50_0000), &mut [0; 3]).unwrap_err();
         assert!(matches!(err, Fault::HostPageFault { reason: FaultReason::NoExecute, .. }));
     }
 

@@ -140,16 +140,6 @@ impl RegFile {
     pub fn load_array(&mut self, regs: [u64; 16]) {
         self.regs = regs;
     }
-
-    /// Zeroes every register except the listed ones — the masking Fidelius
-    /// applies to guest registers on VMEXIT before the hypervisor runs.
-    pub fn mask_except(&mut self, keep: &[Gpr]) {
-        let saved: Vec<(Gpr, u64)> = keep.iter().map(|&r| (r, self.get(r))).collect();
-        self.regs = [0; 16];
-        for (r, v) in saved {
-            self.set(r, v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -164,19 +154,6 @@ mod tests {
         assert_eq!(Cr4::from_bits(cr4.to_bits()), cr4);
         let efer = Efer { nxe: true, svme: true };
         assert_eq!(Efer::from_bits(efer.to_bits()), efer);
-    }
-
-    #[test]
-    fn regfile_mask_except() {
-        let mut rf = RegFile::new();
-        for (i, r) in ALL_GPRS.iter().enumerate() {
-            rf.set(*r, (i as u64) + 100);
-        }
-        rf.mask_except(&[Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx]);
-        assert_eq!(rf.get(Gpr::Rax), 100);
-        assert_eq!(rf.get(Gpr::Rdx), 103);
-        assert_eq!(rf.get(Gpr::Rsi), 0);
-        assert_eq!(rf.get(Gpr::R15), 0);
     }
 
     #[test]

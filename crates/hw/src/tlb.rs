@@ -233,7 +233,9 @@ impl Tlb {
         assert!(capacity > 0, "TLB capacity must be non-zero");
         Tlb {
             entries: HashMap::default(),
-            fifo: VecDeque::new(),
+            // Reserved at its bound (see `insert`), so a warm TLB never
+            // reallocates it.
+            fifo: VecDeque::with_capacity(2 * capacity + 1),
             space_gens: HashMap::default(),
             space_demote_gens: HashMap::default(),
             global_gen: 0,

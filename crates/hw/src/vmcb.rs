@@ -18,6 +18,9 @@ pub const VMCB_SIZE: u64 = 1024;
 /// Number of 64-bit fields in the image.
 pub const VMCB_FIELDS: usize = 18;
 
+/// Bytes the fields occupy at the start of the VMCB.
+const IMAGE_BYTES: usize = 8 * VMCB_FIELDS;
+
 /// Named VMCB fields; the discriminant is the field index (offset / 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
@@ -144,30 +147,34 @@ impl VmcbImage {
         self
     }
 
-    /// Loads the image from memory at `pa`. The VMCB is never encrypted
-    /// (SEV leaves it plaintext), hence `EncSel::None`.
+    /// Loads the image from memory at `pa`, in one controller call. The
+    /// VMCB is never encrypted (SEV leaves it plaintext), hence
+    /// `EncSel::None`.
     ///
     /// # Errors
     ///
     /// Propagates physical-access errors.
     pub fn load(mc: &MemoryController, pa: Hpa) -> Result<Self, HwError> {
+        let mut raw = [0u8; IMAGE_BYTES];
+        mc.read(pa, &mut raw, EncSel::None)?;
         let mut img = VmcbImage::new();
-        for (i, slot) in img.fields.iter_mut().enumerate() {
-            *slot = mc.read_u64(pa.add(8 * i as u64), EncSel::None)?;
+        for (slot, bytes) in img.fields.iter_mut().zip(raw.chunks_exact(8)) {
+            *slot = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
         }
         Ok(img)
     }
 
-    /// Stores the image to memory at `pa`.
+    /// Stores the image to memory at `pa`, in one controller call.
     ///
     /// # Errors
     ///
     /// Propagates physical-access errors.
     pub fn store(&self, mc: &mut MemoryController, pa: Hpa) -> Result<(), HwError> {
-        for (i, slot) in self.fields.iter().enumerate() {
-            mc.write_u64(pa.add(8 * i as u64), *slot, EncSel::None)?;
+        let mut raw = [0u8; IMAGE_BYTES];
+        for (bytes, slot) in raw.chunks_exact_mut(8).zip(&self.fields) {
+            bytes.copy_from_slice(&slot.to_le_bytes());
         }
-        Ok(())
+        mc.write(pa, &raw, EncSel::None)
     }
 
     /// Lists the fields on which `self` and `other` differ.
@@ -178,18 +185,11 @@ impl VmcbImage {
     /// Zeroes every field except the listed ones (Fidelius's exit-reason
     /// based masking).
     pub fn mask_except(&mut self, keep: &[VmcbField]) {
-        let saved: Vec<(VmcbField, u64)> = keep.iter().map(|&f| (f, self.get(f))).collect();
-        self.fields = [0; VMCB_FIELDS];
-        for (f, v) in saved {
-            self.set(f, v);
+        let mut kept = [0; VMCB_FIELDS];
+        for &f in keep {
+            kept[f as usize] = self.get(f);
         }
-    }
-
-    /// Copies the listed fields from `src` into `self`.
-    pub fn copy_fields_from(&mut self, src: &VmcbImage, fields: &[VmcbField]) {
-        for &f in fields {
-            self.set(f, src.get(f));
-        }
+        self.fields = kept;
     }
 }
 

@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn data_region_is_nx() {
         let (mut plat, _info) = Platform::boot(DRAM, 3).unwrap();
-        assert!(plat.machine.host_fetch(XEN_DATA_BASE, 1).is_err());
+        assert!(plat.machine.host_fetch(XEN_DATA_BASE, &mut [0; 1]).is_err());
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn host_mapping_past_dram_faults_unprotected() {
         Err(fault(AccessKind::Read)),
         "host_read_stream"
     );
-    assert_eq!(m.host_fetch(va, 3), Err(fault(AccessKind::Execute)), "host_fetch");
+    assert_eq!(m.host_fetch(va, &mut [0; 3]), Err(fault(AccessKind::Execute)), "host_fetch");
 
     let va = remap_outside_dram(&mut sys, PTE_WRITABLE).unwrap();
     let m = &mut sys.plat.machine;

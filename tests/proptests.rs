@@ -260,7 +260,7 @@ fn shadow_rejects_any_hidden_field_change() {
             // On an NPF exit, NO field is legally writable.
             assert_ne!(
                 std::mem::discriminant(&verdict),
-                std::mem::discriminant(&Verdict::Clean(Box::new(vmcb)))
+                std::mem::discriminant(&Verdict::Clean(vmcb))
             );
         } else {
             assert!(matches!(verdict, Verdict::Clean(_)));
