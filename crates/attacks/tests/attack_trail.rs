@@ -5,9 +5,8 @@
 //! returned to the attacker.
 
 use fidelius_attacks::defense::{build_victim, Defense};
-use fidelius_core::audit::AuditKind;
 use fidelius_hw::paging::PTE_WRITABLE;
-use fidelius_telemetry::{DenialReason, Event, PolicyObject};
+use fidelius_telemetry::{AuditKind, DenialReason, Event, PolicyObject};
 use fidelius_xen::frontend::gplayout;
 
 #[test]

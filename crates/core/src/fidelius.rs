@@ -11,7 +11,6 @@
 //! | privileged instructions | monopolized + policy (Table 2) / unmapped | type 2 / 3 |
 //! | guest frames | unmapped from the hypervisor after boot (§4.3.4) | — |
 
-use crate::audit::AuditLog;
 use crate::gates::{privop_label, GateMapping, Gates};
 use crate::git::{Git, GitEntry};
 use crate::pit::{Pit, PitEntry, Usage};
@@ -100,20 +99,6 @@ struct SevMeta {
     io: Option<IoHelpers>,
 }
 
-/// Counters exposed for the evaluation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FideliusStats {
-    /// VMCB/register integrity violations detected and blocked.
-    pub integrity_violations: u64,
-    /// Policy rejections (PIT, GIT, instruction policies).
-    pub policy_rejections: u64,
-    /// Shadow/verify round trips performed.
-    pub shadow_round_trips: u64,
-    /// Privileged instructions erased from the hypervisor image at late
-    /// launch.
-    pub instructions_erased: u64,
-}
-
 /// The Fidelius guardian.
 pub struct Fidelius {
     pit: Pit,
@@ -129,16 +114,11 @@ pub struct Fidelius {
     grant_table_pa: Hpa,
     xen_code_measurement: [u8; 32],
     instr_ctx: InstrPolicyCtx,
-    stats: FideliusStats,
-    audit: AuditLog,
 }
 
 impl std::fmt::Debug for Fidelius {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fidelius")
-            .field("domains", &self.doms.len())
-            .field("stats", &self.stats)
-            .finish()
+        f.debug_struct("Fidelius").field("domains", &self.doms.len()).finish()
     }
 }
 
@@ -165,14 +145,7 @@ impl Fidelius {
             grant_table_pa: Hpa(0),
             xen_code_measurement: [0; 32],
             instr_ctx: InstrPolicyCtx { host_pt_root: Hpa(0) },
-            stats: FideliusStats::default(),
-            audit: AuditLog::default(),
         }
-    }
-
-    /// Statistics for the evaluation.
-    pub fn stats(&self) -> FideliusStats {
-        self.stats
     }
 
     /// The late-launch measurement of the hypervisor's code (for remote
@@ -278,21 +251,17 @@ impl Fidelius {
         self.gates.expect("late_launch must run first")
     }
 
-    /// Records a typed denial: bump the counter, emit the trace event, feed
-    /// the audit log from that same event, and build the caller's error.
-    fn deny(&mut self, plat: &mut Platform, reason: DenialReason) -> GuardError {
-        self.stats.policy_rejections += 1;
-        let ev = Event::Denial { reason };
-        plat.machine.trace.emit(ev.clone());
-        self.audit.ingest(&ev);
-        GuardError::Denied(reason)
+    /// Books a typed denial on the audit trail and builds the caller's
+    /// error.
+    fn deny(&self, plat: &mut Platform, reason: DenialReason) -> GuardError {
+        GuardError::Denied(plat.machine.deny(reason))
     }
 
     /// A denial at a policy decision point: emits the (refused) decision
     /// event with its operands before the denial itself.
     #[allow(clippy::too_many_arguments)]
     fn refuse(
-        &mut self,
+        &self,
         plat: &mut Platform,
         object: PolicyObject,
         op: &'static str,
@@ -302,11 +271,6 @@ impl Fidelius {
     ) -> GuardError {
         plat.machine.trace.emit(Event::Decision { object, op, operand, dom, allowed: false });
         self.deny(plat, reason)
-    }
-
-    /// The audit log of refused operations (§5.3).
-    pub fn audit_log(&self) -> &AuditLog {
-        &self.audit
     }
 
     // ----- direct-map manipulation (inside gates) -------------------------
@@ -430,7 +394,7 @@ impl Guardian for Fidelius {
         let mut code = vec![0u8; (xen_pages * PAGE_SIZE) as usize];
         plat.machine.mc.dram().read_raw(xen_pa, &mut code).map_err(GuardError::Hw)?;
         self.xen_code_measurement = Sha256::digest(&code);
-        self.stats.instructions_erased = scanner::erase(&mut code) as u64;
+        scanner::erase(&mut code);
         plat.machine.mc.dram_mut().write_raw(xen_pa, &code).map_err(GuardError::Hw)?;
 
         // 2. Build the PIT.
@@ -888,16 +852,13 @@ impl Guardian for Fidelius {
             Some(m) => *m,
             None => return Err(self.deny(plat, DenialReason::UnknownDomainAtEntry)),
         };
-        // A typed integrity failure at the boundary: bump the counter, trace
-        // the failed verification, feed the audit log from that same event.
-        let tampered = |this: &mut Self, plat: &mut Platform, reason: DenialReason| {
-            this.stats.integrity_violations += 1;
-            let ev = Event::ShadowVerify {
+        // A typed integrity failure at the boundary: trace the failed
+        // verification.
+        let tampered = |plat: &mut Platform, reason: DenialReason| {
+            plat.machine.trace.emit(Event::ShadowVerify {
                 vmcb_pa: dom.vmcb_pa.0,
                 outcome: VerifyOutcome::Tampered(reason),
-            };
-            plat.machine.trace.emit(ev.clone());
-            this.audit.ingest(&ev);
+            });
             // Under fault injection, pair the injected VMCB tamper with its
             // disposal so the matrix can audit the full chain.
             if plat.machine.inject.is_armed() {
@@ -930,7 +891,7 @@ impl Guardian for Fidelius {
                     });
                 }
                 Verdict::IllegalField(_f) => {
-                    let err = tampered(self, plat, DenialReason::VmcbFieldTampered);
+                    let err = tampered(plat, DenialReason::VmcbFieldTampered);
                     // Graceful degradation: restore the clean masked image
                     // from the shadow so the tamper does not brick the
                     // domain, and re-arm the shadow so a retry is still
@@ -943,7 +904,7 @@ impl Guardian for Fidelius {
                     return Err(err);
                 }
                 Verdict::BadRipAdvance { .. } => {
-                    let err = tampered(self, plat, DenialReason::GuestRipDiverted);
+                    let err = tampered(plat, DenialReason::GuestRipDiverted);
                     shadow
                         .masked_vmcb()
                         .store(&mut plat.machine.mc, dom.vmcb_pa)
@@ -956,10 +917,10 @@ impl Guardian for Fidelius {
             // First entry: verify the control fields against Fidelius's
             // own records (self-maintained SEV metadata).
             if img.get(VmcbField::Asid) != u64::from(meta.asid) {
-                return Err(tampered(self, plat, DenialReason::AsidMismatchAtEntry));
+                return Err(tampered(plat, DenialReason::AsidMismatchAtEntry));
             }
             if img.get(VmcbField::NCr3) != meta.npt_root.0 {
-                return Err(tampered(self, plat, DenialReason::Ncr3MismatchAtEntry));
+                return Err(tampered(plat, DenialReason::Ncr3MismatchAtEntry));
             }
             plat.machine.cpu.regs.load_array(dom.gpr_save);
         }
@@ -967,7 +928,6 @@ impl Guardian for Fidelius {
     }
 
     fn on_vmexit(&mut self, plat: &mut Platform, dom: &mut Domain) -> Result<(), GuardError> {
-        self.stats.shadow_round_trips += 1;
         let img = VmcbImage::load(&plat.machine.mc, dom.vmcb_pa).map_err(GuardError::Hw)?;
         let Some(exit) = ExitCode::from_raw(img.get(VmcbField::ExitCode)) else {
             return Err(self.deny(plat, DenialReason::VmcbFieldTampered));
@@ -1194,30 +1154,24 @@ mod tests {
         }
     }
 
-    /// `(policy_rejections, audit entries, Denial events)` so far.
-    fn refusal_books(sys: &mut System) -> (u64, u64, usize) {
-        let denials = sys
-            .plat
-            .machine
-            .trace
-            .events()
-            .iter()
-            .filter(|t| matches!(t.event, Event::Denial { .. }))
-            .count();
-        let fid = fidelius_mut(sys).unwrap();
-        (fid.stats.policy_rejections, fid.audit.total(), denials)
+    /// `(Denial events, denials_by_kind sum)` so far.
+    fn refusal_books(sys: &System) -> (usize, u64) {
+        let trace = &sys.plat.machine.trace;
+        let denials =
+            trace.events().iter().filter(|t| matches!(t.event, Event::Denial { .. })).count();
+        (denials, trace.metrics().denials_total())
     }
 
     #[test]
     fn unpopulated_write_once_target_is_booked_as_a_denial() {
         let mut sys = system();
         let dom = new_domain(&mut sys);
-        let (rejections, audited, denials) = refusal_books(&mut sys);
+        let (denials, booked) = refusal_books(&sys);
         let System { plat, guardian, .. } = &mut sys;
         let fid = guardian.as_any_mut().downcast_mut::<Fidelius>().unwrap();
         let err = fid.write_once_page(plat, dom, 5, b"start_info").unwrap_err();
         assert_eq!(err, GuardError::Denied(DenialReason::WriteOnceTargetUnpopulated));
-        assert_eq!(refusal_books(&mut sys), (rejections + 1, audited + 1, denials + 1));
+        assert_eq!(refusal_books(&sys), (denials + 1, booked + 1));
     }
 
     #[test]
@@ -1229,12 +1183,12 @@ mod tests {
         let mut img = VmcbImage::load(&sys.plat.machine.mc, vmcb_pa).unwrap();
         img.set(VmcbField::ExitCode, u64::MAX);
         img.store(&mut sys.plat.machine.mc, vmcb_pa).unwrap();
-        let (rejections, audited, denials) = refusal_books(&mut sys);
+        let (denials, booked) = refusal_books(&sys);
         let System { plat, guardian, xen, .. } = &mut sys;
         let d = xen.domain_mut(dom).unwrap();
         let err = guardian.on_vmexit(plat, d).unwrap_err();
         assert_eq!(err, GuardError::Denied(DenialReason::VmcbFieldTampered));
-        assert_eq!(refusal_books(&mut sys), (rejections + 1, audited + 1, denials + 1));
+        assert_eq!(refusal_books(&sys), (denials + 1, booked + 1));
     }
 
     /// Every domain's inverse map is exactly the inverse of its forward map.
@@ -1312,19 +1266,19 @@ mod tests {
     }
 
     /// Calls a grant-path gate the way dom0's relay does and checks that
-    /// it refuses with `reason`, books the refusal once (one rejection,
-    /// one audit entry, one `Denial` event) and leaves the grant table as
-    /// it was.
+    /// it refuses with `reason`, books the refusal once (one `Denial`
+    /// event, counted once by the metrics registry) and leaves the grant
+    /// table as it was.
     fn assert_relay_refused(
         sys: &mut System,
         reason: DenialReason,
         relay: impl FnOnce(&mut dyn Guardian, &mut Platform) -> Result<(), GuardError>,
     ) {
         let table = grant_table(sys);
-        let (rejections, audited, denials) = refusal_books(sys);
+        let (denials, booked) = refusal_books(sys);
         let err = relay(&mut *sys.guardian, &mut sys.plat).unwrap_err();
         assert_eq!(err, GuardError::Denied(reason));
-        assert_eq!(refusal_books(sys), (rejections + 1, audited + 1, denials + 1));
+        assert_eq!(refusal_books(sys), (denials + 1, booked + 1));
         assert_eq!(grant_table(sys), table, "a refused relay must not touch the grant table");
     }
 

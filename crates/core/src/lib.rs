@@ -19,8 +19,7 @@
 //!   (§4.1.2);
 //! - [`lifecycle`] — full VM life-cycle protection: encrypted boot through
 //!   the retrofitted SEND/RECEIVE APIs (§4.3.2–4.3.3), sealing, shutdown;
-//! - [`migrate`] — SEV-based VM migration (§4.3.6);
-//! - [`audit`] — the §5.3 audit log of blocked operations.
+//! - [`migrate`] — SEV-based VM migration (§4.3.6).
 //!
 //! # Quick start
 //!
@@ -38,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod fidelius;
 pub mod gates;
 pub mod git;
@@ -49,5 +47,5 @@ pub mod policy;
 pub mod scanner;
 pub mod shadow;
 
-pub use fidelius::{Fidelius, FideliusStats};
+pub use fidelius::Fidelius;
 pub use fidelius_xen::guardian::GuardError;

@@ -22,7 +22,7 @@ use crate::fidelius::Fidelius;
 use fidelius_hw::cpu::{scope, Site};
 use fidelius_hw::PAGE_SIZE;
 use fidelius_sev::{EncryptedImage, GuestPolicy, SevError};
-use fidelius_telemetry::{DenialReason, Event};
+use fidelius_telemetry::DenialReason;
 use fidelius_trace::SpanKind;
 use fidelius_xen::domain::DomainId;
 use fidelius_xen::frontend::gplayout;
@@ -72,11 +72,9 @@ pub fn boot_encrypted_guest(
                 // retrofitted firmware's nonce ledger catches it; surface
                 // it as a typed denial so the attack matrix can assert on
                 // it.
-                sys.plat
-                    .machine
-                    .trace
-                    .emit(Event::Denial { reason: DenialReason::LaunchMeasurementReplayed });
-                Err(XenError::FailClosed(DenialReason::LaunchMeasurementReplayed))
+                Err(XenError::FailClosed(
+                    sys.plat.machine.deny(DenialReason::LaunchMeasurementReplayed),
+                ))
             }
             Err(e) => Err(e.into()),
         }

@@ -151,11 +151,9 @@ pub fn migrate_in(sys: &mut System, package: &MigrationPackage) -> Result<Domain
     // Structural check before any resource is committed: a stream shorter
     // than the source declared was truncated in transit.
     if (package.pages.len() as u64) != package.declared_pages {
-        sys.plat
-            .machine
-            .trace
-            .emit(Event::Denial { reason: DenialReason::MigrationStreamTruncated });
-        return Err(XenError::FailClosed(DenialReason::MigrationStreamTruncated));
+        return Err(XenError::FailClosed(
+            sys.plat.machine.deny(DenialReason::MigrationStreamTruncated),
+        ));
     }
     let handle = scope(sys, RECEIVE_START, |sys| {
         match sys.plat.firmware.receive_start(&package.session, GuestPolicy::default()) {
@@ -164,11 +162,9 @@ pub fn migrate_in(sys: &mut System, package: &MigrationPackage) -> Result<Domain
                 // Rollback on the SEND path: the hypervisor re-presents a
                 // session an earlier successful receive already consumed
                 // (e.g. to resurrect a pre-update snapshot of the guest).
-                sys.plat
-                    .machine
-                    .trace
-                    .emit(Event::Denial { reason: DenialReason::MigrationSessionReplayed });
-                Err(XenError::FailClosed(DenialReason::MigrationSessionReplayed))
+                Err(XenError::FailClosed(
+                    sys.plat.machine.deny(DenialReason::MigrationSessionReplayed),
+                ))
             }
             Err(e) => Err(e.into()),
         }
@@ -182,10 +178,7 @@ pub fn migrate_in(sys: &mut System, package: &MigrationPackage) -> Result<Domain
         Err(e) => {
             rollback_receive(sys, dom, handle);
             if matches!(e, XenError::Sev(_)) {
-                sys.plat
-                    .machine
-                    .trace
-                    .emit(Event::Denial { reason: DenialReason::MigrationStreamTampered });
+                sys.plat.machine.deny(DenialReason::MigrationStreamTampered);
             }
             Err(e)
         }

@@ -443,12 +443,22 @@ impl Machine {
         Some(action)
     }
 
-    /// Books a fail-closed refusal: a [`Event::Denial`] for the audit
-    /// trail, then, when the fault-injection layer is armed, the
-    /// [`Event::FaultOutcome`] that pairs the `kind` injection with its
-    /// disposal. Returns `reason` for the caller's error.
-    pub fn fail_closed(&mut self, reason: DenialReason, kind: FaultKind) -> DenialReason {
+    /// Books a refusal on the audit trail (paper §5.3: impede the
+    /// operation "and log this operation for further auditing"): one
+    /// [`Event::Denial`], which the metrics registry counts under
+    /// `reason.kind()`. Every refusal in the stack is booked here, so the
+    /// trace is the one audit log. Returns `reason` for the caller's error.
+    pub fn deny(&mut self, reason: DenialReason) -> DenialReason {
         self.trace.emit(Event::Denial { reason });
+        reason
+    }
+
+    /// Books a fail-closed refusal: [`Machine::deny`], then, when the
+    /// fault-injection layer is armed, the [`Event::FaultOutcome`] that
+    /// pairs the `kind` injection with its disposal. Returns `reason` for
+    /// the caller's error.
+    pub fn fail_closed(&mut self, reason: DenialReason, kind: FaultKind) -> DenialReason {
+        self.deny(reason);
         if self.inject.is_armed() {
             self.trace
                 .emit(Event::FaultOutcome { kind, outcome: InjectionOutcome::FailClosed(reason) });
@@ -1426,6 +1436,9 @@ mod tests {
             ],
             "armed: the denial, then its paired disposal"
         );
+        m.trace.clear();
+        assert_eq!(m.deny(reason), reason);
+        assert_eq!(booked(&m), vec![Event::Denial { reason }], "deny books no disposal");
     }
 
     #[test]

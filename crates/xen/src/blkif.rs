@@ -436,11 +436,24 @@ impl BlockBackend {
         }
     }
 
-    /// Rolls the disk back to its pre-drain contents.
-    fn rollback(&mut self, undo: Vec<(usize, Vec<u8>)>) {
+    /// Fails queue `qi`'s whole window closed: rolls the disk back to its
+    /// pre-drain contents and consumes the window up to the snapshot
+    /// `req_prod`, so the next submission cannot serve a refused request
+    /// again against a buffer window it has since reused.
+    fn fail_window(
+        &mut self,
+        plat: &mut Platform,
+        qi: usize,
+        req_prod: u64,
+        undo: Vec<(usize, Vec<u8>)>,
+        reason: DenialReason,
+        kind: FaultKind,
+    ) -> XenError {
         for (off, old) in undo.into_iter().rev() {
             self.disk[off..off + old.len()].copy_from_slice(&old);
         }
+        self.queues[qi].req_cons = req_prod;
+        XenError::FailClosed(plat.machine.fail_closed(reason, kind))
     }
 
     fn drain_batched(&mut self, plat: &mut Platform, qi: usize) -> Result<Published, XenError> {
@@ -481,30 +494,27 @@ impl BlockBackend {
         for plan in &mut plans {
             // The adversary may act at every request boundary of the
             // drain; anything it revoked after window validation fails the
-            // *whole* drain closed.
-            if let Some(action) = plat.machine.inject_at(InjectPoint::BlkifDrain) {
-                let kind = action.kind();
-                self.apply_drain_fault(plat, qi, action);
-                if kind == FaultKind::RingIndexCorrupt {
-                    // Detected below at commit; nothing else to do here.
-                } else if !Self::plan_grants_ok(plat, &self.queues[qi], plan) {
-                    self.rollback(undo);
-                    return Err(XenError::FailClosed(plat.machine.fail_closed(
-                        DenialReason::GrantRevokedMidIo,
-                        FaultKind::GrantRevokeMidDrain,
-                    )));
+            // *whole* drain closed. Without an injection, a pending
+            // request's grants are re-checked too: something other than the
+            // injector (e.g. a concurrent hypercall adversary) may have
+            // revoked them. A corrupted ring index is detected at commit.
+            let recheck = match plat.machine.inject_at(InjectPoint::BlkifDrain) {
+                Some(action) => {
+                    let kind = action.kind();
+                    self.apply_drain_fault(plat, qi, action);
+                    kind != FaultKind::RingIndexCorrupt
                 }
-            } else if plan.status == BlkStatus::Pending
-                && !Self::plan_grants_ok(plat, &self.queues[qi], plan)
-            {
-                // Revoked between window validation and this request by
-                // something other than the injector (e.g. a concurrent
-                // hypercall adversary): same refusal.
-                self.rollback(undo);
-                return Err(XenError::FailClosed(plat.machine.fail_closed(
+                None => plan.status == BlkStatus::Pending,
+            };
+            if recheck && !Self::plan_grants_ok(plat, &self.queues[qi], plan) {
+                return Err(self.fail_window(
+                    plat,
+                    qi,
+                    req_prod,
+                    undo,
                     DenialReason::GrantRevokedMidIo,
                     FaultKind::GrantRevokeMidDrain,
-                )));
+                ));
             }
             if plan.status != BlkStatus::Pending {
                 // Already refused at validation; the reference drain still
@@ -526,10 +536,13 @@ impl BlockBackend {
             .read_u64(ring.add(OFF_REQ_PROD), EncSel::None)
             .map_err(|_| XenError::BadBlockRequest)?;
         if now != req_prod {
-            self.rollback(undo);
-            return Err(XenError::FailClosed(
-                plat.machine
-                    .fail_closed(DenialReason::RingIndexTampered, FaultKind::RingIndexCorrupt),
+            return Err(self.fail_window(
+                plat,
+                qi,
+                req_prod,
+                undo,
+                DenialReason::RingIndexTampered,
+                FaultKind::RingIndexCorrupt,
             ));
         }
         // Publish every status, then the response producer.

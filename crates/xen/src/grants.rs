@@ -55,8 +55,8 @@ impl GrantEntry {
     }
 }
 
-/// Reads entry `index` directly from physical memory (hardware/firmware
-/// view; software goes through the CPU).
+/// Reads entry `index` directly from physical memory, in one controller
+/// call (hardware/firmware view; software goes through the CPU).
 ///
 /// # Errors
 ///
@@ -67,18 +67,18 @@ pub fn read_entry_phys(
     index: u64,
 ) -> Result<GrantEntry, HwError> {
     assert!(index < GRANT_TABLE_ENTRIES, "grant index out of range");
-    let base = table_base.add(index * GRANT_ENTRY_SIZE);
-    let mut w = [0u64; 4];
-    for (i, word) in w.iter_mut().enumerate() {
-        *word = mc.read_u64(base.add(8 * i as u64), EncSel::None)?;
-    }
-    Ok(GrantEntry::from_words(w))
+    let mut raw = [0u8; GRANT_ENTRY_SIZE as usize];
+    mc.read(table_base.add(index * GRANT_ENTRY_SIZE), &mut raw, EncSel::None)?;
+    Ok(GrantEntry::from_words(std::array::from_fn(|i| {
+        u64::from_le_bytes(raw[8 * i..8 * i + 8].try_into().expect("8-byte word"))
+    })))
 }
 
-/// Writes entry `index` directly to physical memory (hardware/firmware
-/// view; software goes through the CPU). Like [`read_entry_phys`], this
-/// is charge-free — the fault-injection adversary uses it to clobber
-/// grants without perturbing the modeled clock.
+/// Writes entry `index` directly to physical memory, in one controller
+/// call (hardware/firmware view; software goes through the CPU). Like
+/// [`read_entry_phys`], this is charge-free — the fault-injection
+/// adversary uses it to clobber grants without perturbing the modeled
+/// clock.
 ///
 /// # Errors
 ///
@@ -90,11 +90,11 @@ pub fn write_entry_phys(
     entry: GrantEntry,
 ) -> Result<(), HwError> {
     assert!(index < GRANT_TABLE_ENTRIES, "grant index out of range");
-    let base = table_base.add(index * GRANT_ENTRY_SIZE);
-    for (i, word) in entry.to_words().into_iter().enumerate() {
-        mc.write_u64(base.add(8 * i as u64), word, EncSel::None)?;
+    let mut raw = [0u8; GRANT_ENTRY_SIZE as usize];
+    for (bytes, word) in raw.chunks_exact_mut(8).zip(entry.to_words()) {
+        bytes.copy_from_slice(&word.to_le_bytes());
     }
-    Ok(())
+    mc.write(table_base.add(index * GRANT_ENTRY_SIZE), &raw, EncSel::None)
 }
 
 #[cfg(test)]
@@ -114,6 +114,27 @@ mod tests {
         assert_eq!(GrantEntry::from_words(e.to_words()), e);
         let ro = GrantEntry { writable: false, ..e };
         assert_eq!(GrantEntry::from_words(ro.to_words()), ro);
+    }
+
+    #[test]
+    fn phys_entry_is_four_little_endian_words() {
+        let mut mc = MemoryController::new(fidelius_hw::mem::Dram::new(2 * fidelius_hw::PAGE_SIZE));
+        let table = Hpa(fidelius_hw::PAGE_SIZE);
+        let e = GrantEntry {
+            valid: true,
+            writable: false,
+            owner: 3,
+            grantee: 0,
+            gpa_page: 0x77,
+            frame: Hpa(0x5000),
+        };
+        write_entry_phys(&mut mc, table, 9, e).unwrap();
+        assert_eq!(read_entry_phys(&mc, table, 9).unwrap(), e);
+        assert_eq!(read_entry_phys(&mc, table, 8).unwrap(), GrantEntry::default());
+        for (i, word) in e.to_words().into_iter().enumerate() {
+            let pa = table.add(9 * GRANT_ENTRY_SIZE + 8 * i as u64);
+            assert_eq!(mc.read_u64(pa, EncSel::None).unwrap(), word, "word {i}");
+        }
     }
 
     #[test]

@@ -1394,6 +1394,13 @@ mod tests {
                 outcome: InjectionOutcome::FailClosed(DenialReason::RingIndexTampered),
             }
         )));
+        // The refused window is consumed with it: the next submission must
+        // not serve the refused write again against its reused buffer page.
+        sys.disk_write(dom, 5, &[0xEEu8; SECTOR_SIZE]).unwrap();
+        let disk = sys.xen.backend.disk();
+        let sector = |s: usize| &disk[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE];
+        assert!(sector(2).iter().all(|&b| b == 0), "the refused write to sector 2 was served");
+        assert!(sector(5).iter().all(|&b| b == 0xEE), "the next write to sector 5 was lost");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt::Debug;
 
-use fidelius::core::lifecycle::{boot_encrypted_guest, fidelius_mut};
+use fidelius::core::lifecycle::boot_encrypted_guest;
 use fidelius::core::migrate::{migrate_in, migrate_out};
 use fidelius::core::Fidelius;
 use fidelius::crypto::modes::SECTOR_SIZE;
@@ -43,10 +43,9 @@ pub struct Observed {
     pub disks: Vec<Vec<u8>>,
     /// Per system: modeled cycle total as f64 bits.
     pub cycles: Vec<u64>,
-    /// Per system: the rendered telemetry snapshot.
+    /// Per system: the rendered telemetry snapshot, which holds the audit
+    /// trail's counts (`denials_by_kind`, `shadow_verify_tampered`).
     pub telemetry: Vec<String>,
-    /// Per system: Fidelius's audit-log total and counters.
-    pub audit: Vec<(u64, String)>,
 }
 
 impl Observed {
@@ -55,12 +54,9 @@ impl Observed {
     }
 
     /// Records the end state of `sys`.
-    pub fn finish(&mut self, sys: &mut System) {
+    pub fn finish(&mut self, sys: &System) {
         self.cycles.push(sys.plat.machine.cycles.total_f64().to_bits());
         self.telemetry.push(sys.plat.machine.telemetry_snapshot().to_json().to_string());
-        if let Ok(fid) = fidelius_mut(sys) {
-            self.audit.push((fid.audit_log().total(), format!("{:?}", fid.stats())));
-        }
     }
 }
 

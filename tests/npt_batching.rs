@@ -8,7 +8,6 @@
 //! the guest's steady-state run.
 
 use fidelius::prelude::*;
-use fidelius_core::lifecycle::fidelius_mut;
 
 /// Gate crossings so far, indexed by type (type 1, 2, 3).
 fn gates_by_type(sys: &System) -> [u64; 3] {
@@ -58,11 +57,17 @@ fn shadow_round_trips_track_vmexits() {
     let mut owner = GuestOwner::new(92);
     let image = owner.package_image(b"k", &sys.plat.firmware.pdh_public());
     let dom = boot_encrypted_guest(&mut sys, &image, 192).unwrap();
-    let before = fidelius_mut(&mut sys).unwrap().stats().shadow_round_trips;
+    let books = |sys: &System| {
+        let m = sys.plat.machine.trace.metrics();
+        (m.shadow_captures, m.vmexits_total())
+    };
+    let before = books(&sys);
     for _ in 0..10 {
         sys.hypercall(dom, fidelius_xen::hypercall::HC_VOID, [0; 4]).unwrap();
     }
     sys.ensure_host().unwrap();
-    let after = fidelius_mut(&mut sys).unwrap().stats().shadow_round_trips;
-    assert!(after - before >= 10, "each hypercall exit must be shadowed: {before} → {after}");
+    let after = books(&sys);
+    let (captures, exits) = (after.0 - before.0, after.1 - before.1);
+    assert!(exits >= 10, "each hypercall must exit: {exits}");
+    assert_eq!(captures, exits, "each exit must be shadowed");
 }

@@ -1,12 +1,17 @@
 //! End-to-end telemetry: drive the full VM life cycle of paper §4.3 and
 //! assert (a) the structured event stream shows the world-switch protocol
 //! in order — VMEXIT, then the type-3 gate that re-arms the world switch,
-//! then VMRUN — and (b) the per-category cycle attribution is exact: the
-//! six category sums equal the grand total bit-for-bit, because the total
-//! *is* the fixed-order category sum.
+//! then VMRUN —, (b) the per-category cycle attribution is exact: the six
+//! category sums equal the grand total bit-for-bit, because the total *is*
+//! the fixed-order category sum, and (c) every refusal, whichever layer
+//! makes it, lands on the one audit trail: one `Denial` event, counted
+//! once under its audit kind.
 
+use fidelius::hw::inject::{FaultAction, FaultInjector, InjectPoint};
 use fidelius::prelude::*;
-use fidelius::telemetry::{CycleCategory, Event, GateKind};
+use fidelius::telemetry::{AuditKind, CycleCategory, DenialReason, Event, GateKind};
+use fidelius::xen::grants::GrantEntry;
+use fidelius::xen::{GuardError, XenError};
 use fidelius_crypto::modes::SECTOR_SIZE;
 
 /// Runs prepare → boot → compute → I/O → shutdown and returns the system
@@ -107,4 +112,89 @@ fn category_sums_equal_grand_total_exactly() {
     let json = snap.to_json();
     let total = json.get("cycles").and_then(|c| c.get("total")).and_then(|t| t.as_f64());
     assert_eq!(total, Some(cycles.total_f64()));
+}
+
+/// `(Denial events in the ring, denials booked under `kind`)` so far.
+fn books(sys: &System, kind: AuditKind) -> (usize, u64) {
+    let trace = &sys.plat.machine.trace;
+    let denials = trace.events().iter().filter(|t| matches!(t.event, Event::Denial { .. })).count();
+    (denials, trace.metrics().denials_by_kind.get(&kind).copied().unwrap_or(0))
+}
+
+/// Runs `refusal` and asserts that it was booked exactly once on the one
+/// audit trail: one new `Denial` event carrying `reason`, and one more
+/// denial counted under `reason.kind()`.
+fn assert_booked_once(sys: &mut System, reason: DenialReason, refusal: impl FnOnce(&mut System)) {
+    let (denials, by_kind) = books(sys, reason.kind());
+    refusal(sys);
+    assert_eq!(books(sys, reason.kind()), (denials + 1, by_kind + 1), "{reason:?}");
+    let last = sys.plat.machine.trace.events().into_iter().rev().find_map(|t| match t.event {
+        Event::Denial { reason } => Some(reason),
+        _ => None,
+    });
+    assert_eq!(last, Some(reason));
+}
+
+/// Fires `action` at the first batched-drain request boundary.
+#[derive(Debug)]
+struct FireOnce(Option<FaultAction>);
+
+impl FaultInjector for FireOnce {
+    fn decide(&mut self, point: InjectPoint) -> Option<FaultAction> {
+        (point == InjectPoint::BlkifDrain).then(|| self.0.take()).flatten()
+    }
+}
+
+/// One refusal from each booking site — a policy refusal inside Fidelius,
+/// a fail-closed block drain, a truncated migration stream and a replayed
+/// launch session — each lands on the trace once, under its audit kind.
+#[test]
+fn every_refusal_site_books_one_denial() {
+    let mut sys = System::new(32 * 1024 * 1024, 11, Box::new(Fidelius::new())).unwrap();
+    let mut owner = GuestOwner::new(12);
+    let image = owner.package_image(b"audit trail kernel", &sys.plat.firmware.pdh_public());
+    let dom = boot_encrypted_guest(&mut sys, &image, 192).unwrap();
+    sys.ensure_host().unwrap();
+
+    // A forged grant: dom0 never received the owner's authorization.
+    let frame = sys.xen.domain(dom).unwrap().frame_of(gplayout::HEAP_PAGE).unwrap();
+    let forged = GrantEntry {
+        valid: true,
+        writable: true,
+        owner: dom.0,
+        grantee: DomainId::DOM0.0,
+        gpa_page: gplayout::HEAP_PAGE,
+        frame,
+    };
+    assert_booked_once(&mut sys, DenialReason::GrantNotAuthorized, |sys| {
+        let err = sys.guardian.grant_write(&mut sys.plat, 3, forged);
+        assert_eq!(err, Err(GuardError::Denied(DenialReason::GrantNotAuthorized)));
+    });
+
+    // A block drain whose producer index moves under it fails closed.
+    sys.setup_block_device(dom, vec![0u8; 64 * SECTOR_SIZE], IoPath::SevApi, None).unwrap();
+    sys.plat
+        .machine
+        .inject
+        .install(Box::new(FireOnce(Some(FaultAction::CorruptRingIndex { xor: 0x80_0001 }))));
+    assert_booked_once(&mut sys, DenialReason::RingIndexTampered, |sys| {
+        let err = sys.disk_write(dom, 2, &[0xDD; SECTOR_SIZE]);
+        assert!(matches!(err, Err(XenError::FailClosed(DenialReason::RingIndexTampered))));
+    });
+    sys.plat.machine.inject.clear();
+
+    // A migration stream truncated in transit.
+    let mut dst = System::new(32 * 1024 * 1024, 13, Box::new(Fidelius::new())).unwrap();
+    let mut package = migrate_out(&mut sys, dom, &dst.plat.firmware.pdh_public()).unwrap();
+    package.pages.pop();
+    assert_booked_once(&mut dst, DenialReason::MigrationStreamTruncated, |dst| {
+        let err = migrate_in(dst, &package);
+        assert!(matches!(err, Err(XenError::FailClosed(DenialReason::MigrationStreamTruncated))));
+    });
+
+    // The owner's launch session replayed for a second guest.
+    assert_booked_once(&mut sys, DenialReason::LaunchMeasurementReplayed, |sys| {
+        let err = boot_encrypted_guest(sys, &image, 192);
+        assert!(matches!(err, Err(XenError::FailClosed(DenialReason::LaunchMeasurementReplayed))));
+    });
 }
