@@ -18,8 +18,19 @@
 //!   shadowing and checking the VMCB (paper Micro 2).
 //! - `micro_gates.jsonl` — `micro_gates --json`: the cost of each gate
 //!   type (paper Micro 1).
+//! - `table3_fio.jsonl` — `table3_fio --json`: fio throughput on Xen and
+//!   on Fidelius's AES-NI I/O path (paper Table 3).
+//! - `micro_ioenc.jsonl` — `micro_ioenc --json`: the 512 MB copy under
+//!   each I/O encryption approach (paper Micro 3).
+//! - `fig5_speccpu.jsonl`, `fig6_parsec.jsonl` — `fig5_speccpu --json`
+//!   and `fig6_parsec --json`: the SPEC CPU2006 and PARSEC overheads of
+//!   Fidelius and Fidelius-enc (paper Figures 5 and 6), each with its
+//!   telemetry snapshot.
 //!
-//! To regenerate all six after a change that means to move them (and
+//! CI's `determinism` job also diffs the last four against their goldens
+//! under both `FIDELIUS_AES_BACKEND=ttable` and `aesni`.
+//!
+//! To regenerate all ten after a change that means to move them (and
 //! explain each moved line in CHANGES.md):
 //!
 //! ```text
@@ -55,6 +66,22 @@ fn render_micro_shadow() -> String {
 
 fn render_micro_gates() -> String {
     render_json(env!("CARGO_BIN_EXE_micro_gates"))
+}
+
+fn render_table3_fio() -> String {
+    render_json(env!("CARGO_BIN_EXE_table3_fio"))
+}
+
+fn render_micro_ioenc() -> String {
+    render_json(env!("CARGO_BIN_EXE_micro_ioenc"))
+}
+
+fn render_fig5_speccpu() -> String {
+    render_json(env!("CARGO_BIN_EXE_fig5_speccpu"))
+}
+
+fn render_fig6_parsec() -> String {
+    render_json(env!("CARGO_BIN_EXE_fig6_parsec"))
 }
 
 fn render_matrix(seeds: u64) -> String {
@@ -103,6 +130,26 @@ fn micro_gates_matches_golden() {
 }
 
 #[test]
+fn table3_fio_matches_golden() {
+    check("table3_fio.jsonl", &render_table3_fio());
+}
+
+#[test]
+fn micro_ioenc_matches_golden() {
+    check("micro_ioenc.jsonl", &render_micro_ioenc());
+}
+
+#[test]
+fn fig5_speccpu_matches_golden() {
+    check("fig5_speccpu.jsonl", &render_fig5_speccpu());
+}
+
+#[test]
+fn fig6_parsec_matches_golden() {
+    check("fig6_parsec.jsonl", &render_fig6_parsec());
+}
+
+#[test]
 fn fault_matrix_matches_golden() {
     check("fault_matrix_8.jsonl", &render_matrix(8));
 }
@@ -115,6 +162,10 @@ fn regenerate() {
     std::fs::write(format!("{GOLDEN_DIR}/attack_matrix.jsonl"), render_attack_matrix()).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/micro_shadow.jsonl"), render_micro_shadow()).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/micro_gates.jsonl"), render_micro_gates()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/table3_fio.jsonl"), render_table3_fio()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/micro_ioenc.jsonl"), render_micro_ioenc()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/fig5_speccpu.jsonl"), render_fig5_speccpu()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/fig6_parsec.jsonl"), render_fig6_parsec()).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/fault_matrix_8.jsonl"), render_matrix(8)).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/fault_matrix_64.jsonl"), render_matrix(64)).unwrap();
 }

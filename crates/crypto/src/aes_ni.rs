@@ -20,30 +20,77 @@
 //! 128-byte batches.
 //!
 //! Besides the plain block runs, two fused mode kernels serve the modes in
-//! [`crate::modes`] whole-buffer per call: CTR over `prefix ‖ counter`
-//! blocks and XEX around a physical-address tweak. Each loads the round
-//! keys once, builds its counter or tweak blocks in registers and folds
-//! the XORs into the round loop, instead of writing counter/tweak blocks
-//! into a scratch buffer and whitening it in separate passes. The XEX
-//! kernel reads `src` and writes `dst`, which may be the same buffer, so
-//! the memory controller can transform straight between DRAM and the
-//! caller's buffer.
+//! [`crate::modes`] whole-buffer per call: CTR over the run of counter
+//! blocks `hi ‖ lo0 + i` and XEX around a physical-address tweak. Each
+//! loads the round keys once, builds its counter or tweak blocks in
+//! registers and folds the XORs into the round loop, instead of writing
+//! counter/tweak blocks into a scratch buffer and whitening it in separate
+//! passes. The XEX kernel reads `src` and writes `dst`, which may be the
+//! same buffer, so the memory controller can transform straight between
+//! DRAM and the caller's buffer.
+//!
+//! Each mode kernel has a 512-bit VAES form next to the 128-bit one: eight
+//! `zmm` states of four blocks each (32 blocks, 512 bytes) per iteration,
+//! with the round keys broadcast to all four lanes once per call. The
+//! tweaks are computed lane-wise (`vprolq`, `vpternlogq` and `vprolvq`
+//! over the same formula as the scalar `PaTweakCipher::tweak_halves`);
+//! the counters advance by a 64-bit lane add and are byte-swapped with
+//! `vpshufb`. When the host has `vaes`, `avx512f` and `avx512bw` (detected
+//! once per process, [`wide_available`]) the wide form takes every whole
+//! 512-byte chunk and the 128-bit form the tail; runs shorter than 32
+//! blocks, and every run on a host without those features, take the
+//! 128-bit form alone. Both forms produce the same bytes:
+//! `tests/mode_kernel_oracle.rs` pins each against the GF-math reference.
 //!
 //! This is the only module in the crate allowed to use `unsafe` (the crate
 //! root forbids it unless this feature is on): the intrinsics require it,
 //! and every call site is guarded by the construction-time CPU detection.
 
+use crate::modes::PaTweakCipher;
 use std::arch::x86_64::{
-    __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-    _mm_loadu_si128, _mm_set_epi64x, _mm_setzero_si128, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, __m512i, _mm512_add_epi64, _mm512_aesdec_epi128, _mm512_aesdeclast_epi128,
+    _mm512_aesenc_epi128, _mm512_aesenclast_epi128, _mm512_broadcast_i32x4, _mm512_loadu_si512,
+    _mm512_rol_epi64, _mm512_rolv_epi64, _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512,
+    _mm512_shuffle_epi8, _mm512_storeu_si512, _mm512_ternarylogic_epi64, _mm512_xor_si512,
+    _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
+    _mm_loadu_si128, _mm_set_epi64x, _mm_set_epi8, _mm_setzero_si128, _mm_storeu_si128,
+    _mm_xor_si128,
 };
+use std::sync::OnceLock;
 
 /// Maximum round keys for any AES key size (AES-256: 14 rounds + 1).
 const MAX_RK: usize = 15;
 
+/// Blocks per iteration of the 512-bit kernels: eight `zmm` states of
+/// four blocks each.
+const WIDE_BLOCKS: usize = 32;
+
 /// Whether the host CPU exposes the AES instructions.
 pub(crate) fn available() -> bool {
     std::arch::is_x86_feature_detected!("aes")
+}
+
+/// Whether the host CPU also runs the 512-bit VAES kernels: `vaes` for the
+/// rounds, `avx512f` for the lane arithmetic and `avx512bw` for the
+/// counter byte-swap. Detected once and cached for the process.
+pub(crate) fn wide_available() -> bool {
+    static WIDE: OnceLock<bool> = OnceLock::new();
+    *WIDE.get_or_init(|| {
+        std::arch::is_x86_feature_detected!("vaes")
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+    })
+}
+
+/// How many leading blocks of a `blocks`-block run the 512-bit kernel
+/// takes: every whole 32-block chunk when `WIDE` asks for it and the host
+/// has it, none otherwise.
+fn wide_share<const WIDE: bool>(blocks: usize) -> usize {
+    if WIDE && wide_available() {
+        blocks - blocks % WIDE_BLOCKS
+    } else {
+        0
+    }
 }
 
 /// Byte-form round keys for the AES instructions, derived from the already
@@ -107,31 +154,43 @@ impl NiKeys {
     }
 
     /// XORs `data` with the CTR keystream whose block `i` is the AES
-    /// encryption of `hi ‖ lo` for `(hi, lo) = block(i)`, both halves
-    /// big-endian. The final chunk may be shorter than 16 bytes.
-    pub(crate) fn ctr_xor(&self, block: impl Fn(u64) -> (u64, u64), data: &mut [u8]) {
+    /// encryption of `hi ‖ lo0 + i` (a wrapping 64-bit add), both halves
+    /// big-endian. The final chunk may be shorter than 16 bytes. `WIDE`
+    /// lets the 512-bit kernel take the whole 512-byte chunks on hosts
+    /// that have it.
+    pub(crate) fn ctr_xor<const WIDE: bool>(&self, hi: u64, lo0: u64, data: &mut [u8]) {
         debug_assert!(available(), "NiKeys constructed without CPU support");
-        // SAFETY: construction implies detection (as in `encrypt_blocks`);
-        // the kernel touches only `data`'s own bytes.
+        let wide = wide_share::<WIDE>(data.len() / 16);
+        let (head, tail) = data.split_at_mut(16 * wide);
+        // SAFETY: construction implies detection (as in `encrypt_blocks`),
+        // and `wide_share` is non-zero only after `wide_available`
+        // detected `vaes`, `avx512f` and `avx512bw`; each kernel touches
+        // only its own slice's bytes.
         #[allow(unsafe_code)]
         unsafe {
-            ctr_impl(&self.enc, block, data)
+            if !head.is_empty() {
+                ctr_wide(&self.enc, hi, lo0, head);
+            }
+            if !tail.is_empty() {
+                ctr_impl(&self.enc, hi, lo0.wrapping_add(wide as u64), tail);
+            }
         }
     }
 
     /// XEX over whole 16-byte blocks: block `i` of `src` (or of `dst`
     /// itself when `src` is `None`) is whitened with `T(base + 16·i)`
     /// before and after AES and lands in block `i` of `dst`, where `T(pa)`
-    /// is the 16-byte mask `lo ‖ hi` of `(lo, hi) = tweak(pa)`, both halves
-    /// little-endian. `ENC` selects encryption or decryption.
+    /// is the 16-byte mask `lo ‖ hi` of `(lo, hi) =
+    /// PaTweakCipher::tweak_halves(pa)`, both halves little-endian. `ENC`
+    /// selects encryption or decryption; `WIDE` lets the 512-bit kernel
+    /// take the whole 512-byte chunks on hosts that have it.
     ///
     /// # Panics
     ///
     /// Panics if `dst.len()` is not a multiple of 16, or `src` is given
     /// with a length other than `dst.len()`.
-    pub(crate) fn xex<const ENC: bool>(
+    pub(crate) fn xex<const ENC: bool, const WIDE: bool>(
         &self,
-        tweak: impl Fn(u64) -> (u64, u64),
         base: u64,
         src: Option<&[u8]>,
         dst: &mut [u8],
@@ -142,16 +201,32 @@ impl NiKeys {
         }
         debug_assert!(available(), "NiKeys constructed without CPU support");
         let blocks = dst.len() / 16;
+        let wide = wide_share::<WIDE>(blocks);
         let out = dst.as_mut_ptr();
         let input = src.map_or(out.cast_const(), <[u8]>::as_ptr);
         let keys = if ENC { &self.enc } else { &self.dec };
-        // SAFETY: construction implies detection (as in `encrypt_blocks`).
-        // `input` and `out` each span `16 * blocks` bytes (checked above);
-        // they are either the same buffer or two distinct borrows, and the
-        // kernel reads every block before it writes that block.
+        // SAFETY: construction implies detection (as in `encrypt_blocks`),
+        // and `wide_share` is non-zero only after `wide_available`
+        // detected `vaes`, `avx512f` and `avx512bw`. `input` and `out`
+        // each span `16 * blocks` bytes (checked above), so both kernels'
+        // ranges — the first `wide` blocks and the rest — lie inside them;
+        // the two are either the same buffer or two distinct borrows, and
+        // each kernel reads every block before it writes that block.
         #[allow(unsafe_code)]
         unsafe {
-            xex_impl::<ENC>(keys, tweak, base, input, out, blocks)
+            if wide > 0 {
+                xex_wide::<ENC>(keys, base, input, out, wide);
+            }
+            if wide < blocks {
+                let (input, out) = (input.add(16 * wide), out.add(16 * wide));
+                xex_impl::<ENC>(
+                    keys,
+                    base.wrapping_add(16 * wide as u64),
+                    input,
+                    out,
+                    blocks - wide,
+                );
+            }
         }
     }
 }
@@ -261,22 +336,19 @@ unsafe fn pack(lo: u64, hi: u64) -> __m128i {
     _mm_set_epi64x(hi as i64, lo as i64)
 }
 
-/// The CTR kernel: eight counter blocks per iteration are built in
-/// registers, encrypted with the keys loaded once, and XORed into the data;
-/// whole-block and ragged tails follow.
+/// The CTR kernel: eight counter blocks `hi ‖ lo0 + i` per iteration are
+/// built in registers, encrypted with the keys loaded once, and XORed into
+/// the data; whole-block and ragged tails follow.
 ///
 /// # Safety
 ///
 /// Caller must ensure the `aes` target feature is present at runtime.
 #[allow(unsafe_code)]
 #[target_feature(enable = "aes")]
-unsafe fn ctr_impl(keys: &[[u8; 16]], block: impl Fn(u64) -> (u64, u64), data: &mut [u8]) {
+unsafe fn ctr_impl(keys: &[[u8; 16]], hi: u64, lo0: u64, data: &mut [u8]) {
     let (rk, rounds) = load_keys(keys);
     // Big-endian halves read as the little-endian lanes of the register.
-    let counter = |i: u64| {
-        let (hi, lo) = block(i);
-        pack(hi.swap_bytes(), lo.swap_bytes())
-    };
+    let counter = |i: u64| pack(hi.swap_bytes(), lo0.wrapping_add(i).swap_bytes());
     let keystream1 = |i: u64| {
         let mut s = _mm_xor_si128(counter(i), rk[0]);
         for &k in &rk[1..rounds] {
@@ -334,7 +406,6 @@ unsafe fn ctr_impl(keys: &[[u8; 16]], block: impl Fn(u64) -> (u64, u64), data: &
 #[target_feature(enable = "aes")]
 unsafe fn xex_impl<const ENC: bool>(
     keys: &[[u8; 16]],
-    tweak: impl Fn(u64) -> (u64, u64),
     base: u64,
     src: *const u8,
     dst: *mut u8,
@@ -359,7 +430,7 @@ unsafe fn xex_impl<const ENC: bool>(
         }
     };
     let mask = |pa: u64| {
-        let (lo, hi) = tweak(pa);
+        let (lo, hi) = PaTweakCipher::tweak_halves(pa);
         pack(lo, hi)
     };
     let src = src.cast::<__m128i>();
@@ -396,6 +467,170 @@ unsafe fn xex_impl<const ENC: bool>(
     }
 }
 
+/// Broadcasts each round key to the four 128-bit lanes of a `zmm`
+/// register, once per wide-kernel call.
+///
+/// # Safety
+///
+/// Caller must ensure the `avx512f` target feature is present at runtime.
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx512f")]
+unsafe fn load_keys_wide(keys: &[[u8; 16]]) -> ([__m512i; MAX_RK], usize) {
+    let mut rk = [_mm512_setzero_si512(); MAX_RK];
+    for (dst, src) in rk.iter_mut().zip(keys.iter()) {
+        *dst = _mm512_broadcast_i32x4(_mm_loadu_si128(src.as_ptr().cast::<__m128i>()));
+    }
+    (rk, keys.len() - 1)
+}
+
+/// The lane form of `PaTweakCipher::tweak_halves`: for a register whose
+/// 128-bit lane `j` holds the block address `pa_j` in both 64-bit halves,
+/// returns the four tweak masks `T(pa_j)`. With `x = pa ^ rotl(pa, 23) ^
+/// C`, the low half is `x` and the high half `rotl(!x, 17)`; XORing the
+/// high halves with `!C` instead of `C` yields `!x` there, and one
+/// variable rotate by `(0, 17)` per lane finishes both halves.
+///
+/// # Safety
+///
+/// Caller must ensure the `avx512f` target feature is present at runtime.
+#[allow(unsafe_code)]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn tweak_lanes(pa: __m512i) -> __m512i {
+    const C: i64 = PaTweakCipher::TWEAK_CONSTANT as i64;
+    let c = _mm512_set_epi64(!C, C, !C, C, !C, C, !C, C);
+    // 0x96 is the truth table of `a ^ b ^ c`.
+    let x = _mm512_ternarylogic_epi64::<0x96>(pa, _mm512_rol_epi64::<23>(pa), c);
+    _mm512_rolv_epi64(x, _mm512_set_epi64(17, 0, 17, 0, 17, 0, 17, 0))
+}
+
+/// The block addresses of the first register of a run at `base`: lane `j`
+/// holds `base + 16·j` (wrapping) in both 64-bit halves.
+///
+/// # Safety
+///
+/// Caller must ensure the `avx512f` target feature is present at runtime.
+#[allow(unsafe_code)]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn lane_addresses(base: u64) -> __m512i {
+    _mm512_add_epi64(_mm512_set1_epi64(base as i64), _mm512_set_epi64(48, 48, 32, 32, 16, 16, 0, 0))
+}
+
+/// The 512-bit CTR kernel: eight `zmm` states of four counter blocks each
+/// per iteration. The counters live in registers in native order (`hi` in
+/// the low 64-bit half of each lane, `lo0 + i` in the high half), advance
+/// by a lane-wise 64-bit add, which wraps exactly like `u64::wrapping_add`,
+/// and are byte-swapped to big-endian with one `vpshufb` before the
+/// rounds.
+///
+/// # Safety
+///
+/// Caller must ensure the `vaes`, `avx512f` and `avx512bw` target features
+/// are present at runtime and `data.len()` is a multiple of 512.
+#[allow(unsafe_code)]
+#[target_feature(enable = "vaes,avx512f,avx512bw")]
+unsafe fn ctr_wide(keys: &[[u8; 16]], hi: u64, lo0: u64, data: &mut [u8]) {
+    debug_assert_eq!(data.len() % (16 * WIDE_BLOCKS), 0);
+    let (rk, rounds) = load_keys_wide(keys);
+    let (hi, lo) = (hi as i64, lo0 as i64);
+    let mut ctr = _mm512_set_epi64(
+        lo.wrapping_add(3),
+        hi,
+        lo.wrapping_add(2),
+        hi,
+        lo.wrapping_add(1),
+        hi,
+        lo,
+        hi,
+    );
+    let step = _mm512_set_epi64(4, 0, 4, 0, 4, 0, 4, 0);
+    // Reverses the bytes of each 64-bit half of each lane.
+    let bswap =
+        _mm512_broadcast_i32x4(_mm_set_epi8(8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7));
+    for chunk in data.chunks_exact_mut(16 * WIDE_BLOCKS) {
+        let p = chunk.as_mut_ptr().cast::<__m512i>();
+        let mut s = [_mm512_setzero_si512(); 8];
+        for st in s.iter_mut() {
+            *st = _mm512_xor_si512(_mm512_shuffle_epi8(ctr, bswap), rk[0]);
+            ctr = _mm512_add_epi64(ctr, step);
+        }
+        for &k in &rk[1..rounds] {
+            for st in s.iter_mut() {
+                *st = _mm512_aesenc_epi128(*st, k);
+            }
+        }
+        let last = rk[rounds];
+        for (j, st) in s.iter().enumerate() {
+            let ks = _mm512_aesenclast_epi128(*st, last);
+            _mm512_storeu_si512(p.add(j), _mm512_xor_si512(_mm512_loadu_si512(p.add(j)), ks));
+        }
+    }
+}
+
+/// The 512-bit XEX kernel: eight `zmm` states of four blocks each per
+/// iteration, with the tweaks computed lane-wise by [`tweak_lanes`] from
+/// a register of block addresses that advances by a 64-bit add (so the
+/// address wraps at `u64::MAX` exactly like the scalar path). Reads
+/// `blocks` blocks at `src` and writes them to `dst`, each 512-byte chunk
+/// read before it is written.
+///
+/// # Safety
+///
+/// Caller must ensure the `vaes`, `avx512f` and `avx512bw` target features
+/// are present at runtime, that `blocks` is a multiple of 32, and that
+/// `src` is valid for reads and `dst` for writes of `16 * blocks` bytes,
+/// the two being either equal or non-overlapping.
+#[allow(unsafe_code)]
+#[target_feature(enable = "vaes,avx512f,avx512bw")]
+unsafe fn xex_wide<const ENC: bool>(
+    keys: &[[u8; 16]],
+    base: u64,
+    src: *const u8,
+    dst: *mut u8,
+    blocks: usize,
+) {
+    debug_assert_eq!(blocks % WIDE_BLOCKS, 0);
+    let (rk, rounds) = load_keys_wide(keys);
+    let (first, last) = if ENC { (rk[0], rk[rounds]) } else { (rk[rounds], rk[0]) };
+    let round = |s: __m512i, r: usize| {
+        if ENC {
+            _mm512_aesenc_epi128(s, rk[r])
+        } else {
+            _mm512_aesdec_epi128(s, rk[rounds - r])
+        }
+    };
+    let finish = |s: __m512i| {
+        if ENC {
+            _mm512_aesenclast_epi128(s, last)
+        } else {
+            _mm512_aesdeclast_epi128(s, last)
+        }
+    };
+    let mut pa = lane_addresses(base);
+    let step = _mm512_set1_epi64(64);
+    let src = src.cast::<__m512i>();
+    let dst = dst.cast::<__m512i>();
+    for c in (0..blocks / 4).step_by(8) {
+        let mut t = [_mm512_setzero_si512(); 8];
+        let mut s = [_mm512_setzero_si512(); 8];
+        for j in 0..8 {
+            t[j] = tweak_lanes(pa);
+            pa = _mm512_add_epi64(pa, step);
+            s[j] =
+                _mm512_ternarylogic_epi64::<0x96>(_mm512_loadu_si512(src.add(c + j)), t[j], first);
+        }
+        for r in 1..rounds {
+            for st in s.iter_mut() {
+                *st = round(*st, r);
+            }
+        }
+        for j in 0..8 {
+            _mm512_storeu_si512(dst.add(c + j), _mm512_xor_si512(finish(s[j]), t[j]));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,6 +658,75 @@ mod tests {
             ni.decrypt_blocks(&mut data);
             ks.decrypt_blocks(&mut expect);
             assert_eq!(data, expect, "AESDEC diverged for {}-byte key", key.len());
+        }
+    }
+
+    /// The four tweak masks [`tweak_lanes`] computes for the register of a
+    /// run at `base`, as `(lo, hi)` pairs.
+    #[allow(unsafe_code)]
+    fn lane_tweaks(base: u64) -> [(u64, u64); 4] {
+        assert!(wide_available());
+        let mut lanes = [0u64; 8];
+        // SAFETY: the assertion above proves `avx512f` is present, and
+        // `lanes` is 64 bytes, one register.
+        unsafe {
+            _mm512_storeu_si512(lanes.as_mut_ptr().cast(), tweak_lanes(lane_addresses(base)));
+        }
+        std::array::from_fn(|j| (lanes[2 * j], lanes[2 * j + 1]))
+    }
+
+    #[test]
+    fn lane_tweak_matches_tweak_halves() {
+        if !wide_available() {
+            eprintln!("skipping: host has no VAES/AVX-512");
+            return;
+        }
+        let mut x = 0x7EA4_u64;
+        let random = std::iter::repeat_with(|| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x & !0xF
+        });
+        // `u64::MAX - 15` is the last block below the wrap: lanes 1..4 wrap
+        // to 0, 16 and 32.
+        for base in [0, u64::MAX - 15].into_iter().chain(random.take(64)) {
+            for (j, lane) in lane_tweaks(base).into_iter().enumerate() {
+                let pa = base.wrapping_add(16 * j as u64);
+                assert_eq!(lane, PaTweakCipher::tweak_halves(pa), "lane {j} of {base:#x}");
+            }
+        }
+    }
+
+    /// The wide kernels against the 128-bit ones for every key size (the
+    /// modes only reach AES-128), around whole chunks, a tail, and an
+    /// address and counter that wrap inside the first chunk.
+    #[test]
+    fn wide_kernels_match_narrow_all_key_sizes() {
+        if !wide_available() {
+            eprintln!("skipping: host has no VAES/AVX-512");
+            return;
+        }
+        let plain: Vec<u8> = (0..16 * 69).map(|i| (i as u8).wrapping_mul(29) ^ 0x5C).collect();
+        for key in [&[0x21u8; 16][..], &[0x5Eu8; 24][..], &[0xA3u8; 32][..]] {
+            let ni = keys_for(key);
+            // The second start wraps the counter at block 8 and, times 16,
+            // the address at block 8 too.
+            for start in [0x4_2000u64, u64::MAX - 7] {
+                let (mut wide, mut narrow) = (plain.clone(), plain.clone());
+                ni.ctr_xor::<true>(0x0123_4567, start, &mut wide);
+                ni.ctr_xor::<false>(0x0123_4567, start, &mut narrow);
+                assert_eq!(wide, narrow, "CTR, {}-byte key, start {start:#x}", key.len());
+
+                let base = start.wrapping_mul(16);
+                let mut enc = vec![0u8; plain.len()];
+                ni.xex::<true, true>(base, Some(&plain), &mut enc);
+                let mut expect = plain.clone();
+                ni.xex::<true, false>(base, None, &mut expect);
+                assert_eq!(enc, expect, "XEX encrypt, {}-byte key, base {base:#x}", key.len());
+                ni.xex::<false, true>(base, None, &mut enc);
+                assert_eq!(enc, plain, "XEX decrypt, {}-byte key, base {base:#x}", key.len());
+            }
         }
     }
 }

@@ -13,9 +13,12 @@
 //!   ciphertext *replayed in place* decrypts fine, which is exactly the
 //!   replay weakness the paper's §2.2 describes and Fidelius closes.
 //!
-//! Each mode makes one backend dispatch per call. On AES-NI schedules a
-//! whole buffer goes through one fused kernel (`aes_ni`: CTR or XEX with
-//! the round keys loaded once and counters or tweaks built in registers).
+//! Each mode makes one backend dispatch per run: a whole buffer for
+//! [`Ctr128`] and [`PaTweakCipher`], one run per sector for
+//! [`SectorCipher`]. On AES-NI schedules a run goes through one fused
+//! kernel (`aes_ni`: CTR or XEX with the round keys loaded once and
+//! counters or tweaks built in registers; its 512-bit VAES form takes the
+//! whole 512-byte chunks where the CPU has it).
 //! T-table schedules run the portable loops over
 //! [`crate::aes::KeySchedule::xor_keystream`] and the batched
 //! `encrypt_blocks`/`decrypt_blocks` entry points; they are the fallback
@@ -25,23 +28,40 @@ use crate::aes::{Aes128, AesBackend};
 use crate::CryptoError;
 
 /// XORs `data` with the CTR keystream whose block `i` encrypts
-/// `hi ‖ lo` for `(hi, lo) = block(i)`, both halves big-endian; the final
-/// chunk may be short.
-fn ctr64(cipher: &Aes128, block: impl Fn(u64) -> (u64, u64), data: &mut [u8]) {
+/// `hi ‖ lo0 + i` (a wrapping 64-bit add), both halves big-endian; the
+/// final chunk may be short. `WIDE` lets an AES-NI schedule use the 512-bit
+/// kernel where the host has it; `false` pins the 128-bit one.
+fn ctr64<const WIDE: bool>(cipher: &Aes128, hi: u64, lo0: u64, data: &mut [u8]) {
     #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
     if let Some(ni) = cipher.schedule().fused() {
-        return ni.ctr_xor(block, data);
+        return ni.ctr_xor::<WIDE>(hi, lo0, data);
     }
     cipher.schedule().xor_keystream(
         |i| {
-            let (hi, lo) = block(i);
             let mut ks = [0u8; 16];
             ks[..8].copy_from_slice(&hi.to_be_bytes());
-            ks[8..].copy_from_slice(&lo.to_be_bytes());
+            ks[8..].copy_from_slice(&lo0.wrapping_add(i).to_be_bytes());
             ks
         },
         data,
     );
+}
+
+/// Whether the 512-bit VAES mode kernels serve AES-NI schedules in this
+/// build on this host (the `aesni` feature, and `vaes`, `avx512f` and
+/// `avx512bw` on the CPU). Oracle tests print it, so a log says which
+/// kernels they pinned.
+#[cfg(all(feature = "aesni", target_arch = "x86_64"))]
+#[doc(hidden)]
+pub fn wide_kernels() -> bool {
+    AesBackend::AesNi.available() && crate::aes_ni::wide_available()
+}
+
+/// Without the `aesni` feature no AES-NI kernel is built at all.
+#[cfg(not(all(feature = "aesni", target_arch = "x86_64")))]
+#[doc(hidden)]
+pub fn wide_kernels() -> bool {
+    false
 }
 
 /// AES-128 counter mode.
@@ -72,7 +92,15 @@ impl Ctr128 {
     /// context constructed at all. The 64-bit counter wraps like
     /// `u64::wrapping_add`.
     pub fn apply_with(cipher: &Aes128, nonce: u64, block_offset: u64, data: &mut [u8]) {
-        ctr64(cipher, |i| (nonce, block_offset.wrapping_add(i)), data);
+        ctr64::<true>(cipher, nonce, block_offset, data);
+    }
+
+    /// [`Ctr128::apply_with`] on the 128-bit AES-NI kernel alone, whatever
+    /// the host supports: the oracle the 512-bit kernel is tested against.
+    /// On T-table schedules it is the same portable loop.
+    #[doc(hidden)]
+    pub fn apply_narrow_with(cipher: &Aes128, nonce: u64, block_offset: u64, data: &mut [u8]) {
+        ctr64::<false>(cipher, nonce, block_offset, data);
     }
 }
 
@@ -88,9 +116,6 @@ pub struct SectorCipher {
 
 /// Size of one disk sector in bytes.
 pub const SECTOR_SIZE: usize = 512;
-
-/// CTR blocks per sector.
-const SECTOR_BLOCKS: u64 = (SECTOR_SIZE / 16) as u64;
 
 impl SectorCipher {
     /// Creates a sector cipher from the disk key `Kblk`.
@@ -131,15 +156,14 @@ impl SectorCipher {
         self.apply_sectors(first_sector, data);
     }
 
-    /// The whole run in one keystream pass: block `i` of the run is block
-    /// `i mod 32` of sector `first_sector + i / 32`.
+    /// One CTR run per sector: sector `s` of the buffer is the keystream
+    /// of `first_sector + s ‖ 0, 1, …, 31`, exactly one chunk of the
+    /// 512-bit kernel.
     fn apply_sectors(&self, first_sector: u64, data: &mut [u8]) {
         assert_eq!(data.len() % SECTOR_SIZE, 0, "run must be whole sectors");
-        ctr64(
-            &self.cipher,
-            |i| (first_sector.wrapping_add(i / SECTOR_BLOCKS), i % SECTOR_BLOCKS),
-            data,
-        );
+        for (s, sector) in data.chunks_exact_mut(SECTOR_SIZE).enumerate() {
+            ctr64::<true>(&self.cipher, first_sector.wrapping_add(s as u64), 0, sector);
+        }
     }
 }
 
@@ -168,13 +192,18 @@ impl PaTweakCipher {
         Ok(PaTweakCipher { cipher: Aes128::with_backend(key, backend)? })
     }
 
-    /// The two 64-bit halves of the tweak for physical address `pa`.
+    /// The constant folded into every tweak.
+    pub(crate) const TWEAK_CONSTANT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    /// The two 64-bit halves of the tweak for physical address `pa`: the
+    /// one scalar tweak every XEX path uses (the 512-bit kernel computes
+    /// the same formula lane-wise).
     ///
     /// A simple public diffusion of the physical block address; the real
     /// engine uses an undocumented tweak function with the same contract.
     #[inline]
-    fn tweak_halves(pa: u64) -> (u64, u64) {
-        let x = pa ^ pa.rotate_left(23) ^ 0x9E37_79B9_7F4A_7C15;
+    pub(crate) fn tweak_halves(pa: u64) -> (u64, u64) {
+        let x = pa ^ pa.rotate_left(23) ^ Self::TWEAK_CONSTANT;
         (x, (!x).rotate_left(17))
     }
 
@@ -243,7 +272,7 @@ impl PaTweakCipher {
     ///
     /// Panics if `data.len()` is not a multiple of 16.
     pub fn encrypt_blocks(&self, base_pa: u64, data: &mut [u8]) {
-        self.xex::<true>(base_pa, None, data);
+        self.xex::<true, true>(base_pa, None, data);
     }
 
     /// Decrypts consecutive 16-byte blocks in place; see
@@ -253,7 +282,7 @@ impl PaTweakCipher {
     ///
     /// Panics if `data.len()` is not a multiple of 16.
     pub fn decrypt_blocks(&self, base_pa: u64, data: &mut [u8]) {
-        self.xex::<false>(base_pa, None, data);
+        self.xex::<false, true>(base_pa, None, data);
     }
 
     /// Encrypts the plaintext blocks of `src`, located at `base_pa`
@@ -265,7 +294,7 @@ impl PaTweakCipher {
     ///
     /// Panics if the lengths differ or are not a multiple of 16.
     pub fn encrypt_blocks_to(&self, base_pa: u64, src: &[u8], dst: &mut [u8]) {
-        self.xex::<true>(base_pa, Some(src), dst);
+        self.xex::<true, true>(base_pa, Some(src), dst);
     }
 
     /// Decrypts the ciphertext blocks of `src`, located at `base_pa`
@@ -275,19 +304,42 @@ impl PaTweakCipher {
     ///
     /// Panics if the lengths differ or are not a multiple of 16.
     pub fn decrypt_blocks_to(&self, base_pa: u64, src: &[u8], dst: &mut [u8]) {
-        self.xex::<false>(base_pa, Some(src), dst);
+        self.xex::<false, true>(base_pa, Some(src), dst);
     }
 
-    /// The one backend dispatch behind the four streaming entry points:
-    /// `src` of `None` means in place.
-    fn xex<const ENC: bool>(&self, base_pa: u64, src: Option<&[u8]>, dst: &mut [u8]) {
+    /// The streaming XEX transform on the 128-bit AES-NI kernel alone,
+    /// whatever the host supports: the oracle the 512-bit kernel is tested
+    /// against. `src` of `None` means in place; on T-table schedules it is
+    /// the same portable loop as the four streaming entry points.
+    ///
+    /// # Panics
+    ///
+    /// As for [`PaTweakCipher::encrypt_blocks_to`].
+    #[doc(hidden)]
+    pub fn xex_narrow(&self, encrypt: bool, base_pa: u64, src: Option<&[u8]>, dst: &mut [u8]) {
+        if encrypt {
+            self.xex::<true, false>(base_pa, src, dst);
+        } else {
+            self.xex::<false, false>(base_pa, src, dst);
+        }
+    }
+
+    /// The one backend dispatch behind the streaming entry points: `src`
+    /// of `None` means in place, and `WIDE` lets an AES-NI schedule use
+    /// the 512-bit kernel where the host has it.
+    fn xex<const ENC: bool, const WIDE: bool>(
+        &self,
+        base_pa: u64,
+        src: Option<&[u8]>,
+        dst: &mut [u8],
+    ) {
         assert_eq!(dst.len() % 16, 0, "streaming tweak path needs whole blocks");
         if let Some(src) = src {
             assert_eq!(src.len(), dst.len(), "source and destination lengths differ");
         }
         #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
         if let Some(ni) = self.cipher.schedule().fused() {
-            return ni.xex::<ENC>(Self::tweak_halves, base_pa, src, dst);
+            return ni.xex::<ENC, WIDE>(base_pa, src, dst);
         }
         if let Some(src) = src {
             dst.copy_from_slice(src);

@@ -178,48 +178,51 @@ impl Fe {
         Fe::carry_wide(r)
     }
 
+    /// One pass of carries over the wide limb sums, the top carry folded
+    /// back into limb 0 with ×19 (2²⁵⁵ ≡ 19), then limb 0's own carry into
+    /// limb 1. Every `Fe` leaves `carry` or `carry_wide` with limbs below
+    /// 2⁵², so limb 4's sum, which has no ×19 terms, is below 2¹⁰⁷ and its
+    /// carry times 19 fits a `u64`; the result has limbs below 2⁵¹ except
+    /// limb 1, which may exceed it by the last carry.
     fn carry_wide(r: [u128; 5]) -> Fe {
         let mut l = [0u64; 5];
         let mut carry: u128 = 0;
-        for i in 0..5 {
-            let v = r[i] + carry;
-            l[i] = (v as u64) & MASK51;
+        for (limb, &sum) in l.iter_mut().zip(r.iter()) {
+            let v = sum + carry;
+            *limb = (v as u64) & MASK51;
             carry = v >> 51;
         }
-        // Fold the final carry back with ×19.
-        let mut c = carry * 19;
-        let mut i = 0;
-        while c > 0 {
-            let v = l[i] as u128 + c;
-            l[i] = (v as u64) & MASK51;
-            c = v >> 51;
-            i = (i + 1) % 5;
-            if i == 0 {
-                c *= 19;
-            }
-        }
-        Fe(l).carry()
+        l[0] += carry as u64 * 19;
+        l[1] += l[0] >> 51;
+        l[0] &= MASK51;
+        Fe(l)
     }
 
-    /// Inversion by Fermat: self^(p−2).
-    fn invert(self) -> Fe {
-        // Exponent p-2 = 2^255 - 21, little-endian bytes.
-        let mut exp = [0xFFu8; 32];
-        exp[0] = 0xEB;
-        exp[31] = 0x7F;
-        let mut result = Fe::ONE;
-        let mut base = self;
-        for byte in exp {
-            let mut b = byte;
-            for _ in 0..8 {
-                if b & 1 != 0 {
-                    result = result.mul(base);
-                }
-                base = base.square();
-                b >>= 1;
-            }
+    /// `self^(2^k)`: `k` successive squarings.
+    fn pow2k(self, k: u32) -> Fe {
+        let mut t = self;
+        for _ in 0..k {
+            t = t.square();
         }
-        result
+        t
+    }
+
+    /// Inversion by Fermat, `self^(p−2)` with `p − 2 = 2²⁵⁵ − 21`, along
+    /// the standard addition chain: 254 squarings and 11 multiplications.
+    /// `invert(0)` is 0.
+    fn invert(self) -> Fe {
+        let z2 = self.square(); // z^2
+        let z9 = z2.pow2k(2).mul(self); // z^9
+        let z11 = z9.mul(z2); // z^11
+        let z_5_0 = z11.square().mul(z9); // z^(2^5 - 1)
+        let z_10_0 = z_5_0.pow2k(5).mul(z_5_0); // z^(2^10 - 1)
+        let z_20_0 = z_10_0.pow2k(10).mul(z_10_0); // z^(2^20 - 1)
+        let z_40_0 = z_20_0.pow2k(20).mul(z_20_0); // z^(2^40 - 1)
+        let z_50_0 = z_40_0.pow2k(10).mul(z_10_0); // z^(2^50 - 1)
+        let z_100_0 = z_50_0.pow2k(50).mul(z_50_0); // z^(2^100 - 1)
+        let z_200_0 = z_100_0.pow2k(100).mul(z_100_0); // z^(2^200 - 1)
+        let z_250_0 = z_200_0.pow2k(50).mul(z_50_0); // z^(2^250 - 1)
+        z_250_0.pow2k(5).mul(z11) // z^(2^255 - 32 + 11)
     }
 }
 
@@ -406,6 +409,27 @@ mod tests {
         let s = format!("{kp:?}");
         assert!(s.contains("public"));
         assert!(!s.contains("private: [66"));
+    }
+
+    #[test]
+    fn invert_is_the_multiplicative_inverse() {
+        assert_eq!(Fe::ZERO.invert().to_bytes(), [0u8; 32], "invert(0) must be 0");
+        let one = Fe::ONE.to_bytes();
+        let mut state = 0x0002_5519_u64;
+        for _ in 0..64 {
+            let mut bytes = [0u8; 32];
+            for b in bytes.iter_mut() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                *b = (state >> 56) as u8;
+            }
+            let x = Fe::from_bytes(&bytes);
+            if x.to_bytes() == [0u8; 32] {
+                continue;
+            }
+            assert_eq!(x.mul(x.invert()).to_bytes(), one, "x · invert(x) != 1 for {bytes:02x?}");
+        }
     }
 
     #[test]

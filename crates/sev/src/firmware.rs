@@ -633,8 +633,8 @@ impl Firmware {
             let tek = ciphers.tek.as_ref().expect("receiving state implies transport keys");
             Ctr128::apply_with(tek, PAGE_NONCE, page_index * (PAGE_SIZE / 16), page);
             ctx.measurement.update(page);
-            ciphers.engine.encrypt_blocks(dst_pa.0, page);
-            m.mc.dram_mut().write_raw(dst_pa, page).map_err(SevError::Hw)?;
+            let cells = m.mc.dram_mut().raw_span_mut(dst_pa, page.len()).map_err(SevError::Hw)?;
+            ciphers.engine.encrypt_blocks_to(dst_pa.0, page, cells);
             charge_reencrypt(m, PAGE_SIZE);
             Ok(())
         })
@@ -808,8 +808,8 @@ impl Firmware {
             let stream = first_stream.wrapping_add(s as u64);
             Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, sector);
         }
-        ciphers.engine.encrypt_blocks(dst_pa.0, &mut buf);
-        machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
+        let cells = machine.mc.dram_mut().raw_span_mut(dst_pa, buf.len()).map_err(SevError::Hw)?;
+        ciphers.engine.encrypt_blocks_to(dst_pa.0, &buf, cells);
         charge_reencrypt(machine, len);
         Ok(())
     }

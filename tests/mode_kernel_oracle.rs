@@ -9,7 +9,12 @@
 //! dst`); on T-table schedules they run the portable loops. Built
 //! without the `aesni` feature this test pins the portable loops and the
 //! mode entry points; built with it on a CPU with AES instructions it
-//! pins the fused kernels too.
+//! pins the fused kernels too. On a CPU with VAES and AVX-512 the entry
+//! points run the 512-bit kernels over whole 512-byte chunks, so the
+//! 128-bit kernels are pinned separately through the hidden narrow
+//! entries (`Ctr128::apply_narrow_with`, `PaTweakCipher::xex_narrow`);
+//! `wide_and_narrow_kernels_match_reference_at_chunk_edges` prints which
+//! kernels ran.
 //!
 //! Coverage:
 //!
@@ -19,11 +24,15 @@
 //! - sector runs of 0..=9 sectors, including sector numbers that wrap;
 //! - XEX encrypt and decrypt, in place and `src → dst`, over runs of
 //!   0..=272 blocks at addresses that cross `u64::MAX`, and over a short
-//!   run at every 16-byte offset of a page.
+//!   run at every 16-byte offset of a page;
+//! - both CTR and XEX, through the dispatched and the narrow entries, at
+//!   31, 32, 33, 64, 255, 256 and 257 blocks (either side of the 32-block
+//!   chunk of the 512-bit kernels), with a counter and an address that
+//!   wrap inside the first chunk and inside a later one.
 
 use fidelius::crypto::aes::{Aes128, AesBackend};
 use fidelius::crypto::aes_soft::reference::RefAes128;
-use fidelius::crypto::modes::{Ctr128, PaTweakCipher, SectorCipher, SECTOR_SIZE};
+use fidelius::crypto::modes::{wide_kernels, Ctr128, PaTweakCipher, SectorCipher, SECTOR_SIZE};
 
 /// The backends this build and host can run (always including `ttable`).
 fn backends() -> Vec<AesBackend> {
@@ -241,6 +250,81 @@ fn xex_matches_reference_at_every_block_offset_of_a_page() {
             let cipher_text = reference_xex(&reference, true, base, &plain);
             for backend in backends() {
                 check_xex(backend, &key, base, &plain, &cipher_text);
+            }
+        }
+    }
+}
+
+/// Run lengths either side of the 512-bit kernels' 32-block chunk.
+const CHUNK_EDGES: [usize; 7] = [31, 32, 33, 64, 255, 256, 257];
+
+/// Checks the narrow (128-bit only) XEX entry in both directions, in place
+/// and `src → dst`, against the reference pair for `[base, base + len)`.
+fn check_xex_narrow(engine: &PaTweakCipher, name: &str, base: u64, plain: &[u8], ct: &[u8]) {
+    let len = plain.len();
+    let mut in_place = plain.to_vec();
+    engine.xex_narrow(true, base, None, &mut in_place);
+    assert!(in_place == ct, "{name}: narrow encrypt in place, base {base:#x}, {len} bytes");
+    engine.xex_narrow(false, base, None, &mut in_place);
+    assert!(in_place == plain, "{name}: narrow decrypt in place, base {base:#x}, {len} bytes");
+    let mut dst = vec![0xA5u8; len];
+    engine.xex_narrow(true, base, Some(plain), &mut dst);
+    assert!(dst == ct, "{name}: narrow encrypt src→dst, base {base:#x}, {len} bytes");
+    let mut back = vec![0x5Au8; len];
+    engine.xex_narrow(false, base, Some(&dst), &mut back);
+    assert!(back == plain, "{name}: narrow decrypt src→dst, base {base:#x}, {len} bytes");
+}
+
+#[test]
+fn wide_and_narrow_kernels_match_reference_at_chunk_edges() {
+    eprintln!(
+        "512-bit VAES kernels: {}",
+        if wide_kernels() {
+            "ran (whole 512-byte chunks), 128-bit kernels pinned through the narrow entries"
+        } else {
+            "not in this build/host; every entry ran the 128-bit or portable kernels"
+        }
+    );
+    let mut rng = Rng(0x0A5E_0512);
+    let key = rng.key();
+    let reference = RefAes128::new(&key);
+    let nonce = rng.next();
+    let plain = rng.bytes(16 * 257 + 5);
+    // An ordinary start, a counter that wraps at block 8 (inside the first
+    // chunk) and one that wraps at block 41 (inside the second).
+    for start in [rng.next() >> 8, u64::MAX - 7, u64::MAX - 40] {
+        let keystream =
+            reference_keystream(&reference, plain.len(), |i| (nonce, start.wrapping_add(i)));
+        for backend in backends() {
+            let cipher = Aes128::with_backend(&key, backend).unwrap();
+            for blocks in CHUNK_EDGES {
+                // Whole blocks, and the same run with a ragged tail.
+                for len in [16 * blocks, 16 * blocks + 5] {
+                    let want = xor(&plain[..len], &keystream[..len]);
+                    let mut data = plain[..len].to_vec();
+                    Ctr128::apply_with(&cipher, nonce, start, &mut data);
+                    assert!(data == want, "{}: CTR, start {start:#x}, {len} bytes", backend.name());
+                    let mut data = plain[..len].to_vec();
+                    Ctr128::apply_narrow_with(&cipher, nonce, start, &mut data);
+                    assert!(
+                        data == want,
+                        "{}: narrow CTR, start {start:#x}, {len} bytes",
+                        backend.name()
+                    );
+                }
+            }
+        }
+    }
+    // The same three positions for the address: an ordinary page, a wrap
+    // at block 8 and a wrap at block 41.
+    for base in [0x31_4000u64, 0u64.wrapping_sub(16 * 8), 0u64.wrapping_sub(16 * 41)] {
+        for blocks in CHUNK_EDGES {
+            let plain = &plain[..16 * blocks];
+            let ct = reference_xex(&reference, true, base, plain);
+            for backend in backends() {
+                check_xex(backend, &key, base, plain, &ct);
+                let engine = PaTweakCipher::with_backend(&key, backend).unwrap();
+                check_xex_narrow(&engine, backend.name(), base, plain, &ct);
             }
         }
     }
