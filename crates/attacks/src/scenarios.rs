@@ -538,7 +538,7 @@ fn atk_disk_snoop(defense: Defense) -> AttackReport {
     sector[..24].copy_from_slice(SECRET);
     v.sys.disk_write(v.victim, 3, &sector).expect("disk write");
     v.sys.ensure_host().unwrap();
-    if contains_secret(v.sys.xen.backend.disk()) {
+    if contains_secret(v.sys.xen.backend(v.victim).expect("victim's block device").disk()) {
         report(NAME, defense, AttackOutcome::Succeeded, "driver domain read I/O plaintext")
     } else {
         report(NAME, defense, AttackOutcome::Blocked, "disk holds only ciphertext")

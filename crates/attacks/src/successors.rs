@@ -156,7 +156,9 @@ pub(crate) fn severed_run(defense: Defense) -> (VictimSetup, AttackReport) {
             v.sys.gpa_read(v.victim, served_gpa, &mut sector[..64], v.sev).expect("serve read");
             v.sys.disk_write(v.victim, 7, &sector).expect("serve write");
             v.sys.ensure_host().expect("host");
-            let rep = if contains_secret(v.sys.xen.backend.disk()) {
+            let rep = if contains_secret(
+                v.sys.xen.backend(v.victim).expect("victim's block device").disk(),
+            ) {
                 report(
                     NAME,
                     defense,

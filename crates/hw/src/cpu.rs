@@ -771,6 +771,23 @@ impl Machine {
         Ok(u64::from_le_bytes(buf))
     }
 
+    /// Reads `N` consecutive little-endian u64 fields at `va`:
+    /// semantically `N` back-to-back [`Machine::host_read_u64`] calls. Each
+    /// field is its own piece, with its own translation, engine charge and
+    /// memory-controller call, and nothing coalesces, so the TLB counters,
+    /// cycles, telemetry and an armed recorder see exactly what the
+    /// separate calls would show.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Machine::host_read`]; the fault is the first faulting
+    /// field's, and the fields after it are not accessed.
+    pub fn host_read_u64s<const N: usize>(&mut self, va: Hva) -> Result<[u64; N], Fault> {
+        let mut fields = [[0u8; 8]; N];
+        self.stream(Addr::Host(va), Buf::Read(fields.as_flattened_mut()), 8, false)?;
+        Ok(fields.map(u64::from_le_bytes))
+    }
+
     /// Writes a little-endian u64 to host-virtual memory.
     ///
     /// # Errors
@@ -1071,6 +1088,35 @@ impl Machine {
         self.stream(Addr::GuestPhys(gpa, encrypted), Buf::Write(data), NO_CHUNKING, true)
     }
 
+    /// Writes `data` as back-to-back [`Machine::guest_write_gpa`] calls of
+    /// `chunk` bytes each (the last may be shorter), in one call: the
+    /// guest-side entry point for a run of small fields, as
+    /// [`Machine::host_write_stream`] is for host runs. Unlike that one,
+    /// chunks never coalesce with each other: each takes its own
+    /// translations and engine charges and commits as its own run, exactly
+    /// as a separate call would, so an armed recorder books one
+    /// `mem-stream:write` instant per chunk.
+    ///
+    /// # Errors
+    ///
+    /// NPT faults propagate; the chunks before the faulting one are
+    /// committed, as separate calls would have left them.
+    pub fn guest_write_gpa_stream(
+        &mut self,
+        gpa: Gpa,
+        data: &[u8],
+        encrypted: bool,
+        chunk: usize,
+    ) -> Result<(), Fault> {
+        assert_eq!(self.cpu.mode, Mode::Guest);
+        assert!(chunk > 0, "stream chunk must be non-zero");
+        for (off, piece) in (0..).step_by(chunk).zip(data.chunks(chunk)) {
+            let at = Addr::GuestPhys(gpa.add(off), encrypted);
+            self.stream(at, Buf::Write(piece), NO_CHUNKING, true)?;
+        }
+        Ok(())
+    }
+
     /// Guest virtual read through the guest's own page tables, then the
     /// NPT. The C-bit of the *guest leaf entry* selects encryption, as on
     /// real SEV hardware; the guest's page tables themselves are always
@@ -1163,10 +1209,13 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cycles::CycleBreakdown;
     use crate::mem::FrameAllocator;
     use crate::paging::{Mapper, PhysPtAccess, PTE_C_BIT, PTE_NX, PTE_WRITABLE};
     use crate::regs::Gpr;
-    use fidelius_telemetry::GateKind;
+    use crate::tlb::TlbCounters;
+    use fidelius_telemetry::{GateKind, Snapshot};
+    use fidelius_trace::TraceBuffer;
 
     const MEM: u64 = 1024 * PAGE_SIZE; // 4 MiB
 
@@ -1530,5 +1579,79 @@ mod tests {
         assert_eq!(m.cycles.in_category(CycleCategory::Gates), 16.0);
         assert_eq!(m.cycles.current_category(), CycleCategory::Baseline);
         assert_eq!(gate_events(&m), 1);
+    }
+
+    /// Everything an access sequence books: TLB counters, the cycle
+    /// breakdown, the telemetry snapshot and the armed recorder's spans
+    /// and instants.
+    fn booked(m: &Machine) -> (TlbCounters, CycleBreakdown, Snapshot, TraceBuffer) {
+        (m.tlb.counters(), m.cycles.breakdown(), m.telemetry_snapshot(), m.rec.take())
+    }
+
+    #[test]
+    fn host_field_read_books_what_per_field_reads_book() {
+        // Aligned fields; a page end between fields; a field split by a
+        // page end; a page end under the SME key; a second field on an
+        // unmapped page.
+        let runs = [0x1000, 0x3000 - 16, 0x3000 - 12, 0x40_1000 - 12, 256 * PAGE_SIZE - 8];
+        for fidelity in [Fidelity::Fast, Fidelity::Reference] {
+            for va in runs {
+                let run = |one_call: bool| {
+                    let (mut m, mut alloc, mapper) = host_machine();
+                    m.mc.install_sme_key(&[0x5E; 16]);
+                    for (page, hpa) in [(0x40_0000, 0x9000), (0x40_1000, 0xA000)] {
+                        let mut acc = PhysPtAccess::new(&mut m.mc, EncSel::None);
+                        mapper
+                            .map(&mut acc, &mut alloc, page, Hpa(hpa), PTE_WRITABLE | PTE_C_BIT)
+                            .unwrap();
+                    }
+                    let seed: Vec<u8> = (0..=255).cycle().take(3 * PAGE_SIZE as usize).collect();
+                    m.mc.dram_mut().write_raw(Hpa(0x1000), &seed).unwrap();
+                    m.set_fidelity(fidelity);
+                    m.rec.arm();
+                    let got = if one_call {
+                        m.host_read_u64s::<5>(Hva(va)).map(Vec::from)
+                    } else {
+                        (0..5).map(|i| m.host_read_u64(Hva(va + 8 * i))).collect()
+                    };
+                    (got, booked(&m))
+                };
+                let (one, per_field) = (run(true), run(false));
+                assert_eq!(one, per_field, "{fidelity:?}: five fields at {va:#x}");
+                assert_eq!(one.0.is_err(), va == 256 * PAGE_SIZE - 8, "{va:#x}: {:?}", one.0);
+            }
+        }
+    }
+
+    #[test]
+    fn guest_field_stream_books_what_per_field_writes_book() {
+        // Aligned fields; a page end between fields; a field split by a
+        // page end; a second field past the NPT's last page.
+        let runs = [0x7000, 0x9000 - 16, 0x9000 - 20, 64 * PAGE_SIZE - 8];
+        let data: Vec<u8> = (1..=48).collect();
+        for fidelity in [Fidelity::Fast, Fidelity::Reference] {
+            for (gpa, encrypted) in runs.into_iter().flat_map(|g| [(g, false), (g, true)]) {
+                let run = |one_call: bool| {
+                    let (mut m, _vmcb) = guest_machine(true);
+                    m.set_fidelity(fidelity);
+                    m.rec.arm();
+                    let result = if one_call {
+                        m.guest_write_gpa_stream(Gpa(gpa), &data, encrypted, 8)
+                    } else {
+                        (0..).zip(data.chunks(8)).try_for_each(|(i, field)| {
+                            m.guest_write_gpa(Gpa(gpa + 8 * i), field, encrypted)
+                        })
+                    };
+                    // The two guest pages the run touches, as DRAM holds them.
+                    let mut dram = vec![0u8; 2 * PAGE_SIZE as usize];
+                    let base = 0x10_0000 + Gpa(gpa).page_base().0;
+                    m.mc.dram().read_raw(Hpa(base), &mut dram).unwrap();
+                    (result, dram, booked(&m))
+                };
+                let (one, per_field) = (run(true), run(false));
+                assert_eq!(one, per_field, "{fidelity:?}: six fields at {gpa:#x} ({encrypted})");
+                assert_eq!(one.0.is_err(), gpa == 64 * PAGE_SIZE - 8, "{gpa:#x}: {:?}", one.0);
+            }
+        }
     }
 }

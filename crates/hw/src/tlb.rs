@@ -16,6 +16,13 @@
 //! the entry map, no matter how many translations are cached — and stale
 //! entries are reaped lazily when a lookup trips over them or when the
 //! bounded-capacity FIFO eviction recycles their slot.
+//!
+//! A space's flush and demotion generations sit in one dense vector
+//! indexed by space (the host at 0, ASID `a` at `a + 1`), so an access
+//! pays one hash probe, for its entry, and one bounds-checked index for
+//! its space. The vector grows only when a space is flushed or demoted;
+//! a space past its end has never been either, so both its generations
+//! are 0.
 
 use crate::fxhash::FxBuildHasher;
 use std::collections::{HashMap, VecDeque};
@@ -198,14 +205,31 @@ impl Lookup {
     }
 }
 
+impl Space {
+    /// The space's slot in [`Tlb`]'s generation vector: the host is 0 and
+    /// ASID `a` is `a + 1`.
+    fn index(self) -> usize {
+        match self {
+            Space::Host => 0,
+            Space::Guest(asid) => asid as usize + 1,
+        }
+    }
+}
+
 /// The TLB: cached translations per (space, virtual page), with O(1)
 /// generation flushes and bounded-capacity FIFO eviction.
+///
+/// The per-space generations take at most 65 537 × 16 B (about 1 MiB):
+/// one `(flush, demote)` pair per ASID up to the highest one flushed or
+/// demoted, plus the host's. Only [`Tlb::flush_space`] and
+/// [`Tlb::demote_space`] grow them, and the hypervisor calls those only
+/// for the host and the ASIDs it assigned.
 #[derive(Debug)]
 pub struct Tlb {
     entries: HashMap<(Space, u64), Entry, FxBuildHasher>,
     fifo: VecDeque<((Space, u64), u64)>,
-    space_gens: HashMap<Space, u64, FxBuildHasher>,
-    space_demote_gens: HashMap<Space, u64, FxBuildHasher>,
+    /// `(flush generation, demotion generation)` per [`Space::index`].
+    space_gens: Vec<(u64, u64)>,
     global_gen: u64,
     next_stamp: u64,
     capacity: usize,
@@ -236,8 +260,7 @@ impl Tlb {
             // Reserved at its bound (see `insert`), so a warm TLB never
             // reallocates it.
             fifo: VecDeque::with_capacity(2 * capacity + 1),
-            space_gens: HashMap::default(),
-            space_demote_gens: HashMap::default(),
+            space_gens: Vec::new(),
             global_gen: 0,
             next_stamp: 0,
             capacity,
@@ -246,11 +269,20 @@ impl Tlb {
     }
 
     fn space_gen(&self, space: Space) -> u64 {
-        self.space_gens.get(&space).copied().unwrap_or(0)
+        self.space_gens.get(space.index()).map_or(0, |g| g.0)
     }
 
     fn space_demote_gen(&self, space: Space) -> u64 {
-        self.space_demote_gens.get(&space).copied().unwrap_or(0)
+        self.space_gens.get(space.index()).map_or(0, |g| g.1)
+    }
+
+    /// The generation pair of `space`, growing the vector to reach it.
+    fn space_gens_mut(&mut self, space: Space) -> &mut (u64, u64) {
+        let i = space.index();
+        if i >= self.space_gens.len() {
+            self.space_gens.resize(i + 1, (0, 0));
+        }
+        &mut self.space_gens[i]
     }
 
     fn is_valid(&self, space: Space, entry: &Entry) -> bool {
@@ -382,7 +414,7 @@ impl Tlb {
     /// bumping the space's demotion generation. Residency, hit accounting
     /// and eviction order are unaffected; see [`Tlb::demote_page`].
     pub fn demote_space(&mut self, space: Space) {
-        *self.space_demote_gens.entry(space).or_insert(0) += 1;
+        self.space_gens_mut(space).1 += 1;
     }
 
     /// `invlpg` — drops one entry.
@@ -393,7 +425,7 @@ impl Tlb {
     /// Invalidates every entry of one space (ASID-selective flush) by
     /// bumping the space's generation — O(1).
     pub fn flush_space(&mut self, space: Space) {
-        *self.space_gens.entry(space).or_insert(0) += 1;
+        self.space_gens_mut(space).0 += 1;
     }
 
     /// Full flush (CR3 write without PCID) — an O(1) generation bump.
@@ -522,6 +554,40 @@ mod tests {
         tlb.flush_space(Space::Guest(1));
         assert_eq!(tlb.lookup(Space::Guest(1), 1), Lookup::Miss);
         assert_eq!(pfn_of(tlb.lookup(Space::Host, 1)), Some(10));
+    }
+
+    #[test]
+    fn edge_spaces_flush_and_demote_alone() {
+        // The host and the lowest and highest ASIDs sit at both ends of
+        // the generation vector; bumping one must leave every other
+        // space's entries valid and usable.
+        let edges = [Space::Guest(u16::MAX), Space::Guest(0), Space::Host];
+        let all = [edges[0], edges[1], edges[2], Space::Guest(1), Space::Guest(u16::MAX - 1)];
+        for target in edges {
+            let mut tlb = Tlb::new();
+            for (pfn, &space) in (0u64..).zip(&all) {
+                tlb.insert(space, 7, pfn_entry(pfn));
+            }
+            tlb.demote_space(target);
+            for (pfn, &space) in (0u64..).zip(&all) {
+                let want = (space != target).then_some(pfn);
+                assert_eq!(
+                    tlb.peek(space, 7).map(|c| c.hpfn),
+                    want,
+                    "demote {target:?}: {space:?}"
+                );
+            }
+            tlb.flush_space(target);
+            for (pfn, &space) in (0u64..).zip(&all) {
+                let got = tlb.lookup(space, 7);
+                if space == target {
+                    assert_eq!(got, Lookup::Miss, "flush {target:?} kept its own entry");
+                } else {
+                    assert_eq!(pfn_of(got), Some(pfn), "flush {target:?} touched {space:?}");
+                }
+            }
+            assert!(tlb.space_gens.len() <= usize::from(u16::MAX) + 2, "generation bound");
+        }
     }
 
     #[test]
@@ -700,13 +766,15 @@ mod tests {
     /// count as the retain-based seed.
     #[test]
     fn generation_flush_matches_retain_semantics() {
-        let spaces = [Space::Host, Space::Guest(1), Space::Guest(2)];
         for seed in 1..=8u64 {
             let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            // Both ends of the ASID range, plus ASIDs drawn over all of it.
+            let mut spaces = vec![Space::Host, Space::Guest(0), Space::Guest(u16::MAX)];
+            spaces.extend((0..3).map(|_| Space::Guest(lcg(&mut rng) as u16)));
             let mut fast = Tlb::new();
             let mut oracle = RetainTlb::default();
             for step in 0..2000 {
-                let space = spaces[(lcg(&mut rng) % 3) as usize];
+                let space = spaces[(lcg(&mut rng) % spaces.len() as u64) as usize];
                 let vpn = lcg(&mut rng) % 64;
                 match lcg(&mut rng) % 10 {
                     0..=3 => {

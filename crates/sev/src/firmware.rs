@@ -206,6 +206,10 @@ pub struct Firmware {
     seen_nonces: HashSet<[u8; 32]>,
     /// Per-helper expanded I/O key schedules (see [`IoCiphers`]).
     io_ciphers: HashMap<Handle, IoCiphers>,
+    /// The I/O commands' staging buffer, reused across calls. It holds a
+    /// run's plaintext between the two passes and never leaves the
+    /// firmware.
+    io_scratch: Vec<u8>,
     next_handle: u32,
     rng: Xoshiro256,
 }
@@ -249,6 +253,7 @@ impl Firmware {
             guests: HashMap::new(),
             seen_nonces: HashSet::new(),
             io_ciphers: HashMap::new(),
+            io_scratch: Vec::new(),
             next_handle: 1,
             rng,
         }
@@ -347,7 +352,7 @@ impl Firmware {
         len: u64,
     ) -> Result<(), SevError> {
         self.require_init()?;
-        let (ciphers, ctx) = self.cached_ciphers(h, GuestState::Launching)?;
+        let (ciphers, ctx, _) = self.cached_ciphers(h, GuestState::Launching)?;
         assert_eq!(pa.0 % 16, 0, "launch data must be block aligned");
         assert_eq!(len % 16, 0, "launch data length must be block aligned");
         let cells = machine.mc.dram_mut().raw_span_mut(pa, len as usize).map_err(SevError::Hw)?;
@@ -511,7 +516,7 @@ impl Firmware {
         src_pa: Hpa,
         page_index: u64,
     ) -> Result<Vec<u8>, SevError> {
-        let (ciphers, ctx) = self.cached_ciphers(h, GuestState::Sending)?;
+        let (ciphers, ctx, _) = self.cached_ciphers(h, GuestState::Sending)?;
         let args = [("page", ArgValue::U64(page_index))];
         scope(machine, Site::new(SpanKind::CryptoRun, "crypto:send_update").args(&args), |m| {
             let mut page = vec![0u8; PAGE_SIZE as usize];
@@ -627,7 +632,7 @@ impl Firmware {
         page_index: u64,
         dst_pa: Hpa,
     ) -> Result<(), SevError> {
-        let (ciphers, ctx) = self.cached_ciphers(h, GuestState::Receiving)?;
+        let (ciphers, ctx, _) = self.cached_ciphers(h, GuestState::Receiving)?;
         let args = [("page", ArgValue::U64(page_index))];
         scope(machine, Site::new(SpanKind::CryptoRun, "crypto:receive_update").args(&args), |m| {
             let tek = ciphers.tek.as_ref().expect("receiving state implies transport keys");
@@ -710,12 +715,12 @@ impl Firmware {
     ///
     /// Returns the entry borrowed next to the context itself, so a page
     /// command can extend the measurement while it transforms the page
-    /// under the cached schedules.
+    /// under the cached schedules, and next to the I/O scratch buffer.
     fn cached_ciphers(
         &mut self,
         h: Handle,
         expected: GuestState,
-    ) -> Result<(&IoCiphers, &mut GuestContext), SevError> {
+    ) -> Result<(&IoCiphers, &mut GuestContext, &mut Vec<u8>), SevError> {
         let ctx = self.guests.get_mut(&h).ok_or(SevError::UnknownHandle(h.0))?;
         ctx.require(expected)?;
         let entry = self
@@ -725,7 +730,7 @@ impl Firmware {
         if entry.tek.is_none() {
             entry.tek = ctx.tek.as_ref().map(Aes128::new);
         }
-        Ok((entry, ctx))
+        Ok((entry, ctx, &mut self.io_scratch))
     }
 
     /// I/O write path (`SEND_UPDATE` on s-dom): re-encrypts `sectors`
@@ -751,7 +756,7 @@ impl Firmware {
         sectors: u64,
         first_stream: u64,
     ) -> Result<(), SevError> {
-        let (ciphers, _) = self.cached_ciphers(sdom, GuestState::Sending)?;
+        let (ciphers, _, buf) = self.cached_ciphers(sdom, GuestState::Sending)?;
         let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
         assert_eq!(src_pa.0 % 16, 0, "io buffers must be block aligned");
         if sectors == 0 {
@@ -762,14 +767,14 @@ impl Firmware {
             src_pa.0 + len <= dst_pa.0 || dst_pa.0 + len <= src_pa.0,
             "batched io runs must not overlap"
         );
-        let mut buf = vec![0u8; len as usize];
+        buf.resize(len as usize, 0);
         let ciphertext = machine.mc.dram().raw_span(src_pa, buf.len()).map_err(SevError::Hw)?;
-        ciphers.engine.decrypt_blocks_to(src_pa.0, ciphertext, &mut buf);
+        ciphers.engine.decrypt_blocks_to(src_pa.0, ciphertext, buf);
         for (s, sector) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
             let stream = first_stream.wrapping_add(s as u64);
             Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, sector);
         }
-        machine.mc.dram_mut().write_raw(dst_pa, &buf).map_err(SevError::Hw)?;
+        machine.mc.dram_mut().write_raw(dst_pa, buf).map_err(SevError::Hw)?;
         charge_reencrypt(machine, len);
         Ok(())
     }
@@ -791,7 +796,7 @@ impl Firmware {
         sectors: u64,
         first_stream: u64,
     ) -> Result<(), SevError> {
-        let (ciphers, _) = self.cached_ciphers(rdom, GuestState::Receiving)?;
+        let (ciphers, _, buf) = self.cached_ciphers(rdom, GuestState::Receiving)?;
         let tek = ciphers.tek.as_ref().expect("receiving state implies transport keys");
         assert_eq!(dst_pa.0 % 16, 0, "io buffers must be block aligned");
         if sectors == 0 {
@@ -802,14 +807,14 @@ impl Firmware {
             src_pa.0 + len <= dst_pa.0 || dst_pa.0 + len <= src_pa.0,
             "batched io runs must not overlap"
         );
-        let mut buf = vec![0u8; len as usize];
-        machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
+        buf.resize(len as usize, 0);
+        machine.mc.dram().read_raw(src_pa, buf).map_err(SevError::Hw)?;
         for (s, sector) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
             let stream = first_stream.wrapping_add(s as u64);
             Ctr128::apply_with(tek, IO_NONCE ^ stream, 0, sector);
         }
         let cells = machine.mc.dram_mut().raw_span_mut(dst_pa, buf.len()).map_err(SevError::Hw)?;
-        ciphers.engine.encrypt_blocks_to(dst_pa.0, &buf, cells);
+        ciphers.engine.encrypt_blocks_to(dst_pa.0, buf, cells);
         charge_reencrypt(machine, len);
         Ok(())
     }

@@ -152,6 +152,9 @@ struct ReqPlan {
 pub struct BlockBackend {
     disk: Vec<u8>,
     queues: Vec<QueueState>,
+    /// Where a write request's run lands before it is copied into the
+    /// disk; reused across requests.
+    scratch: Vec<u8>,
 }
 
 impl BlockBackend {
@@ -466,11 +469,8 @@ impl BlockBackend {
         let mut plans = Vec::with_capacity((req_prod - req_cons) as usize);
         for i in req_cons..req_prod {
             let slot = slot_offset(i);
-            let _id = plat.machine.host_read_u64(direct_map(ring.add(slot)))?;
-            let op = plat.machine.host_read_u64(direct_map(ring.add(slot + 8)))?;
-            let sector = plat.machine.host_read_u64(direct_map(ring.add(slot + 16)))?;
-            let count = plat.machine.host_read_u64(direct_map(ring.add(slot + 24)))?;
-            let buf_page = plat.machine.host_read_u64(direct_map(ring.add(slot + 32)))?;
+            let [_id, op, sector, count, buf_page] =
+                plat.machine.host_read_u64s(direct_map(ring.add(slot)))?;
             let (pages, status) = match self.request_pages(qi, op, sector, count, buf_page) {
                 Some(pages) => (pages, BlkStatus::Pending),
                 None => (0..0, BlkStatus::Error),
@@ -558,7 +558,10 @@ impl BlockBackend {
     /// Moves one validated request's data between the disk image and the
     /// shared buffers, streaming host-contiguous sector runs through the
     /// coalescing host paths (one translation and one engine charge per
-    /// sector, exactly like the reference drain's per-sector calls).
+    /// sector, exactly like the reference drain's per-sector calls). A
+    /// read streams straight out of the disk image; a write lands in the
+    /// back-end's reused scratch buffer first, so the disk changes only
+    /// after the whole run was read.
     fn move_request_data(
         &mut self,
         plat: &mut Platform,
@@ -580,14 +583,14 @@ impl BlockBackend {
             let run_bytes = (run * SECTOR_SIZE as u64) as usize;
             match plan.op {
                 x if x == BlkOp::Read as u64 => {
-                    let data = self.disk[disk_off..disk_off + run_bytes].to_vec();
-                    plat.machine.host_write_stream(run_va, &data, SECTOR_SIZE)?;
+                    let data = &self.disk[disk_off..disk_off + run_bytes];
+                    plat.machine.host_write_stream(run_va, data, SECTOR_SIZE)?;
                 }
                 x if x == BlkOp::Write as u64 => {
-                    let mut data = vec![0u8; run_bytes];
-                    plat.machine.host_read_stream(run_va, &mut data, SECTOR_SIZE)?;
+                    self.scratch.resize(run_bytes, 0);
+                    plat.machine.host_read_stream(run_va, &mut self.scratch, SECTOR_SIZE)?;
                     undo.push((disk_off, self.disk[disk_off..disk_off + run_bytes].to_vec()));
-                    self.disk[disk_off..disk_off + run_bytes].copy_from_slice(&data);
+                    self.disk[disk_off..disk_off + run_bytes].copy_from_slice(&self.scratch);
                 }
                 _ => unreachable!("validated ops only"),
             }

@@ -108,6 +108,9 @@ pub struct FrontEnd {
     /// queue.
     kblk: Option<SectorCipher>,
     queues: Vec<FeQueue>,
+    /// Where the AES paths encrypt a write before staging it; reused
+    /// across requests.
+    scratch: Vec<u8>,
 }
 
 impl FrontEnd {
@@ -131,6 +134,7 @@ impl FrontEnd {
                 .into_iter()
                 .map(|port| FeQueue { port, req_prod: 0, next_id: 1 })
                 .collect(),
+            scratch: Vec::new(),
         }
     }
 
@@ -171,7 +175,7 @@ impl FrontEnd {
     ///
     /// Guest access faults.
     pub fn stage_write_data_at(
-        &self,
+        &mut self,
         q: u64,
         machine: &mut Machine,
         sector: u64,
@@ -191,12 +195,13 @@ impl FrontEnd {
             }
             IoPath::AesNi | IoPath::SoftCrypto => {
                 let cipher = self.kblk.as_ref().expect("AES path has Kblk");
-                let mut ct = data.to_vec();
+                self.scratch.clear();
+                self.scratch.extend_from_slice(data);
                 // The whole run in one call; each sector keeps its own
                 // CTR stream, its sector number.
-                cipher.encrypt_sectors(sector, &mut ct);
+                cipher.encrypt_sectors(sector, &mut self.scratch);
                 self.charge_aes(machine, data.len());
-                machine.guest_write_gpa(buf_gpa, &ct, false)?;
+                machine.guest_write_gpa(buf_gpa, &self.scratch, false)?;
             }
             IoPath::SevApi => {
                 // Plaintext into Md; it rests Kvek-encrypted. Fidelius
@@ -266,9 +271,8 @@ impl FrontEnd {
         let id = qs.next_id;
         qs.next_id += 1;
         let fields = [id, op as u64, sector, count, buf_page, BlkStatus::Pending as u64];
-        for (i, v) in fields.iter().enumerate() {
-            machine.guest_write_gpa(Gpa(ring.0 + slot + 8 * i as u64), &v.to_le_bytes(), false)?;
-        }
+        let bytes = fields.map(u64::to_le_bytes);
+        machine.guest_write_gpa_stream(Gpa(ring.0 + slot), bytes.as_flattened(), false, 8)?;
         let this_slot = qs.req_prod;
         qs.req_prod += 1;
         let req_prod = qs.req_prod;

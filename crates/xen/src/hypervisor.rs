@@ -69,8 +69,9 @@ pub struct Hypervisor {
     pub xen_sites: InstrSites,
     /// Instruction sites in the Fidelius code.
     pub fidelius_sites: InstrSites,
-    /// The dom0 block back-end (driver domain service).
-    pub backend: BlockBackend,
+    /// The dom0 block back-ends (driver domain service), one per guest
+    /// with a block device, keyed by the guest's domain.
+    pub(crate) backends: BTreeMap<DomainId, BlockBackend>,
     /// The XenStore (hypervisor-maintained, untrusted rendezvous data).
     pub xenstore: crate::xenstore::XenStore,
     next_domid: u16,
@@ -99,7 +100,7 @@ impl Hypervisor {
             events: EventChannels::new(),
             xen_sites: boot.xen_sites,
             fidelius_sites: boot.fidelius_sites,
-            backend: BlockBackend::new(),
+            backends: BTreeMap::new(),
             xenstore: crate::xenstore::XenStore::new(),
             next_domid: 1,
             next_asid: 1,
@@ -125,6 +126,24 @@ impl Hypervisor {
     /// [`XenError::NoSuchDomain`].
     pub fn domain(&self, id: DomainId) -> Result<&Domain, XenError> {
         self.domains.get(&id).ok_or(XenError::NoSuchDomain(id))
+    }
+
+    /// The block back-end serving `dom`'s device.
+    ///
+    /// # Errors
+    ///
+    /// [`XenError::BadBlockRequest`] when `dom` has no block device.
+    pub fn backend(&self, dom: DomainId) -> Result<&BlockBackend, XenError> {
+        self.backends.get(&dom).ok_or(XenError::BadBlockRequest)
+    }
+
+    /// The block back-end serving `dom`'s device, mutably.
+    ///
+    /// # Errors
+    ///
+    /// As [`Hypervisor::backend`].
+    pub fn backend_mut(&mut self, dom: DomainId) -> Result<&mut BlockBackend, XenError> {
+        self.backends.get_mut(&dom).ok_or(XenError::BadBlockRequest)
     }
 
     /// Looks up a domain mutably.
@@ -857,6 +876,7 @@ impl Hypervisor {
         }
         self.events.unbind_domain(id);
         self.xenstore.remove_domain(id);
+        self.backends.remove(&id);
         guardian.on_domain_destroyed(plat, id)?;
         let dom = self.domain_mut(id)?;
         dom.state = DomainState::Dead;

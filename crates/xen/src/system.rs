@@ -626,7 +626,7 @@ impl System {
             io_path != IoPath::SevApi || plan == 1,
             "SEV-API path is single-queue (Md window is not striped)"
         );
-        self.xen.backend.attach(disk);
+        self.xen.backends.entry(dom).or_default().attach(disk);
         let ports = (0..plan).map(|q| self.attach_queue(dom, q)).collect::<Result<_, _>>()?;
         self.frontends.insert(dom, FrontEnd::new(io_path, kblk, ports));
         Ok(())
@@ -684,7 +684,7 @@ impl System {
         }
         let ring = mapped.remove(0);
         let table = self.xen.grant_table_pa;
-        let attached = self.xen.backend.attach_queue(ring, mapped, table);
+        let attached = self.xen.backend_mut(dom)?.attach_queue(ring, mapped, table);
         debug_assert_eq!(attached as u64, q);
         Ok(self.xen.events.bind(dom, DomainId::DOM0))
     }
@@ -902,7 +902,7 @@ impl System {
                 }
             }
         }
-        let published = self.xen.backend.process_queue(&mut self.plat, q as usize)?;
+        let published = self.xen.backend_mut(dom)?.process_queue(&mut self.plat, q as usize)?;
         if uses_md {
             // Only a read the back-end answered `Ok` has data in the shared
             // buffer; transforming a refused one would overwrite `Md` with
@@ -962,6 +962,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blkif::BlockBackend;
     use crate::guardian::Unprotected;
 
     const DRAM: u64 = 24 * 1024 * 1024;
@@ -1111,7 +1112,43 @@ mod tests {
         let back = sys.disk_read(dom, 4, 2).unwrap();
         assert_eq!(back, data);
         // Plain path: the driver domain sees the plaintext on disk.
-        assert_eq!(&sys.xen.backend.disk()[4 * SECTOR_SIZE..5 * SECTOR_SIZE], &data[..SECTOR_SIZE]);
+        assert_eq!(
+            &sys.xen.backend(dom).unwrap().disk()[4 * SECTOR_SIZE..5 * SECTOR_SIZE],
+            &data[..SECTOR_SIZE]
+        );
+    }
+
+    #[test]
+    fn two_guests_keep_their_own_block_devices() {
+        // b's device must not detach a's: each guest's requests reach its
+        // own back-end and its own disk.
+        let mut sys = vanilla();
+        let a = sys.create_guest(GuestConfig::default()).unwrap();
+        let b = sys.create_guest(GuestConfig::default()).unwrap();
+        sys.setup_block_device(a, vec![0u8; 16 * SECTOR_SIZE], IoPath::Plain, None).unwrap();
+        sys.setup_block_device(b, vec![0u8; 32 * SECTOR_SIZE], IoPath::Plain, None).unwrap();
+        let data = vec![0xA5u8; SECTOR_SIZE];
+        assert_eq!(sys.disk_write(a, 0, &data), Ok(()));
+        assert_eq!(sys.disk_read(a, 0, 1), Ok(data.clone()));
+        assert_eq!(sys.disk_read(b, 0, 1), Ok(vec![0u8; SECTOR_SIZE]), "b's disk was written");
+        sys.disk_write(b, 0, &[0x5Au8; SECTOR_SIZE]).unwrap();
+        assert_eq!(sys.disk_read(a, 0, 1), Ok(data), "a's disk was written");
+    }
+
+    #[test]
+    fn destroying_a_domain_drops_its_back_end() {
+        let mut sys = vanilla();
+        let a = sys.create_guest(GuestConfig::default()).unwrap();
+        let b = sys.create_guest(GuestConfig::default()).unwrap();
+        for dom in [a, b] {
+            sys.setup_block_device(dom, vec![0u8; 16 * SECTOR_SIZE], IoPath::Plain, None).unwrap();
+        }
+        sys.shutdown_guest(a).unwrap();
+        assert_eq!(sys.xen.backend(a).err(), Some(XenError::BadBlockRequest));
+        assert_eq!(sys.xen.backend(b).map(BlockBackend::sectors), Ok(16));
+        let data = vec![0x3Cu8; SECTOR_SIZE];
+        sys.disk_write(b, 2, &data).unwrap();
+        assert_eq!(sys.disk_read(b, 2, 1), Ok(data));
     }
 
     #[test]
@@ -1124,7 +1161,7 @@ mod tests {
         let data = vec![0xCDu8; SECTOR_SIZE];
         sys.disk_write(dom, 0, &data).unwrap();
         // dom0's disk holds ciphertext.
-        assert_ne!(&sys.xen.backend.disk()[..SECTOR_SIZE], data.as_slice());
+        assert_ne!(&sys.xen.backend(dom).unwrap().disk()[..SECTOR_SIZE], data.as_slice());
         let back = sys.disk_read(dom, 0, 1).unwrap();
         assert_eq!(back, data);
     }
@@ -1277,7 +1314,7 @@ mod tests {
         let kblk = [0x4Bu8; 16];
         sys.setup_block_device(dom, vec![0u8; 256 * SECTOR_SIZE], IoPath::AesNi, Some(kblk))
             .unwrap();
-        assert_eq!(sys.xen.backend.num_queues(), 4);
+        assert_eq!(sys.xen.backend(dom).unwrap().num_queues(), 4);
         // Distinct payloads through distinct queues, batched.
         for q in 0..4u64 {
             let data = vec![0x10 + q as u8; 2 * SECTOR_SIZE];
@@ -1294,7 +1331,7 @@ mod tests {
             assert_eq!(data.as_deref(), Some(vec![0x10 + q as u8; 2 * SECTOR_SIZE].as_slice()));
         }
         // The driver domain saw only ciphertext.
-        assert!(sys.xen.backend.disk().iter().take(SECTOR_SIZE).any(|b| *b != 0x10));
+        assert!(sys.xen.backend(dom).unwrap().disk().iter().take(SECTOR_SIZE).any(|b| *b != 0x10));
     }
 
     #[test]
@@ -1326,7 +1363,7 @@ mod tests {
         let dom = sys.create_guest(GuestConfig::default()).unwrap();
         sys.setup_block_device(dom, vec![0u8; 16 * SECTOR_SIZE], IoPath::Plain, None).unwrap();
         sys.disk_write(dom, 0, &vec![0xAAu8; SECTOR_SIZE]).unwrap();
-        let before = sys.xen.backend.disk().to_vec();
+        let before = sys.xen.backend(dom).unwrap().disk().to_vec();
         // Revoke all of the queue's grants at the second request boundary:
         // the first request's disk mutation must be rolled back.
         sys.plat.machine.inject.install(Box::new(FireAt {
@@ -1347,7 +1384,11 @@ mod tests {
             matches!(err, Err(XenError::FailClosed(DenialReason::GrantRevokedMidIo))),
             "expected typed fail-closed, got {err:?}"
         );
-        assert_eq!(sys.xen.backend.disk(), before.as_slice(), "partial drain must roll back");
+        assert_eq!(
+            sys.xen.backend(dom).unwrap().disk(),
+            before.as_slice(),
+            "partial drain must roll back"
+        );
         let events = sys.plat.machine.trace.events();
         assert!(events
             .iter()
@@ -1366,7 +1407,7 @@ mod tests {
         let mut sys = vanilla();
         let dom = sys.create_guest(GuestConfig::default()).unwrap();
         sys.setup_block_device(dom, vec![0u8; 16 * SECTOR_SIZE], IoPath::Plain, None).unwrap();
-        let before = sys.xen.backend.disk().to_vec();
+        let before = sys.xen.backend(dom).unwrap().disk().to_vec();
         sys.plat.machine.inject.install(Box::new(FireAt {
             point: InjectPoint::BlkifDrain,
             action: FaultAction::CorruptRingIndex { xor: 0x80_0001 },
@@ -1382,7 +1423,11 @@ mod tests {
             matches!(err, Err(XenError::FailClosed(DenialReason::RingIndexTampered))),
             "expected typed fail-closed, got {err:?}"
         );
-        assert_eq!(sys.xen.backend.disk(), before.as_slice(), "partial drain must roll back");
+        assert_eq!(
+            sys.xen.backend(dom).unwrap().disk(),
+            before.as_slice(),
+            "partial drain must roll back"
+        );
         let events = sys.plat.machine.trace.events();
         assert!(events
             .iter()
@@ -1397,7 +1442,7 @@ mod tests {
         // The refused window is consumed with it: the next submission must
         // not serve the refused write again against its reused buffer page.
         sys.disk_write(dom, 5, &[0xEEu8; SECTOR_SIZE]).unwrap();
-        let disk = sys.xen.backend.disk();
+        let disk = sys.xen.backend(dom).unwrap().disk();
         let sector = |s: usize| &disk[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE];
         assert!(sector(2).iter().all(|&b| b == 0), "the refused write to sector 2 was served");
         assert!(sector(5).iter().all(|&b| b == 0xEE), "the next write to sector 5 was lost");

@@ -38,7 +38,7 @@ fn main() -> Result<(), fidelius::xen::XenError> {
     let back = sys.disk_read(dom, 0, 1)?;
     assert_eq!(&back[..12], b"disk payload");
     sys.ensure_host()?;
-    let on_disk = &sys.xen.backend.disk()[..12];
+    let on_disk = &sys.xen.backend(dom)?.disk()[..12];
     println!("[io]      round-tripped a sector; dom0's disk sees {on_disk:02x?} (ciphertext)");
 
     // §4.3.8 VM shutdown: DEACTIVATE + DECOMMISSION + PIT/GIT cleanup.

@@ -35,7 +35,7 @@ fn dom0_view(path: IoPath, protected: bool) -> Result<Vec<u8>, fidelius::xen::Xe
     let back = sys.disk_read(dom, 0, 1)?;
     assert_eq!(&back[..MSG.len()], MSG, "guest roundtrip");
     sys.ensure_host()?;
-    Ok(sys.xen.backend.disk()[..MSG.len()].to_vec())
+    Ok(sys.xen.backend(dom)?.disk()[..MSG.len()].to_vec())
 }
 
 fn main() -> Result<(), fidelius::xen::XenError> {

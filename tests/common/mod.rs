@@ -120,7 +120,7 @@ pub fn whole_stack(src: &mut System, dst: &mut System) -> Observed {
 
     src.setup_block_device(dom, disk(), IoPath::SevApi, None).unwrap();
     drive_windows(src, dom, &mut rng, "sev-api", &mut obs);
-    obs.disks.push(src.xen.backend.disk().to_vec());
+    obs.disks.push(src.xen.backend(dom).unwrap().disk().to_vec());
 
     // The hypervisor grants dom0 a private page the guest never declared.
     let forged = src.hypercall(
@@ -154,7 +154,7 @@ pub fn whole_stack(src: &mut System, dst: &mut System) -> Observed {
 
     dst.setup_block_device(moved, disk(), IoPath::AesNi, Some([0x4B; 16])).unwrap();
     drive_windows(dst, moved, &mut rng, "aes-ni", &mut obs);
-    obs.disks.push(dst.xen.backend.disk().to_vec());
+    obs.disks.push(dst.xen.backend(moved).unwrap().disk().to_vec());
     obs.step("shutdown", dst.shutdown_guest(moved));
 
     obs.finish(src);

@@ -8,6 +8,10 @@
 //! allocator pins it: after warm-up, each crossing below must allocate
 //! exactly zero times.
 //!
+//! A warm block-I/O window is pinned the same way, to the allocations
+//! its API hands back or keeps (see
+//! `warm_disk_windows_allocate_only_for_the_api`).
+//!
 //! The count lives in a `const`-initialised thread-local, so tests
 //! running in parallel on other threads do not disturb it.
 
@@ -15,11 +19,13 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
 use fidelius::prelude::*;
+use fidelius::xen::blkif::BlkStatus;
 use fidelius::xen::frontend::gplayout;
 use fidelius::xen::grants::GRANT_TABLE_ENTRIES;
 use fidelius::xen::hypercall::{
     GrantOp, HC_GRANT_TABLE_OP, HC_MEM_ENCRYPT, HC_PRE_SHARING_OP, HC_VOID, RET_EPERM, RET_OK,
 };
+use fidelius::xen::system::BatchOp;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -147,5 +153,75 @@ fn steady_state_crossings_allocate_nothing() {
         (0, 0, 0, 0),
         "heap allocations over {CALLS} void hypercalls, {CALLS} share cycles, \
          {CALLS} refused forged grants and 2 HC_MEM_ENCRYPT calls"
+    );
+}
+
+/// A Fidelius guest with one block queue on `path`, as the disk
+/// benchmarks attach one (with a smaller disk).
+fn disk_guest(path: IoPath, kblk: Option<[u8; 16]>) -> (System, DomainId) {
+    let mut sys = System::new(32 * 1024 * 1024, 9, Box::new(Fidelius::new())).unwrap();
+    let mut owner = GuestOwner::new(9);
+    let image = owner.package_image(b"disk kernel", &sys.plat.firmware.pdh_public());
+    let dom = boot_encrypted_guest(&mut sys, &image, 192).unwrap();
+    sys.setup_block_device(dom, vec![0u8; 1024 * 512], path, kblk).unwrap();
+    (sys, dom)
+}
+
+/// Runs one window and checks every request completed.
+fn window(sys: &mut System, dom: DomainId, ops: &[BatchOp]) {
+    let results = sys.disk_batch(dom, 0, ops).unwrap();
+    assert!(results.iter().all(|(status, _)| *status == BlkStatus::Ok), "{results:?}");
+}
+
+/// A warm `disk_batch` window allocates only for its API: what it
+/// returns and what it must keep while the drain can still be refused.
+/// Per window, with `w` writes, `r` reads and `n = w + r` requests:
+///
+/// - 4 vectors of `n`: the results it returns, the front-end's `slots`,
+///   the back-end's `plans` and its published statuses;
+/// - `r`: each read's returned data;
+/// - `w` + growth: the undo journal, one saved run per write (each
+///   request here is one host-contiguous run) in a vector that grows
+///   from empty to capacity 4, then 8.
+///
+/// Nothing else allocates: descriptor reads and pushes work on the
+/// stack, the back-end's data moves, the front-end's staging and the
+/// firmware's SEV-API re-encryption reuse their buffers, and a crossing
+/// allocates nothing (above).
+#[test]
+fn warm_disk_windows_allocate_only_for_the_api() {
+    const WARM: u64 = 20;
+    let pages = |i: u64| 8 * i;
+    let writes: Vec<BatchOp> = (0..8)
+        .map(|i| BatchOp::Write { sector: pages(i), data: vec![i as u8 + 1; 4096] })
+        .collect();
+    let reads: Vec<BatchOp> =
+        (0..8).map(|i| BatchOp::Read { sector: pages(i), count: 8 }).collect();
+    let (mut sys, dom) = disk_guest(IoPath::AesNi, Some([0x4B; 16]));
+    for _ in 0..WARM {
+        window(&mut sys, dom, &writes);
+        window(&mut sys, dom, &reads);
+    }
+    let aes_writes = allocs_during(|| window(&mut sys, dom, &writes));
+    let aes_reads = allocs_during(|| window(&mut sys, dom, &reads));
+
+    // 512 B requests, reads and writes alternating, as `disk_small_sev`.
+    let mixed: Vec<BatchOp> = (0..8u64)
+        .map(|i| match i % 2 {
+            0 => BatchOp::Write { sector: 3 * i + 1, data: vec![i as u8 + 1; 512] },
+            _ => BatchOp::Read { sector: 5 * i, count: 1 },
+        })
+        .collect();
+    let (mut sys, dom) = disk_guest(IoPath::SevApi, None);
+    for _ in 0..WARM {
+        window(&mut sys, dom, &mixed);
+    }
+    let sev_mixed = allocs_during(|| window(&mut sys, dom, &mixed));
+
+    assert_eq!(
+        (aes_writes, aes_reads, sev_mixed),
+        (4 + 8 + 2, 4 + 8, 4 + 4 + 4 + 1),
+        "heap allocations in one warm window: 8 x 4 KiB AES-NI writes, 8 x 4 KiB AES-NI \
+         reads, 4 + 4 x 512 B on the SEV-API path"
     );
 }

@@ -106,7 +106,7 @@ fn fault_case(kind: FaultKind, fidelity: Fidelity) -> Observed {
         src.plat.machine.inject.clear();
         let mut back = vec![0u8; MARKER.len()];
         obs.step("marker", src.gpa_read(dom, heap, &mut back, true).map(|()| back));
-        obs.disks.push(src.xen.backend.disk().to_vec());
+        obs.disks.push(src.xen.backend(dom).unwrap().disk().to_vec());
     }
     let fired = src
         .plat
@@ -157,7 +157,7 @@ fn raw_slot(sys: &mut System, dom: DomainId, word: u64, value: u64, obs: &mut Ob
     let at = gplayout::RING_PAGE * PAGE_SIZE + slot_offset(slot) + 8 * word;
     sys.plat.machine.guest_write_gpa(Gpa(at), &value.to_le_bytes(), false).unwrap();
     sys.ensure_host().unwrap();
-    obs.step("drain", sys.xen.backend.process_queue(&mut sys.plat, 0));
+    obs.step("drain", sys.xen.backend_mut(dom).unwrap().process_queue(&mut sys.plat, 0));
     sys.ensure_guest(dom).unwrap();
     let fe = sys.frontends.get_mut(&dom).unwrap();
     obs.step("status", fe.slot_status_on(0, &mut sys.plat.machine, slot));

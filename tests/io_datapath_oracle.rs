@@ -144,7 +144,7 @@ fn run_mix(
     }
     Observed {
         results,
-        disk: sys.xen.backend.disk().to_vec(),
+        disk: sys.xen.backend(dom).unwrap().disk().to_vec(),
         cycles: sys.plat.machine.cycles.total_f64(),
         telemetry: sys.plat.machine.telemetry_snapshot().to_json().to_string(),
     }

@@ -33,7 +33,7 @@ fn disk_io_roundtrips_on_all_protected_paths() {
         assert_eq!(back, data, "{path:?} roundtrip");
         // dom0's disk never holds the plaintext.
         sys.ensure_host().unwrap();
-        let disk = sys.xen.backend.disk();
+        let disk = sys.xen.backend(dom).unwrap().disk();
         assert!(
             !disk.windows(14).any(|w| w == b"sensitive data"),
             "{path:?} leaked plaintext to the driver domain"
