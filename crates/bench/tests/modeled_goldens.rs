@@ -26,11 +26,22 @@
 //!   and `fig6_parsec --json`: the SPEC CPU2006 and PARSEC overheads of
 //!   Fidelius and Fidelius-enc (paper Figures 5 and 6), each with its
 //!   telemetry snapshot.
+//! - `table1_permissions.jsonl`, `table2_instructions.jsonl` —
+//!   `table1_permissions --json` and `table2_instructions --json`: the
+//!   permission and instruction-interception checks behind paper
+//!   Tables 1 and 2.
+//! - `xsa_analysis.jsonl` — `xsa_analysis --json`: the XSA vulnerability
+//!   counts and the shares Fidelius thwarts (paper §6.2).
+//! - `ablation_gates.jsonl`, `ablation_vmcb.jsonl` — `ablation_gates --json`
+//!   and `ablation_vmcb --json`: the context-transition mechanisms' cycles
+//!   per round trip, and shadowing the VMCB against write-protecting it.
 //!
-//! CI's `determinism` job also diffs the last four against their goldens
-//! under both `FIDELIUS_AES_BACKEND=ttable` and `aesni`.
+//! CI's `determinism` job also diffs `table3_fio`, `micro_ioenc`,
+//! `fig5_speccpu` and `fig6_parsec` against their goldens under both
+//! `FIDELIUS_AES_BACKEND=ttable` and `aesni`, and the two tables, the XSA
+//! analysis and the two ablations against theirs.
 //!
-//! To regenerate all ten after a change that means to move them (and
+//! To regenerate all fifteen after a change that means to move them (and
 //! explain each moved line in CHANGES.md):
 //!
 //! ```text
@@ -82,6 +93,26 @@ fn render_fig5_speccpu() -> String {
 
 fn render_fig6_parsec() -> String {
     render_json(env!("CARGO_BIN_EXE_fig6_parsec"))
+}
+
+fn render_table1_permissions() -> String {
+    render_json(env!("CARGO_BIN_EXE_table1_permissions"))
+}
+
+fn render_table2_instructions() -> String {
+    render_json(env!("CARGO_BIN_EXE_table2_instructions"))
+}
+
+fn render_xsa_analysis() -> String {
+    render_json(env!("CARGO_BIN_EXE_xsa_analysis"))
+}
+
+fn render_ablation_gates() -> String {
+    render_json(env!("CARGO_BIN_EXE_ablation_gates"))
+}
+
+fn render_ablation_vmcb() -> String {
+    render_json(env!("CARGO_BIN_EXE_ablation_vmcb"))
 }
 
 fn render_matrix(seeds: u64) -> String {
@@ -150,6 +181,31 @@ fn fig6_parsec_matches_golden() {
 }
 
 #[test]
+fn table1_permissions_matches_golden() {
+    check("table1_permissions.jsonl", &render_table1_permissions());
+}
+
+#[test]
+fn table2_instructions_matches_golden() {
+    check("table2_instructions.jsonl", &render_table2_instructions());
+}
+
+#[test]
+fn xsa_analysis_matches_golden() {
+    check("xsa_analysis.jsonl", &render_xsa_analysis());
+}
+
+#[test]
+fn ablation_gates_matches_golden() {
+    check("ablation_gates.jsonl", &render_ablation_gates());
+}
+
+#[test]
+fn ablation_vmcb_matches_golden() {
+    check("ablation_vmcb.jsonl", &render_ablation_vmcb());
+}
+
+#[test]
 fn fault_matrix_matches_golden() {
     check("fault_matrix_8.jsonl", &render_matrix(8));
 }
@@ -166,6 +222,13 @@ fn regenerate() {
     std::fs::write(format!("{GOLDEN_DIR}/micro_ioenc.jsonl"), render_micro_ioenc()).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/fig5_speccpu.jsonl"), render_fig5_speccpu()).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/fig6_parsec.jsonl"), render_fig6_parsec()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/table1_permissions.jsonl"), render_table1_permissions())
+        .unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/table2_instructions.jsonl"), render_table2_instructions())
+        .unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/xsa_analysis.jsonl"), render_xsa_analysis()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/ablation_gates.jsonl"), render_ablation_gates()).unwrap();
+    std::fs::write(format!("{GOLDEN_DIR}/ablation_vmcb.jsonl"), render_ablation_vmcb()).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/fault_matrix_8.jsonl"), render_matrix(8)).unwrap();
     std::fs::write(format!("{GOLDEN_DIR}/fault_matrix_64.jsonl"), render_matrix(64)).unwrap();
 }

@@ -10,6 +10,7 @@
 use crate::fidelius::Fidelius;
 use crate::lifecycle::fidelius_mut;
 use fidelius_hw::cpu::{scope, Site};
+use fidelius_hw::error::HwError;
 use fidelius_hw::inject::{FaultAction, InjectPoint};
 use fidelius_hw::{Gpa, PAGE_SIZE};
 use fidelius_sev::firmware::SessionBlob;
@@ -29,10 +30,18 @@ const RECEIVE_BODY: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:r
 
 /// An in-flight migrated VM: transport-encrypted memory plus the session
 /// needed to receive it.
+///
+/// The memory travels as one transport buffer: `stream` holds the
+/// ciphertext of `pages[i]` at `i * PAGE_SIZE`, page-major, so a migration
+/// allocates one buffer rather than one per page. [`MigrationPackage::truncate`]
+/// and [`MigrationPackage::page_mut`] keep the two fields in step; a
+/// receiver refuses a stream whose length does not match `pages`.
 #[derive(Debug, Clone)]
 pub struct MigrationPackage {
-    /// (guest page number, transport ciphertext) for every populated page.
-    pub pages: Vec<(u64, Vec<u8>)>,
+    /// Guest page number of every populated page, in stream order.
+    pub pages: Vec<u64>,
+    /// The transport ciphertext of `pages`, one page after another.
+    pub stream: Vec<u8>,
     /// Wrapped transport keys and ECDH metadata.
     pub session: SessionBlob,
     /// The transport integrity tag from `SEND_FINISH`.
@@ -44,6 +53,24 @@ pub struct MigrationPackage {
     /// stream was truncated in transit; the receiver refuses it before
     /// committing any resources.
     pub declared_pages: u64,
+}
+
+impl MigrationPackage {
+    /// Keeps the first `n` pages of the stream, dropping the rest.
+    pub fn truncate(&mut self, n: usize) {
+        self.pages.truncate(n);
+        self.stream.truncate(self.pages.len() * PAGE_SIZE as usize);
+    }
+
+    /// The transport ciphertext of the `i`th page in the stream.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is past the end of the stream.
+    pub fn page_mut(&mut self, i: usize) -> &mut [u8] {
+        let at = i * PAGE_SIZE as usize;
+        &mut self.stream[at..at + PAGE_SIZE as usize]
+    }
 }
 
 /// Sends `dom` off this system, targeting the platform whose PDH is
@@ -64,16 +91,15 @@ pub fn migrate_out(
     let session = scope(sys, SEND_START, |sys| -> Result<_, XenError> {
         Ok(sys.plat.firmware.send_start(handle, target_pdh)?)
     })?;
-    let pages = scope(sys, SEND_PAGES, |sys| -> Result<_, XenError> {
-        let mut pages = Vec::new();
-        for p in 0..mem_pages {
-            if let Some(frame) = sys.xen.domain(dom)?.frame_of(p) {
-                let ct =
-                    sys.plat.firmware.send_update_page(&mut sys.plat.machine, handle, frame, p)?;
-                pages.push((p, ct));
-            }
+    let (pages, stream) = scope(sys, SEND_PAGES, |sys| -> Result<_, XenError> {
+        let d = sys.xen.domain(dom)?;
+        let populated: Vec<_> = (0..mem_pages).filter_map(|p| Some((p, d.frame_of(p)?))).collect();
+        let mut stream = vec![0u8; populated.len() * PAGE_SIZE as usize];
+        let slots = stream.chunks_exact_mut(PAGE_SIZE as usize);
+        for (&(p, frame), slot) in populated.iter().zip(slots) {
+            sys.plat.firmware.send_update_page(&mut sys.plat.machine, handle, frame, p, slot)?;
         }
-        Ok(pages)
+        Ok((populated.into_iter().map(|(p, _)| p).collect::<Vec<_>>(), stream))
     })?;
     let tag = scope(sys, SEND_FINISH, |sys| -> Result<_, XenError> {
         let tag = sys.plat.firmware.send_finish(handle)?;
@@ -81,7 +107,7 @@ pub fn migrate_out(
         Ok(tag)
     })?;
     let declared_pages = pages.len() as u64;
-    let mut package = MigrationPackage { pages, session, tag, mem_pages, declared_pages };
+    let mut package = MigrationPackage { pages, stream, session, tag, mem_pages, declared_pages };
     // Adversarial hook: the hypervisor carries the stream and may shorten
     // or flip it in transit. Both land here (the stream is the
     // hypervisor's to move); the receiver's checks decide the outcome, and
@@ -102,7 +128,7 @@ fn tamper_stream(sys: &mut System, package: &mut MigrationPackage, action: Fault
             let len = package.pages.len() as u64;
             let k = keep % (len + 1);
             if k < len {
-                package.pages.truncate(k as usize);
+                package.truncate(k as usize);
                 trace.emit(Event::FaultOutcome {
                     kind: FaultKind::MigrationTruncate,
                     outcome: InjectionOutcome::FailClosed(DenialReason::MigrationStreamTruncated),
@@ -122,10 +148,8 @@ fn tamper_stream(sys: &mut System, package: &mut MigrationPackage, action: Fault
                 });
                 return;
             }
-            let i = index_hint as usize % package.pages.len();
-            let ct = &mut package.pages[i].1;
-            let b = index_hint as usize % ct.len();
-            ct[b] ^= xor | 1;
+            let ct = package.page_mut(index_hint as usize % package.pages.len());
+            ct[index_hint as usize % ct.len()] ^= xor | 1;
             trace.emit(Event::FaultOutcome {
                 kind: FaultKind::MigrationCorrupt,
                 outcome: InjectionOutcome::FailClosed(DenialReason::MigrationStreamTampered),
@@ -148,12 +172,21 @@ fn tamper_stream(sys: &mut System, package: &mut MigrationPackage, action: Fault
 ///
 /// Fails on the wrong target platform or a tampered package.
 pub fn migrate_in(sys: &mut System, package: &MigrationPackage) -> Result<DomainId, XenError> {
-    // Structural check before any resource is committed: a stream shorter
-    // than the source declared was truncated in transit.
-    if (package.pages.len() as u64) != package.declared_pages {
+    // Structural checks before any resource is committed: a stream shorter
+    // than the source declared, or whose bytes do not hold exactly one page
+    // per listed page number, was truncated in transit.
+    let stream_len = package.pages.len().checked_mul(PAGE_SIZE as usize);
+    if (package.pages.len() as u64) != package.declared_pages
+        || stream_len != Some(package.stream.len())
+    {
         return Err(XenError::FailClosed(
             sys.plat.machine.deny(DenialReason::MigrationStreamTruncated),
         ));
+    }
+    // A guest larger than the free pool could never be populated; refusing
+    // it here also keeps a hostile `mem_pages` from sizing the domain.
+    if package.mem_pages > sys.xen.guest_pool.free_count() {
+        return Err(XenError::Hw(HwError::OutOfFrames));
     }
     let handle = scope(sys, RECEIVE_START, |sys| {
         match sys.plat.firmware.receive_start(&package.session, GuestPolicy::default()) {
@@ -194,9 +227,9 @@ fn receive_body(
     dom: DomainId,
 ) -> Result<(), XenError> {
     sys.xen.populate_all(&mut sys.plat, &mut *sys.guardian, dom)?;
-    for (p, ct) in &package.pages {
-        let frame = sys.xen.domain(dom)?.frame_of(*p).ok_or(XenError::OutOfMemory)?;
-        sys.plat.firmware.receive_update_page(&mut sys.plat.machine, handle, ct, *p, frame)?;
+    for (&p, ct) in package.pages.iter().zip(package.stream.chunks_exact(PAGE_SIZE as usize)) {
+        let frame = sys.xen.domain(dom)?.frame_of(p).ok_or(XenError::OutOfMemory)?;
+        sys.plat.firmware.receive_update_page(&mut sys.plat.machine, handle, ct, p, frame)?;
     }
     sys.plat.firmware.receive_finish(handle, &package.tag)?;
     let asid = sys.xen.domain(dom)?.asid;
@@ -257,13 +290,9 @@ mod tests {
 
         let package = migrate_out(&mut src, dom, &dst.plat.firmware.pdh_public()).unwrap();
         // Transport pages are ciphertext.
-        let heap_ct = package
-            .pages
-            .iter()
-            .find(|(p, _)| *p == gplayout::HEAP_PAGE)
-            .map(|(_, ct)| ct.clone())
-            .unwrap();
-        assert_ne!(&heap_ct[..16], b"secret-to-travel");
+        let heap = package.pages.iter().position(|&p| p == gplayout::HEAP_PAGE).unwrap();
+        let at = heap * PAGE_SIZE as usize;
+        assert_ne!(&package.stream[at..at + 16], b"secret-to-travel");
 
         let new_dom = migrate_in(&mut dst, &package).unwrap();
         dst.ensure_guest(new_dom).unwrap();
@@ -280,7 +309,7 @@ mod tests {
         let image = owner.package_image(b"kernel", &src.plat.firmware.pdh_public());
         let dom = boot_encrypted_guest(&mut src, &image, 192).unwrap();
         let mut package = migrate_out(&mut src, dom, &dst.plat.firmware.pdh_public()).unwrap();
-        package.pages[3].1[100] ^= 0xFF;
+        package.page_mut(3)[100] ^= 0xFF;
         assert!(matches!(migrate_in(&mut dst, &package), Err(XenError::Sev(_))));
     }
 
@@ -298,7 +327,7 @@ mod tests {
 
         // The hypervisor drops the tail of the stream in transit.
         let mut short = good.clone();
-        short.pages.truncate(short.pages.len() / 2);
+        short.truncate(short.pages.len() / 2);
         let doms_before = dst.xen.domains.len();
         let err = migrate_in(&mut dst, &short);
         assert!(
@@ -319,6 +348,53 @@ mod tests {
         assert_eq!(&back, b"survives-retries");
     }
 
+    /// A hypervisor may reshape the package any way it likes in transit;
+    /// every shape is refused with a typed error, never a panic, and
+    /// leaves no live domain behind.
+    #[test]
+    fn hostile_package_shapes_are_refused_without_panicking() {
+        let mut src = protected_system(DRAM, 91).unwrap();
+        let mut dst = protected_system(DRAM, 92).unwrap();
+        let mut owner = GuestOwner::new(93);
+        let image = owner.package_image(b"kernel", &src.plat.firmware.pdh_public());
+        let dom = boot_encrypted_guest(&mut src, &image, 192).unwrap();
+        let good = migrate_out(&mut src, dom, &dst.plat.firmware.pdh_public()).unwrap();
+
+        let truncated = XenError::FailClosed(DenialReason::MigrationStreamTruncated);
+        let tampered = XenError::Sev(fidelius_sev::SevError::BadMeasurement);
+        type Reshape = fn(&mut MigrationPackage);
+        let cases: [(&str, Reshape, XenError); 9] = [
+            ("stream one byte short", |p| p.stream.truncate(p.stream.len() - 1), truncated.clone()),
+            ("stream a page long", |p| p.stream.extend_from_slice(&[0; 4096]), truncated.clone()),
+            ("stream emptied", |p| p.stream.clear(), truncated.clone()),
+            ("page list short of the declared count", |p| p.pages.truncate(1), truncated.clone()),
+            (
+                "page list and count short of the stream",
+                |p| {
+                    p.pages.truncate(1);
+                    p.declared_pages = 1;
+                },
+                truncated.clone(),
+            ),
+            ("declared count unbounded", |p| p.declared_pages = u64::MAX, truncated),
+            ("guest larger than the pool", |p| p.mem_pages = u64::MAX, HwError::OutOfFrames.into()),
+            ("page number past the guest", |p| p.pages[0] = u64::MAX, XenError::OutOfMemory),
+            ("page number repeated", |p| p.pages[1] = p.pages[0], tampered),
+        ];
+        for (what, reshape, want) in cases {
+            let mut bad = good.clone();
+            reshape(&mut bad);
+            assert_eq!(migrate_in(&mut dst, &bad).expect_err(what), want, "{what}");
+            assert!(
+                dst.xen.domains.values().all(|d| d.state == DomainState::Dead),
+                "{what}: no live domain may remain"
+            );
+        }
+        // None of the refusals consumed the session: the intact stream lands.
+        let new_dom = migrate_in(&mut dst, &good).unwrap();
+        dst.ensure_guest(new_dom).unwrap();
+    }
+
     #[test]
     fn tampered_stream_rolls_back_partial_receive() {
         let mut src = protected_system(DRAM, 71).unwrap();
@@ -328,7 +404,7 @@ mod tests {
         let dom = boot_encrypted_guest(&mut src, &image, 192).unwrap();
         let good = migrate_out(&mut src, dom, &dst.plat.firmware.pdh_public()).unwrap();
         let mut bad = good.clone();
-        bad.pages[3].1[100] ^= 0xFF;
+        bad.page_mut(3)[100] ^= 0xFF;
         assert!(matches!(migrate_in(&mut dst, &bad), Err(XenError::Sev(_))));
         // Transactional rollback: every half-built domain is torn down and
         // the tamper is audited.

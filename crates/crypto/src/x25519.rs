@@ -114,16 +114,24 @@ impl Fe {
         Fe(l)
     }
 
+    /// `self + other` without a carry pass. Both operands must be carried
+    /// (as `carry`, `carry_wide` and `from_bytes` leave them: limbs below
+    /// 2⁵¹, limb 1 below 2⁵¹ + 2¹³), so the sum's limbs stay below 2⁵³; it
+    /// may only feed `mul`, `square`, `mul_small` or `to_bytes`, never
+    /// another `add` or `sub`.
     fn add(self, other: Fe) -> Fe {
         let mut r = [0u64; 5];
         for (i, v) in r.iter_mut().enumerate() {
             *v = self.0[i] + other.0[i];
         }
-        Fe(r).carry()
+        Fe(r)
     }
 
+    /// `self − other` without a carry pass, under `add`'s contract.
     fn sub(self, other: Fe) -> Fe {
-        // self + 2p - other keeps limbs positive.
+        // self + 2p - other keeps limbs positive: 2p's limbs (2⁵² − 38 and
+        // 2⁵² − 2) exceed every carried limb, and the result's limbs are
+        // below 2⁵¹ + 2¹³ + 2⁵² < 2⁵³.
         let two_p = [
             0xFFFFFFFFFFFDAu64,
             0xFFFFFFFFFFFFE,
@@ -135,7 +143,7 @@ impl Fe {
         for i in 0..5 {
             r[i] = self.0[i] + two_p[i] - other.0[i];
         }
-        Fe(r).carry()
+        Fe(r)
     }
 
     fn mul(self, other: Fe) -> Fe {
@@ -180,10 +188,11 @@ impl Fe {
 
     /// One pass of carries over the wide limb sums, the top carry folded
     /// back into limb 0 with ×19 (2²⁵⁵ ≡ 19), then limb 0's own carry into
-    /// limb 1. Every `Fe` leaves `carry` or `carry_wide` with limbs below
-    /// 2⁵², so limb 4's sum, which has no ×19 terms, is below 2¹⁰⁷ and its
-    /// carry times 19 fits a `u64`; the result has limbs below 2⁵¹ except
-    /// limb 1, which may exceed it by the last carry.
+    /// limb 1. `mul`, `square` and `mul_small` take limbs below 2⁵⁴ (a
+    /// carried value, or one lazy `add` or `sub` of two), so limb 4's sum,
+    /// which has no ×19 terms, is below 5 · 2¹⁰⁸ < 2¹¹¹ and its carry times
+    /// 19 is below 2⁶⁴; the result is carried: limbs below 2⁵¹ except
+    /// limb 1, which may exceed it by the last carry (below 2¹³).
     fn carry_wide(r: [u128; 5]) -> Fe {
         let mut l = [0u64; 5];
         let mut carry: u128 = 0;
@@ -429,6 +438,112 @@ mod tests {
                 continue;
             }
             assert_eq!(x.mul(x.invert()).to_bytes(), one, "x · invert(x) != 1 for {bytes:02x?}");
+        }
+    }
+
+    /// `v mod p` for a little-endian 64-bit-word integer `v`, by folding
+    /// everything above bit 255 back in with ×19 and a final subtraction.
+    fn reduce_words(mut v: Vec<u64>) -> [u64; 4] {
+        loop {
+            let hi: Vec<u64> =
+                (3..v.len()).map(|i| (v[i] >> 63) | v.get(i + 1).map_or(0, |w| w << 1)).collect();
+            if hi.iter().all(|&w| w == 0) {
+                break;
+            }
+            v.truncate(4);
+            v[3] &= u64::MAX >> 1;
+            let mut carry = 0u128;
+            for i in 0..v.len().max(hi.len()) + 1 {
+                let sum =
+                    carry + *v.get(i).unwrap_or(&0) as u128 + 19 * *hi.get(i).unwrap_or(&0) as u128;
+                if i < v.len() {
+                    v[i] = sum as u64;
+                } else {
+                    v.push(sum as u64);
+                }
+                carry = sum >> 64;
+            }
+        }
+        // Now v < 2²⁵⁵ < 2p: subtract p once if v ≥ p.
+        let p = [u64::MAX - 18, u64::MAX, u64::MAX, u64::MAX >> 1];
+        let ge = (0..4).rev().find(|&i| v[i] != p[i]).is_none_or(|i| v[i] > p[i]);
+        let mut out = [v[0], v[1], v[2], v[3]];
+        if ge {
+            let mut borrow = 0u64;
+            for i in 0..4 {
+                let (d, b1) = out[i].overflowing_sub(p[i]);
+                let (d, b2) = d.overflowing_sub(borrow);
+                out[i] = d;
+                borrow = u64::from(b1 || b2);
+            }
+        }
+        out
+    }
+
+    /// The integer `Σ limbᵢ · 2⁵¹ⁱ` of an unreduced element, as 64-bit words.
+    fn words_of(fe: Fe) -> Vec<u64> {
+        let mut words = vec![0u64; 6];
+        for (i, &limb) in fe.0.iter().enumerate() {
+            // Unreduced limbs overlap their neighbours, so add, not OR.
+            let bit = 51 * i;
+            let mut carry = (limb as u128) << (bit % 64);
+            for w in &mut words[bit / 64..] {
+                let t = *w as u128 + (carry as u64) as u128;
+                *w = t as u64;
+                carry = (carry >> 64) + (t >> 64);
+            }
+        }
+        words
+    }
+
+    /// Schoolbook `a · b mod p`, independent of the limb arithmetic.
+    fn reference_mul(a: Fe, b: Fe) -> [u8; 32] {
+        let (x, y) = (words_of(a), words_of(b));
+        let mut product = vec![0u64; x.len() + y.len()];
+        for (i, &xi) in x.iter().enumerate() {
+            let mut carry = 0u128;
+            for (j, &yj) in y.iter().enumerate() {
+                let t = product[i + j] as u128 + xi as u128 * yj as u128 + carry;
+                product[i + j] = t as u64;
+                carry = t >> 64;
+            }
+            product[i + y.len()] = carry as u64;
+        }
+        let mut out = [0u8; 32];
+        for (chunk, w) in out.chunks_exact_mut(8).zip(reduce_words(product)) {
+            chunk.copy_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+
+    /// `add` and `sub` skip their carry pass, so `mul` and `square` see
+    /// limbs up to 2⁵⁴; at and near that bound they must still agree with
+    /// a schoolbook product mod p.
+    #[test]
+    fn mul_and_square_agree_with_schoolbook_at_the_lazy_bounds() {
+        let top = (1u64 << 54) - 1;
+        let mut cases = vec![Fe([top; 5]), Fe([top, 0, top, 0, top]), Fe([0, top, 0, top, 0])];
+        // The largest values the ladder can hand over: a carried element
+        // plus 2p, and the sum of two carried elements.
+        let carried = Fe([MASK51, MASK51 + (1 << 13) - 1, MASK51, MASK51, MASK51]);
+        cases.push(carried.sub(Fe::ZERO));
+        cases.push(carried.add(carried));
+        let mut state = 0x7748_u64;
+        for _ in 0..64 {
+            let mut limbs = [0u64; 5];
+            for l in limbs.iter_mut() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                *l = state >> 10; // below 2⁵⁴
+            }
+            cases.push(Fe(limbs));
+        }
+        for &a in &cases {
+            assert_eq!(a.square().to_bytes(), reference_mul(a, a), "square of {:x?}", a.0);
+            for &b in cases.iter().step_by(7) {
+                assert_eq!(a.mul(b).to_bytes(), reference_mul(a, b), "{:x?} · {:x?}", a.0, b.0);
+            }
         }
     }
 

@@ -109,6 +109,12 @@ impl Dram {
 ///
 /// Frame ownership *policy* (who may map what) lives in Fidelius's page
 /// information table; this type only tracks free/used.
+///
+/// Lowest free frame first: every frame below `next_hint` is in use,
+/// `alloc` scans up from it and `free` lowers it to the freed frame. A new
+/// guest therefore lands on the frames the last one returned, host memory
+/// that is already resident, instead of on never-touched frames further
+/// up the pool.
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
     base_pfn: u64,
@@ -123,22 +129,17 @@ impl FrameAllocator {
         FrameAllocator { base_pfn: base.pfn(), used: vec![false; count as usize], next_hint: 0 }
     }
 
-    /// Allocates one frame.
+    /// Allocates the lowest free frame.
     ///
     /// # Errors
     ///
     /// Fails with [`HwError::OutOfFrames`] when exhausted.
     pub fn alloc(&mut self) -> Result<Hpa, HwError> {
-        let n = self.used.len();
-        for probe in 0..n {
-            let i = (self.next_hint + probe) % n;
-            if !self.used[i] {
-                self.used[i] = true;
-                self.next_hint = (i + 1) % n;
-                return Ok(Hpa::from_pfn(self.base_pfn + i as u64));
-            }
-        }
-        Err(HwError::OutOfFrames)
+        let i = self.next_hint
+            + self.used[self.next_hint..].iter().position(|&u| !u).ok_or(HwError::OutOfFrames)?;
+        self.used[i] = true;
+        self.next_hint = i + 1;
+        Ok(Hpa::from_pfn(self.base_pfn + i as u64))
     }
 
     /// Allocates `count` (not necessarily contiguous) frames.
@@ -179,6 +180,7 @@ impl FrameAllocator {
             return Err(HwError::BadFree(frame));
         }
         self.used[idx] = false;
+        self.next_hint = self.next_hint.min(idx);
         Ok(())
     }
 
@@ -272,5 +274,33 @@ mod tests {
         assert_eq!(fa.free_count(), 3, "failed alloc_many must roll back");
         let frames = fa.alloc_many(3).unwrap();
         assert_eq!(frames.len(), 3);
+    }
+
+    #[test]
+    fn free_makes_the_next_alloc_return_the_lowest_free_frame() {
+        let mut fa = FrameAllocator::new(Hpa(0x4000), 8);
+        let frames = fa.alloc_many(6).unwrap();
+        assert_eq!(frames, (0..6).map(|i| Hpa(0x4000 + i * PAGE_SIZE)).collect::<Vec<_>>());
+        fa.free(frames[4]).unwrap();
+        fa.free(frames[1]).unwrap();
+        assert_eq!(fa.alloc().unwrap(), frames[1], "lowest free frame first");
+        assert_eq!(fa.alloc().unwrap(), frames[4]);
+        assert_eq!(fa.alloc().unwrap(), Hpa(0x4000 + 6 * PAGE_SIZE), "then the untouched tail");
+        // Freed top down, the pool is handed out again from its bottom.
+        for &f in frames.iter().rev() {
+            fa.free(f).unwrap();
+        }
+        assert_eq!(fa.alloc().unwrap(), frames[0]);
+    }
+
+    #[test]
+    fn alloc_many_rollback_returns_the_lowest_frames() {
+        let mut fa = FrameAllocator::new(Hpa(0), 4);
+        let kept = fa.alloc().unwrap();
+        assert!(fa.alloc_many(4).is_err());
+        assert_eq!(fa.free_count(), 3, "failed alloc_many must roll back");
+        assert_eq!(fa.alloc_many(2).unwrap(), vec![Hpa(PAGE_SIZE), Hpa(2 * PAGE_SIZE)]);
+        fa.free(kept).unwrap();
+        assert_eq!(fa.alloc().unwrap(), kept);
     }
 }

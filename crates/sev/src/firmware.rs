@@ -503,30 +503,36 @@ impl Firmware {
     }
 
     /// `SEND_UPDATE_DATA` for one page: re-encrypts the guest page at
-    /// `src_pa` from `Kvek` to `Ktek`, returning the transport ciphertext.
+    /// `src_pa` from `Kvek` to `Ktek`, writing the transport ciphertext
+    /// into `out`, the caller's slot in its transport stream.
     /// `page_index` keys the CTR stream and must be unique per page.
     ///
     /// # Errors
     ///
     /// Requires the `Sending` state.
+    ///
+    /// # Panics
+    ///
+    /// When `out` is not one page long.
     pub fn send_update_page(
         &mut self,
         machine: &mut Machine,
         h: Handle,
         src_pa: Hpa,
         page_index: u64,
-    ) -> Result<Vec<u8>, SevError> {
+        out: &mut [u8],
+    ) -> Result<(), SevError> {
+        assert_eq!(out.len() as u64, PAGE_SIZE, "send slots are pages");
         let (ciphers, ctx, _) = self.cached_ciphers(h, GuestState::Sending)?;
         let args = [("page", ArgValue::U64(page_index))];
         scope(machine, Site::new(SpanKind::CryptoRun, "crypto:send_update").args(&args), |m| {
-            let mut page = vec![0u8; PAGE_SIZE as usize];
-            let ciphertext = m.mc.dram().raw_span(src_pa, page.len()).map_err(SevError::Hw)?;
-            ciphers.engine.decrypt_blocks_to(src_pa.0, ciphertext, &mut page);
-            ctx.measurement.update(&page);
+            let ciphertext = m.mc.dram().raw_span(src_pa, out.len()).map_err(SevError::Hw)?;
+            ciphers.engine.decrypt_blocks_to(src_pa.0, ciphertext, out);
+            ctx.measurement.update(out);
             let tek = ciphers.tek.as_ref().expect("sending state implies transport keys");
-            Ctr128::apply_with(tek, PAGE_NONCE, page_index * (PAGE_SIZE / 16), &mut page);
+            Ctr128::apply_with(tek, PAGE_NONCE, page_index * (PAGE_SIZE / 16), out);
             charge_reencrypt(m, PAGE_SIZE);
-            Ok(page)
+            Ok(())
         })
     }
 
@@ -916,7 +922,8 @@ mod tests {
 
         // Send.
         let session = src_fw.send_start(h, &dst_fw.pdh_public()).unwrap();
-        let ct = src_fw.send_update_page(&mut m, h, src_pa, 0).unwrap();
+        let mut ct = [0u8; PAGE_SIZE as usize];
+        src_fw.send_update_page(&mut m, h, src_pa, 0, &mut ct).unwrap();
         let tag = src_fw.send_finish(h).unwrap();
         assert_ne!(&ct[..18], b"very secret state!", "transport is encrypted");
 
@@ -944,7 +951,8 @@ mod tests {
         src_fw.launch_update_data(&mut m, h, src_pa, PAGE_SIZE).unwrap();
         src_fw.launch_finish(h).unwrap();
         let session = src_fw.send_start(h, &dst_fw.pdh_public()).unwrap();
-        let mut ct = src_fw.send_update_page(&mut m, h, src_pa, 0).unwrap();
+        let mut ct = [0u8; PAGE_SIZE as usize];
+        src_fw.send_update_page(&mut m, h, src_pa, 0, &mut ct).unwrap();
         let tag = src_fw.send_finish(h).unwrap();
         ct[100] ^= 0xFF; // man-in-the-middle hypervisor flips a byte
         let rh = dst_fw.receive_start(&session, GuestPolicy::default()).unwrap();
@@ -1088,7 +1096,8 @@ mod tests {
             src_fw.launch_update_data(m, h, src_pa, PAGE_SIZE).unwrap();
             src_fw.launch_finish(h).unwrap();
             let session = src_fw.send_start(h, &dst.pdh_public()).unwrap();
-            let ct = src_fw.send_update_page(m, h, src_pa, 0).unwrap();
+            let mut ct = [0u8; PAGE_SIZE as usize];
+            src_fw.send_update_page(m, h, src_pa, 0, &mut ct).unwrap();
             let tag = src_fw.send_finish(h).unwrap();
             (session, ct, tag)
         };
@@ -1125,10 +1134,11 @@ mod tests {
         src_fw.launch_update_data(&mut m, h, src_pa, PAGE_SIZE).unwrap();
         src_fw.launch_finish(h).unwrap();
         let session = src_fw.send_start(h, &dst.pdh_public()).unwrap();
-        let ct = src_fw.send_update_page(&mut m, h, src_pa, 0).unwrap();
+        let mut ct = [0u8; PAGE_SIZE as usize];
+        src_fw.send_update_page(&mut m, h, src_pa, 0, &mut ct).unwrap();
         let tag = src_fw.send_finish(h).unwrap();
 
-        let mut bad = ct.clone();
+        let mut bad = ct;
         bad[0] ^= 0x01;
         let rh = dst.receive_start(&session, GuestPolicy::default()).unwrap();
         dst.receive_update_page(&mut m, rh, &bad, 0, Hpa(0xC000)).unwrap();

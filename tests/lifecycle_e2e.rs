@@ -139,17 +139,78 @@ fn many_guests_boot_run_and_shut_down() {
     }
 }
 
+/// The host frames backing `dom`, in ascending order.
+fn frame_set(sys: &System, dom: DomainId) -> Vec<Hpa> {
+    let d = sys.xen.domain(dom).unwrap();
+    let mut frames: Vec<Hpa> = (0..d.mem_pages()).filter_map(|p| d.frame_of(p)).collect();
+    frames.sort_unstable();
+    frames
+}
+
+/// Whether the raw DRAM of `frame` (what a cold-boot attacker or the
+/// hypervisor's physical view would see) contains `needle`.
+fn dram_shows(sys: &System, frame: Hpa, needle: &[u8]) -> bool {
+    let raw = sys.plat.machine.mc.dram().raw_span(frame, PAGE_SIZE as usize).unwrap();
+    raw.windows(needle.len()).any(|w| w == needle)
+}
+
+const HEAP: Gpa = Gpa(gplayout::HEAP_PAGE * PAGE_SIZE);
+
 #[test]
 fn guest_frames_recycle_after_shutdown() {
     let mut sys = protected(68);
     let a = boot(&mut sys, 68);
-    sys.shutdown_guest(a).unwrap();
-    // A new guest can boot into the recycled frames and the hypervisor
-    // regains (then re-loses) access as the windows dictate.
-    let b = boot(&mut sys, 69);
-    sys.gpa_write(b, Gpa(gplayout::HEAP_PAGE * PAGE_SIZE), b"fresh guest", true).unwrap();
+    sys.gpa_write(a, HEAP, b"guest A's secret", true).unwrap();
     sys.ensure_host().unwrap();
+    let frames_a = frame_set(&sys, a);
+    let heap_a = sys.xen.domain(a).unwrap().frame_of(gplayout::HEAP_PAGE).unwrap();
+    sys.shutdown_guest(a).unwrap();
+
+    // Lowest free frame first: the next guest boots into exactly the
+    // frames the last one returned, its heap page onto A's.
+    let b = boot(&mut sys, 69);
+    assert_eq!(frame_set(&sys, b), frames_a, "guest B must reuse guest A's frames");
+    assert_eq!(sys.xen.domain(b).unwrap().frame_of(gplayout::HEAP_PAGE), Some(heap_a));
+
+    // The frame still holds A's ciphertext, but B's fresh `Kvek` turns it
+    // into noise: B reads no trace of A's plaintext.
+    let mut stale = [0u8; 16];
+    sys.gpa_read(b, HEAP, &mut stale, true).unwrap();
+    assert_ne!(&stale, b"guest A's secret", "a reused frame must not reveal its last owner");
+    sys.gpa_write(b, HEAP, b"fresh guest", true).unwrap();
+    let mut back = [0u8; 11];
+    sys.gpa_read(b, HEAP, &mut back, true).unwrap();
+    assert_eq!(&back, b"fresh guest");
+    sys.ensure_host().unwrap();
+    assert!(!dram_shows(&sys, heap_a, b"guest A's secret"), "DRAM holds A's plaintext");
+    assert!(!dram_shows(&sys, heap_a, b"fresh guest"), "DRAM holds B's plaintext");
     sys.shutdown_guest(b).unwrap();
+}
+
+#[test]
+fn migrated_guest_lands_on_a_shut_down_guests_frames() {
+    let mut src = protected(72);
+    let mut dst = protected(73);
+    let local = boot(&mut dst, 73);
+    dst.gpa_write(local, HEAP, b"local secret", true).unwrap();
+    dst.ensure_host().unwrap();
+    let frames_local = frame_set(&dst, local);
+    let heap_local = dst.xen.domain(local).unwrap().frame_of(gplayout::HEAP_PAGE).unwrap();
+    dst.shutdown_guest(local).unwrap();
+
+    let dom = boot(&mut src, 72);
+    src.gpa_write(dom, HEAP, b"migrating marker", true).unwrap();
+    src.ensure_host().unwrap();
+    let package = migrate_out(&mut src, dom, &dst.plat.firmware.pdh_public()).unwrap();
+    let arrived = migrate_in(&mut dst, &package).unwrap();
+    assert_eq!(frame_set(&dst, arrived), frames_local, "the arrival must reuse the frames");
+    assert_eq!(dst.xen.domain(arrived).unwrap().frame_of(gplayout::HEAP_PAGE), Some(heap_local));
+    let mut back = [0u8; 16];
+    dst.gpa_read(arrived, HEAP, &mut back, true).unwrap();
+    assert_eq!(&back, b"migrating marker");
+    dst.ensure_host().unwrap();
+    assert!(!dram_shows(&dst, heap_local, b"local secret"));
+    assert!(!dram_shows(&dst, heap_local, b"migrating marker"));
 }
 
 #[test]

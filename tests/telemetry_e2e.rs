@@ -186,7 +186,7 @@ fn every_refusal_site_books_one_denial() {
     // A migration stream truncated in transit.
     let mut dst = System::new(32 * 1024 * 1024, 13, Box::new(Fidelius::new())).unwrap();
     let mut package = migrate_out(&mut sys, dom, &dst.plat.firmware.pdh_public()).unwrap();
-    package.pages.pop();
+    package.truncate(package.pages.len() - 1);
     assert_booked_once(&mut dst, DenialReason::MigrationStreamTruncated, |dst| {
         let err = migrate_in(dst, &package);
         assert!(matches!(err, Err(XenError::FailClosed(DenialReason::MigrationStreamTruncated))));
