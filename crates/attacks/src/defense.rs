@@ -136,7 +136,8 @@ impl Guardian for SevEsSim {
                 }
                 _ => {
                     self.shadows.insert(dom.id, shadow);
-                    return Err(GuardError::Denied(DenialReason::SevEsVmcbTampered));
+                    let reason = plat.machine.deny(DenialReason::SevEsVmcbTampered);
+                    return Err(GuardError::Denied(reason));
                 }
             }
         }

@@ -8,8 +8,8 @@
 //!   every fault kind against a Fidelius guest doing SEV-API
 //!   `disk_write`/`disk_read` rounds, with the merged cycle categories.
 //! - `fault_matrix_64.jsonl` — the same at the binary's default 64 seeds,
-//!   which CI's `determinism` job diffs its `faultinject_matrix --json`
-//!   output against.
+//!   which CI's `determinism` job also diffs its `faultinject_matrix
+//!   --json` output against.
 //! - `attack_matrix.jsonl` — `attack_matrix --json`: every attack against
 //!   every defense (vanilla Xen, SEV, SEV-ES, Fidelius), which drives the
 //!   `Unprotected`, `SevEsSim` and Fidelius guardians end to end.
@@ -208,6 +208,11 @@ fn ablation_vmcb_matches_golden() {
 #[test]
 fn fault_matrix_matches_golden() {
     check("fault_matrix_8.jsonl", &render_matrix(8));
+}
+
+#[test]
+fn fault_matrix_64_matches_golden() {
+    check("fault_matrix_64.jsonl", &render_matrix(64));
 }
 
 #[test]

@@ -28,9 +28,7 @@ use fidelius_hw::vmcb::{ExitCode, VmcbField, VmcbImage};
 use fidelius_hw::{Fault, Hpa, HwError, PAGE_SIZE};
 use fidelius_sev::firmware::IoHelpers;
 use fidelius_sev::{Handle, SevError};
-use fidelius_telemetry::{
-    DenialReason, Event, FaultKind, FlushScope, InjectionOutcome, PolicyObject, VerifyOutcome,
-};
+use fidelius_telemetry::{DenialReason, Event, FaultKind, FlushScope, PolicyObject, VerifyOutcome};
 use fidelius_xen::domain::{Domain, DomainId};
 use fidelius_xen::grants::{read_entry_phys, GrantEntry, GRANT_ENTRY_SIZE, GRANT_TABLE_ENTRIES};
 use fidelius_xen::guardian::{GuardError, Guardian, IoDir, LateLaunchInfo};
@@ -853,21 +851,14 @@ impl Guardian for Fidelius {
             None => return Err(self.deny(plat, DenialReason::UnknownDomainAtEntry)),
         };
         // A typed integrity failure at the boundary: trace the failed
-        // verification.
+        // verification, then book the refusal (paired, under fault
+        // injection, with the injected VMCB tamper's disposal).
         let tampered = |plat: &mut Platform, reason: DenialReason| {
             plat.machine.trace.emit(Event::ShadowVerify {
                 vmcb_pa: dom.vmcb_pa.0,
                 outcome: VerifyOutcome::Tampered(reason),
             });
-            // Under fault injection, pair the injected VMCB tamper with its
-            // disposal so the matrix can audit the full chain.
-            if plat.machine.inject.is_armed() {
-                plat.machine.trace.emit(Event::FaultOutcome {
-                    kind: FaultKind::VmcbTamper,
-                    outcome: InjectionOutcome::FailClosed(reason),
-                });
-            }
-            GuardError::Denied(reason)
+            GuardError::Denied(plat.machine.fail_closed(reason, FaultKind::VmcbTamper))
         };
         let img = VmcbImage::load(&plat.machine.mc, dom.vmcb_pa).map_err(GuardError::Hw)?;
         if let Some(shadow) = self.shadows.remove(&dom.id) {

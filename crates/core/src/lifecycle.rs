@@ -17,11 +17,16 @@
 //!    the VMCB and the guest boots, building its encrypted page tables.
 //! 6. The guest is sealed: its private frames disappear from the
 //!    hypervisor's address space.
+//!
+//! Migration-in ([`crate::migrate::migrate_in`]) is the same protocol with
+//! the transport stream in place of the image and no boot, so both run one
+//! receive transaction, which undoes every failure after `RECEIVE_START`.
 
 use crate::fidelius::Fidelius;
 use fidelius_hw::cpu::{scope, Site};
-use fidelius_hw::PAGE_SIZE;
-use fidelius_sev::{EncryptedImage, GuestPolicy, SevError};
+use fidelius_hw::{Gpa, HwError, PAGE_SIZE};
+use fidelius_sev::firmware::SessionBlob;
+use fidelius_sev::{EncryptedImage, GuestPolicy, Handle, SevError};
 use fidelius_telemetry::DenialReason;
 use fidelius_trace::SpanKind;
 use fidelius_xen::domain::DomainId;
@@ -29,13 +34,20 @@ use fidelius_xen::frontend::gplayout;
 use fidelius_xen::layout::direct_map;
 use fidelius_xen::{System, XenError};
 
-/// Flight-recorder sites of the six launch steps.
-const RECEIVE_START: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:receive_start");
-const CREATE_DOMAIN: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:create_domain");
+/// Flight-recorder sites of the two launch steps that are boot's own.
 const LOAD_IMAGE: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:load_image");
 const RECEIVE_UPDATE: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:receive_update");
-const FINISH_ACTIVATE: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:finish_activate");
-const BOOT_AND_SEAL: Site<'static> = Site::new(SpanKind::LaunchStep, "launch:boot_and_seal");
+
+/// The encrypted boot's use of [`receive`].
+const LAUNCH: Receive = Receive {
+    start: Site::new(SpanKind::LaunchStep, "launch:receive_start"),
+    create: Site::new(SpanKind::LaunchStep, "launch:create_domain"),
+    finish: Site::new(SpanKind::LaunchStep, "launch:finish_activate"),
+    seal: Site::new(SpanKind::LaunchStep, "launch:boot_and_seal"),
+    replayed: DenialReason::LaunchMeasurementReplayed,
+    tampered: None,
+    boots: true,
+};
 
 /// Downcasts the system's guardian to Fidelius.
 ///
@@ -61,93 +73,138 @@ pub fn boot_encrypted_guest(
     image: &EncryptedImage,
     mem_pages: u64,
 ) -> Result<DomainId, XenError> {
-    // 1. RECEIVE_START — Fidelius self-maintains the returned handle as
-    //    SEV metadata.
-    let handle = scope(sys, RECEIVE_START, |sys| {
-        match sys.plat.firmware.receive_start(&image.session, GuestPolicy::default()) {
-            Ok(h) => Ok(h),
-            Err(SevError::SessionNonceReplayed) => {
-                // Attestation rollback: the hypervisor replayed a stale
-                // owner session (old firmware / old measurement). The
-                // retrofitted firmware's nonce ledger catches it; surface
-                // it as a typed denial so the attack matrix can assert on
-                // it.
-                Err(XenError::FailClosed(
-                    sys.plat.machine.deny(DenialReason::LaunchMeasurementReplayed),
-                ))
-            }
-            Err(e) => Err(e.into()),
-        }
-    })?;
-
-    // 2. Domain shell + memory (the hypervisor's job).
-    let dom = scope(sys, CREATE_DOMAIN, |sys| -> Result<_, XenError> {
-        let dom = sys.xen.create_domain(&mut sys.plat, &mut *sys.guardian, mem_pages)?;
-        sys.xen.populate_all(&mut sys.plat, &mut *sys.guardian, dom)?;
-        Ok(dom)
-    })?;
-
-    // 3. The hypervisor loads the *encrypted* image into guest frames
-    //    (boot window: frames are still mapped until sealing).
     let npages = image.pages.len() as u64;
     if gplayout::KERNEL_PAGE + npages > mem_pages {
         return Err(XenError::OutOfMemory);
     }
-    scope(sys, LOAD_IMAGE, |sys| -> Result<_, XenError> {
-        for (i, page) in image.pages.iter().enumerate() {
-            let frame = sys
-                .xen
-                .domain(dom)?
-                .frame_of(gplayout::KERNEL_PAGE + i as u64)
-                .ok_or(XenError::OutOfMemory)?;
-            sys.plat.machine.host_write(direct_map(frame), page)?;
-        }
-        Ok(())
-    })?;
+    receive(sys, LAUNCH, &image.session, &image.measurement, mem_pages, |sys, dom, handle| {
+        // The hypervisor loads the *encrypted* image into guest frames
+        // (boot window: frames are still mapped until sealing)...
+        scope(sys, LOAD_IMAGE, |sys| -> Result<_, XenError> {
+            for (p, page) in (gplayout::KERNEL_PAGE..).zip(&image.pages) {
+                let frame = sys.xen.domain(dom)?.frame_of(p).ok_or(XenError::OutOfMemory)?;
+                sys.plat.machine.host_write(direct_map(frame), page)?;
+            }
+            Ok(())
+        })?;
+        // ...and RECEIVE_UPDATE re-encrypts it in place, Ktek → Kvek.
+        scope(sys, RECEIVE_UPDATE, |sys| -> Result<_, XenError> {
+            for (i, p) in (0..npages).zip(gplayout::KERNEL_PAGE..) {
+                let frame = sys.xen.domain(dom)?.frame_of(p).ok_or(XenError::OutOfMemory)?;
+                let m = &mut sys.plat.machine;
+                sys.plat.firmware.receive_update_page_in_place(m, handle, i, frame)?;
+            }
+            Ok(())
+        })
+    })
+}
 
-    // 4. RECEIVE_UPDATE: in-place re-encryption Ktek → Kvek.
-    scope(sys, RECEIVE_UPDATE, |sys| -> Result<_, XenError> {
-        for i in 0..npages {
-            let frame = sys
-                .xen
-                .domain(dom)?
-                .frame_of(gplayout::KERNEL_PAGE + i)
-                .ok_or(XenError::OutOfMemory)?;
-            sys.plat.firmware.receive_update_page_in_place(
-                &mut sys.plat.machine,
-                handle,
-                i,
-                frame,
-            )?;
-        }
-        Ok(())
-    })?;
+/// One caller's use of [`receive`]: the flight-recorder sites of the
+/// shared steps, the denial a replayed session books, the denial (if any)
+/// a firmware failure after `RECEIVE_START` books, and whether the guest
+/// boots before the seal.
+pub(crate) struct Receive {
+    pub(crate) start: Site<'static>,
+    pub(crate) create: Site<'static>,
+    pub(crate) finish: Site<'static>,
+    pub(crate) seal: Site<'static>,
+    pub(crate) replayed: DenialReason,
+    pub(crate) tampered: Option<DenialReason>,
+    pub(crate) boots: bool,
+}
 
-    // 5. RECEIVE_FINISH verifies Mvm; ACTIVATE installs Kvek.
-    scope(sys, FINISH_ACTIVATE, |sys| -> Result<_, XenError> {
-        sys.plat.firmware.receive_finish(handle, &image.measurement)?;
-        let asid = sys.xen.domain(dom)?.asid;
-        sys.plat.firmware.activate(&mut sys.plat.machine, handle, asid)?;
-        // Fidelius self-maintains the handle as SEV metadata; other
-        // guardians (the vanilla-firmware victims of the attack matrix)
-        // leave it with the hypervisor, as real SEV does.
-        if let Ok(f) = fidelius_mut(sys) {
-            f.register_sev_handle(dom, handle);
+/// The SEV receive transaction behind both encrypted boot and
+/// migration-in (§4.3.3 builds the boot from the RECEIVE commands):
+/// `RECEIVE_START`, a populated domain, `pages` moving the transport
+/// ciphertext in under the new handle, `RECEIVE_FINISH` against `tag`,
+/// `ACTIVATE`, Fidelius taking the handle, the VMCB, the guest's own boot
+/// when `r.boots` (migrated memory already holds its page tables), and
+/// the seal.
+///
+/// A guest the free pool cannot hold is refused before `RECEIVE_START`.
+/// After it, a failure is undone before it is returned: the domain, if
+/// one was created, is destroyed and the firmware context released
+/// exactly once, so a refused receive leaves domains, guest pool and
+/// firmware as it found them. An error of the undo itself is returned in
+/// place of the failure it undid; `r.tampered` is booked for a firmware
+/// failure once the undo is done.
+pub(crate) fn receive(
+    sys: &mut System,
+    r: Receive,
+    session: &SessionBlob,
+    tag: &[u8; 32],
+    mem_pages: u64,
+    pages: impl FnOnce(&mut System, DomainId, Handle) -> Result<(), XenError>,
+) -> Result<DomainId, XenError> {
+    // A guest larger than the free pool could never be populated; refusing
+    // it here also keeps a hostile `mem_pages` from sizing the domain.
+    if mem_pages > sys.xen.guest_pool.free_count() {
+        return Err(XenError::Hw(HwError::OutOfFrames));
+    }
+    // The retrofitted firmware's nonce ledger refuses a session an earlier
+    // receive consumed: a rollback to a stale measurement or snapshot.
+    let handle = scope(sys, r.start, |sys| {
+        match sys.plat.firmware.receive_start(session, GuestPolicy::default()) {
+            Err(SevError::SessionNonceReplayed) => {
+                Err(XenError::FailClosed(sys.plat.machine.deny(r.replayed)))
+            }
+            started => Ok(started?),
         }
-        Ok(())
     })?;
-
-    // 6. VMCB + guest early boot (encrypted stage-1 tables), then seal.
-    scope(sys, BOOT_AND_SEAL, |sys| -> Result<_, XenError> {
-        let gcr3 = fidelius_hw::Gpa(gplayout::PT_POOL_PAGE * PAGE_SIZE);
-        let rip = gplayout::KERNEL_PAGE * PAGE_SIZE;
-        sys.xen.init_vmcb(&mut sys.plat, dom, gcr3, rip, true)?;
-        sys.boot_guest(dom)?;
-        let d = sys.xen.domain(dom)?;
-        sys.guardian.seal_guest(&mut sys.plat, d)?;
-        Ok(())
-    })?;
-    Ok(dom)
+    let mut created = None;
+    scope(sys, r.create, |sys| -> Result<_, XenError> {
+        let dom = sys.xen.create_domain(&mut sys.plat, &mut *sys.guardian, mem_pages)?;
+        created = Some(dom);
+        sys.xen.populate_all(&mut sys.plat, &mut *sys.guardian, dom)?;
+        Ok(dom)
+    })
+    .and_then(|dom| {
+        pages(sys, dom, handle)?;
+        scope(sys, r.finish, |sys| -> Result<_, XenError> {
+            sys.plat.firmware.receive_finish(handle, tag)?;
+            let asid = sys.xen.domain(dom)?.asid;
+            sys.plat.firmware.activate(&mut sys.plat.machine, handle, asid)?;
+            // Fidelius self-maintains the handle as SEV metadata; other
+            // guardians (the vanilla-firmware victims of the attack matrix)
+            // leave it with the hypervisor, as real SEV does.
+            if let Ok(f) = fidelius_mut(sys) {
+                f.register_sev_handle(dom, handle);
+            }
+            Ok(())
+        })?;
+        scope(sys, r.seal, |sys| -> Result<_, XenError> {
+            let gcr3 = Gpa(gplayout::PT_POOL_PAGE * PAGE_SIZE);
+            sys.xen.init_vmcb(&mut sys.plat, dom, gcr3, gplayout::KERNEL_PAGE * PAGE_SIZE, true)?;
+            if r.boots {
+                sys.boot_guest(dom)?;
+            }
+            let d = sys.xen.domain(dom)?;
+            sys.guardian.seal_guest(&mut sys.plat, d)?;
+            Ok(())
+        })?;
+        Ok(dom)
+    })
+    .or_else(|e| {
+        // The undo. A handle Fidelius took goes with its domain; any other
+        // is released here, deactivated first if `ACTIVATE` ran.
+        if let Some(dom) = created {
+            sys.xen.destroy_domain(&mut sys.plat, &mut *sys.guardian, dom)?;
+        }
+        let fw = &mut sys.plat.firmware;
+        match fw.asid_of(handle) {
+            Err(SevError::UnknownHandle(_)) => {}
+            asid => {
+                if asid?.is_some() {
+                    fw.deactivate(&mut sys.plat.machine, handle)?;
+                }
+                fw.decommission(handle)?;
+            }
+        }
+        if let (XenError::Sev(_), Some(reason)) = (&e, r.tampered) {
+            sys.plat.machine.deny(reason);
+        }
+        Err(e)
+    })
 }
 
 #[cfg(test)]

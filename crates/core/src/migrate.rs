@@ -8,25 +8,34 @@
 //! is why the paper notes Fidelius does not support *live* migration.
 
 use crate::fidelius::Fidelius;
-use crate::lifecycle::fidelius_mut;
+use crate::lifecycle::{fidelius_mut, receive, Receive};
 use fidelius_hw::cpu::{scope, Site};
-use fidelius_hw::error::HwError;
 use fidelius_hw::inject::{FaultAction, InjectPoint};
-use fidelius_hw::{Gpa, PAGE_SIZE};
+use fidelius_hw::PAGE_SIZE;
 use fidelius_sev::firmware::SessionBlob;
-use fidelius_sev::{GuestPolicy, Handle};
-use fidelius_telemetry::{DenialReason, Event, FaultKind, InjectionOutcome};
+use fidelius_telemetry::{DenialReason, Event, InjectionOutcome};
 use fidelius_trace::SpanKind;
-use fidelius_xen::domain::{DomainId, DomainState};
-use fidelius_xen::frontend::gplayout;
+use fidelius_xen::domain::DomainId;
 use fidelius_xen::{System, XenError};
 
-/// Flight-recorder sites of the five migration phases.
+/// Flight-recorder sites of the three send phases and of the receive's
+/// page step.
 const SEND_START: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:send_start");
 const SEND_PAGES: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:send_pages");
 const SEND_FINISH: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:send_finish");
-const RECEIVE_START: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:receive_start");
-const RECEIVE_BODY: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:receive_body");
+const RECEIVE_UPDATE: Site<'static> = Site::new(SpanKind::MigratePhase, "migrate:receive_update");
+
+/// Migration-in's use of [`receive`]: a firmware failure after
+/// `RECEIVE_START` means the stream was tampered with in transit.
+const MIGRATION: Receive = Receive {
+    start: Site::new(SpanKind::MigratePhase, "migrate:receive_start"),
+    create: Site::new(SpanKind::MigratePhase, "migrate:create_domain"),
+    finish: Site::new(SpanKind::MigratePhase, "migrate:finish_activate"),
+    seal: Site::new(SpanKind::MigratePhase, "migrate:seal"),
+    replayed: DenialReason::MigrationSessionReplayed,
+    tampered: Some(DenialReason::MigrationStreamTampered),
+    boots: false,
+};
 
 /// An in-flight migrated VM: transport-encrypted memory plus the session
 /// needed to receive it.
@@ -122,46 +131,20 @@ pub fn migrate_out(
 /// Applies an in-transit stream fault to `package`, emitting the predicted
 /// outcome on the source tracer.
 fn tamper_stream(sys: &mut System, package: &mut MigrationPackage, action: FaultAction) {
-    let trace = &sys.plat.machine.trace;
-    match action {
-        FaultAction::TruncateStream { keep } => {
-            let len = package.pages.len() as u64;
-            let k = keep % (len + 1);
-            if k < len {
-                package.truncate(k as usize);
-                trace.emit(Event::FaultOutcome {
-                    kind: FaultKind::MigrationTruncate,
-                    outcome: InjectionOutcome::FailClosed(DenialReason::MigrationStreamTruncated),
-                });
-            } else {
-                trace.emit(Event::FaultOutcome {
-                    kind: FaultKind::MigrationTruncate,
-                    outcome: InjectionOutcome::Tolerated,
-                });
-            }
+    let len = package.pages.len() as u64;
+    let outcome = match action {
+        FaultAction::TruncateStream { keep } if keep % (len + 1) < len => {
+            package.truncate((keep % (len + 1)) as usize);
+            InjectionOutcome::FailClosed(DenialReason::MigrationStreamTruncated)
         }
-        FaultAction::CorruptStream { index_hint, xor } => {
-            if package.pages.is_empty() {
-                trace.emit(Event::FaultOutcome {
-                    kind: FaultKind::MigrationCorrupt,
-                    outcome: InjectionOutcome::Tolerated,
-                });
-                return;
-            }
+        FaultAction::CorruptStream { index_hint, xor } if len > 0 => {
             let ct = package.page_mut(index_hint as usize % package.pages.len());
             ct[index_hint as usize % ct.len()] ^= xor | 1;
-            trace.emit(Event::FaultOutcome {
-                kind: FaultKind::MigrationCorrupt,
-                outcome: InjectionOutcome::FailClosed(DenialReason::MigrationStreamTampered),
-            });
+            InjectionOutcome::FailClosed(DenialReason::MigrationStreamTampered)
         }
-        other => {
-            trace.emit(Event::FaultOutcome {
-                kind: other.kind(),
-                outcome: InjectionOutcome::Tolerated,
-            });
-        }
-    }
+        _ => InjectionOutcome::Tolerated,
+    };
+    sys.plat.machine.trace.emit(Event::FaultOutcome { kind: action.kind(), outcome });
 }
 
 /// Receives a migrated VM on this system: creates a domain, restores the
@@ -183,82 +166,29 @@ pub fn migrate_in(sys: &mut System, package: &MigrationPackage) -> Result<Domain
             sys.plat.machine.deny(DenialReason::MigrationStreamTruncated),
         ));
     }
-    // A guest larger than the free pool could never be populated; refusing
-    // it here also keeps a hostile `mem_pages` from sizing the domain.
-    if package.mem_pages > sys.xen.guest_pool.free_count() {
-        return Err(XenError::Hw(HwError::OutOfFrames));
-    }
-    let handle = scope(sys, RECEIVE_START, |sys| {
-        match sys.plat.firmware.receive_start(&package.session, GuestPolicy::default()) {
-            Ok(h) => Ok(h),
-            Err(fidelius_sev::SevError::SessionNonceReplayed) => {
-                // Rollback on the SEND path: the hypervisor re-presents a
-                // session an earlier successful receive already consumed
-                // (e.g. to resurrect a pre-update snapshot of the guest).
-                Err(XenError::FailClosed(
-                    sys.plat.machine.deny(DenialReason::MigrationSessionReplayed),
-                ))
-            }
-            Err(e) => Err(e.into()),
-        }
-    })?;
-    let dom = sys.xen.create_domain(&mut sys.plat, &mut *sys.guardian, package.mem_pages)?;
-    // From here on the receive is transactional: any failure rolls the
-    // half-built domain back (frames freed, firmware state decommissioned)
-    // so a tampered stream cannot leak a zombie guest on the target.
-    match scope(sys, RECEIVE_BODY, |sys| receive_body(sys, package, handle, dom)) {
-        Ok(()) => Ok(dom),
-        Err(e) => {
-            rollback_receive(sys, dom, handle);
-            if matches!(e, XenError::Sev(_)) {
-                sys.plat.machine.deny(DenialReason::MigrationStreamTampered);
-            }
-            Err(e)
-        }
-    }
-}
-
-/// The fallible phase of [`migrate_in`]: everything between domain
-/// creation and the sealed, runnable guest.
-fn receive_body(
-    sys: &mut System,
-    package: &MigrationPackage,
-    handle: Handle,
-    dom: DomainId,
-) -> Result<(), XenError> {
-    sys.xen.populate_all(&mut sys.plat, &mut *sys.guardian, dom)?;
-    for (&p, ct) in package.pages.iter().zip(package.stream.chunks_exact(PAGE_SIZE as usize)) {
-        let frame = sys.xen.domain(dom)?.frame_of(p).ok_or(XenError::OutOfMemory)?;
-        sys.plat.firmware.receive_update_page(&mut sys.plat.machine, handle, ct, p, frame)?;
-    }
-    sys.plat.firmware.receive_finish(handle, &package.tag)?;
-    let asid = sys.xen.domain(dom)?.asid;
-    sys.plat.firmware.activate(&mut sys.plat.machine, handle, asid)?;
-    // Only Fidelius takes the handle into its sealed metadata; a
-    // vanilla-firmware destination leaves it hypervisor-managed.
-    if let Ok(f) = fidelius_mut(sys) {
-        f.register_sev_handle(dom, handle);
-    }
-
-    // The migrated memory contains the guest's page tables; point the
-    // VMCB at them and resume at the kernel entry.
-    let gcr3 = Gpa(gplayout::PT_POOL_PAGE * PAGE_SIZE);
-    let rip = gplayout::KERNEL_PAGE * PAGE_SIZE;
-    sys.xen.init_vmcb(&mut sys.plat, dom, gcr3, rip, true)?;
-    sys.xen.domain_mut(dom)?.state = DomainState::Ready;
-    let d = sys.xen.domain(dom)?;
-    sys.guardian.seal_guest(&mut sys.plat, d)?;
-    Ok(())
-}
-
-/// Unwinds a failed receive: the domain (with its frames, grants and
-/// events) and the firmware's transport context both go away. Best-effort
-/// by design — the guardian's own teardown may already have decommissioned
-/// the handle when it was registered before the failure.
-fn rollback_receive(sys: &mut System, dom: DomainId, handle: Handle) {
-    let _ = sys.xen.destroy_domain(&mut sys.plat, &mut *sys.guardian, dom);
-    let _ = sys.plat.firmware.deactivate(&mut sys.plat.machine, handle);
-    let _ = sys.plat.firmware.decommission(handle);
+    receive(
+        sys,
+        MIGRATION,
+        &package.session,
+        &package.tag,
+        package.mem_pages,
+        |sys, dom, handle| {
+            scope(sys, RECEIVE_UPDATE, |sys| -> Result<_, XenError> {
+                let chunks = package.stream.chunks_exact(PAGE_SIZE as usize);
+                for (&p, ct) in package.pages.iter().zip(chunks) {
+                    let frame = sys.xen.domain(dom)?.frame_of(p).ok_or(XenError::OutOfMemory)?;
+                    sys.plat.firmware.receive_update_page(
+                        &mut sys.plat.machine,
+                        handle,
+                        ct,
+                        p,
+                        frame,
+                    )?;
+                }
+                Ok(())
+            })
+        },
+    )
 }
 
 /// Convenience for tests/benches: a Fidelius system ready for migration.
@@ -270,7 +200,10 @@ pub fn protected_system(dram: u64, seed: u64) -> Result<System, XenError> {
 mod tests {
     use super::*;
     use crate::lifecycle::boot_encrypted_guest;
-    use fidelius_sev::GuestOwner;
+    use fidelius_hw::{Gpa, HwError};
+    use fidelius_sev::{GuestOwner, Handle, SevError};
+    use fidelius_xen::domain::DomainState;
+    use fidelius_xen::frontend::gplayout;
 
     const DRAM: u64 = 32 * 1024 * 1024;
 
@@ -361,7 +294,7 @@ mod tests {
         let good = migrate_out(&mut src, dom, &dst.plat.firmware.pdh_public()).unwrap();
 
         let truncated = XenError::FailClosed(DenialReason::MigrationStreamTruncated);
-        let tampered = XenError::Sev(fidelius_sev::SevError::BadMeasurement);
+        let tampered = XenError::Sev(SevError::BadMeasurement);
         type Reshape = fn(&mut MigrationPackage);
         let cases: [(&str, Reshape, XenError); 9] = [
             ("stream one byte short", |p| p.stream.truncate(p.stream.len() - 1), truncated.clone()),
@@ -389,6 +322,13 @@ mod tests {
                 dst.xen.domains.values().all(|d| d.state == DomainState::Dead),
                 "{what}: no live domain may remain"
             );
+            // No firmware context survives either, whether the refusal
+            // came before `RECEIVE_START` or was undone after it (each of
+            // the nine cases starts at most one receive).
+            let live = (1..=9).map(Handle).find(|&h| {
+                !matches!(dst.plat.firmware.guest_status(h), Err(SevError::UnknownHandle(_)))
+            });
+            assert_eq!(live, None, "{what}: a firmware context outlived the refusal");
         }
         // None of the refusals consumed the session: the intact stream lands.
         let new_dom = migrate_in(&mut dst, &good).unwrap();

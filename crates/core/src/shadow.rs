@@ -80,9 +80,11 @@ pub const fn policy_for(exit: ExitCode) -> ExitPolicy {
             writable_gprs: &[Gpr::Rax],
             insn_len: 3,
         },
-        // All guest state masked; the fault address is in exitinfo.
-        ExitCode::NestedPageFault | ExitCode::Intr | ExitCode::Shutdown => SEALED,
-        ExitCode::Hlt => ExitPolicy { writable_fields: &[VmcbField::Rip], insn_len: 1, ..SEALED },
+        // All guest state masked; the fault address is in exitinfo. Xen's
+        // HLT handler writes nothing back, so HLT is sealed too: a
+        // writable RIP the hypervisor cannot see would only answer its
+        // guesses at RIP.
+        ExitCode::NestedPageFault | ExitCode::Intr | ExitCode::Shutdown | ExitCode::Hlt => SEALED,
         ExitCode::Msr => ExitPolicy {
             visible_fields: INSN_VISIBLE,
             writable_fields: &[VmcbField::Rip, VmcbField::Rax],
@@ -371,7 +373,7 @@ mod tests {
                 3,
             ),
             (ExitCode::NestedPageFault, BASE, &[], &[], &[], 0),
-            (ExitCode::Hlt, BASE, &[F::Rip], &[], &[], 1),
+            (ExitCode::Hlt, BASE, &[], &[], &[], 0),
             (ExitCode::Intr, BASE, &[], &[], &[], 0),
             (ExitCode::Shutdown, BASE, &[], &[], &[], 0),
             (
@@ -394,15 +396,8 @@ mod tests {
             for f in BASE {
                 assert!(pol.visible_fields.contains(f), "{exit:?} hides {f:?}");
             }
-            // Everything writable is visible, with one exception: HLT
-            // lets RIP advance past the instruction but masks it, so a
-            // hypervisor can only write the one value it cannot see.
             for f in pol.writable_fields.iter() {
-                let hidden_ok = exit == ExitCode::Hlt && *f == F::Rip;
-                assert!(
-                    pol.visible_fields.contains(f) || hidden_ok,
-                    "{exit:?} writes hidden {f:?}"
-                );
+                assert!(pol.visible_fields.contains(f), "{exit:?} writes hidden {f:?}");
             }
             for g in pol.writable_gprs.iter() {
                 assert!(pol.visible_gprs.contains(g), "{exit:?} writes hidden {g:?}");

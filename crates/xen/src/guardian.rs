@@ -311,14 +311,14 @@ impl Guardian for Unprotected {
 
     fn pre_sharing(
         &mut self,
-        _plat: &mut Platform,
+        plat: &mut Platform,
         _initiator: DomainId,
         _target: DomainId,
         _gpa_page: u64,
         _nframes: u64,
         _writable: bool,
     ) -> Result<(), GuardError> {
-        Err(GuardError::Denied(DenialReason::PreSharingUnsupported))
+        Err(GuardError::Denied(plat.machine.deny(DenialReason::PreSharingUnsupported)))
     }
 
     fn enter_guest(&mut self, plat: &mut Platform, dom: &mut Domain) -> Result<(), GuardError> {

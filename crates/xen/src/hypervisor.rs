@@ -167,12 +167,15 @@ impl Hypervisor {
         guardian: &mut dyn Guardian,
         mem_pages: u64,
     ) -> Result<DomainId, XenError> {
+        let vmcb_pa = self.heap.alloc()?;
+        let npt_root = self.heap.alloc().or_else(|e| {
+            self.heap.free(vmcb_pa)?;
+            Err(e)
+        })?;
         let id = DomainId(self.next_domid);
         self.next_domid += 1;
         let asid = Asid(self.next_asid);
         self.next_asid += 1;
-        let vmcb_pa = self.heap.alloc()?;
-        let npt_root = self.heap.alloc()?;
         let zero = [0u8; PAGE_SIZE as usize];
         plat.machine.host_write(direct_map(vmcb_pa), &zero)?;
         plat.machine.host_write(direct_map(npt_root), &zero)?;
@@ -377,7 +380,12 @@ impl Hypervisor {
                 let frame = self.guest_pool.alloc()?;
                 let enc = self.domain(id)?.npt_c_default;
                 let flags = PTE_WRITABLE | if enc { PTE_C_BIT } else { 0 };
-                self.npt_map(plat, guardian, id, p, frame, flags)?;
+                // A frame that never reached the domain goes back to the
+                // pool here: the domain's teardown frees only its own.
+                self.npt_map(plat, guardian, id, p, frame, flags).or_else(|e| {
+                    self.guest_pool.free(frame)?;
+                    Err(e)
+                })?;
                 self.domain_mut(id)?.frames[p as usize] = Some(frame);
             }
         }

@@ -280,9 +280,10 @@ impl System {
     ) -> Result<(), XenError> {
         match fault {
             FaultAction::TamperVmcbField { field_hint, xor } => {
-                // All five targets are fields the exit policies never make
-                // hypervisor-writable; a shadowing guardian must refuse the
-                // next entry.
+                // The exit policies make none of the five targets
+                // hypervisor-writable except RIP, and RIP only to skip the
+                // exited instruction (never on HLT); a shadowing guardian
+                // must refuse any other write at the next entry.
                 const TARGETS: [VmcbField; 5] = [
                     VmcbField::NCr3,
                     VmcbField::Asid,

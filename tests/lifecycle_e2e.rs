@@ -2,9 +2,13 @@
 //! memory sharing between cooperative guests, migration, shutdown — all
 //! under the Fidelius guardian.
 
+use fidelius::hw::HwError;
 use fidelius::prelude::*;
+use fidelius::sev::{Handle, SevError};
 use fidelius_crypto::modes::SECTOR_SIZE;
+use fidelius_xen::domain::DomainState;
 use fidelius_xen::hypercall::{GrantOp, HC_GRANT_TABLE_OP, HC_PRE_SHARING_OP, RET_OK};
+use fidelius_xen::XenError;
 
 const DRAM: u64 = 32 * 1024 * 1024;
 
@@ -261,4 +265,88 @@ fn xenstore_ref_swap_cannot_leak_private_memory() {
         fidelius_xen::grants::read_entry_phys(&sys.plat.machine.mc, sys.xen.grant_table_pa, 55)
             .unwrap();
     assert!(!entry.valid, "unsanctioned reference must not resolve to a frame");
+}
+
+/// What a refused boot or migration must leave as it found it: no domain
+/// short of `Dead`, the guest pool back at `pool` free frames, and no
+/// firmware context behind the receive's `handle`.
+fn assert_nothing_left(sys: &System, pool: u64, handle: Handle, what: &str) {
+    assert!(
+        sys.xen.domains.values().all(|d| d.state == DomainState::Dead),
+        "{what}: a domain outlived the refusal"
+    );
+    assert_eq!(sys.xen.guest_pool.free_count(), pool, "{what}: guest frames leaked");
+    assert!(
+        matches!(sys.plat.firmware.guest_status(handle), Err(SevError::UnknownHandle(_))),
+        "{what}: firmware context {handle:?} left behind"
+    );
+}
+
+#[test]
+fn tampered_image_leaves_nothing_behind() {
+    let mut sys = protected(74);
+    let pool = sys.xen.guest_pool.free_count();
+    let mut owner = GuestOwner::new(74);
+    let mut image = owner.package_image(b"integration kernel", &sys.plat.firmware.pdh_public());
+    image.pages[0][0] ^= 0x01; // the hypervisor flips one bit during load
+    let err = boot_encrypted_guest(&mut sys, &image, 192);
+    assert_eq!(err, Err(XenError::Sev(SevError::BadMeasurement)));
+    assert_nothing_left(&sys, pool, Handle(1), "tampered image");
+    // The refusal left room for the intact image.
+    let dom = boot(&mut sys, 74);
+    assert_eq!(sys.xen.domain(dom).unwrap().state, DomainState::Ready);
+}
+
+#[test]
+fn image_larger_than_the_guest_is_refused_before_receive_start() {
+    let mut sys = protected(75);
+    let pool = sys.xen.guest_pool.free_count();
+    let mut owner = GuestOwner::new(75);
+    let kernel = vec![0x5a; 40 * PAGE_SIZE as usize];
+    let image = owner.package_image(&kernel, &sys.plat.firmware.pdh_public());
+    assert_eq!(boot_encrypted_guest(&mut sys, &image, 32), Err(XenError::OutOfMemory));
+    assert_nothing_left(&sys, pool, Handle(1), "oversized image");
+    assert!(sys.xen.domains.is_empty(), "the size check runs before any domain exists");
+}
+
+#[test]
+fn migration_refused_for_want_of_heap_leaves_nothing_behind() {
+    let mut src = protected(76);
+    let mut dst = protected(77);
+    let dom = boot(&mut src, 76);
+    src.gpa_write(dom, HEAP, b"outlives the wait", true).unwrap();
+    src.ensure_host().unwrap();
+    let package = migrate_out(&mut src, dom, &dst.plat.firmware.pdh_public()).unwrap();
+
+    // Dom0's heap runs dry: first with no frame left, so the new domain
+    // cannot get its VMCB page, then with one, so it gets its VMCB page
+    // but no NPT root, then with two, so it gets both but no table under
+    // the root for its first page.
+    let pool = dst.xen.guest_pool.free_count();
+    let mut taken: Vec<Hpa> = std::iter::from_fn(|| dst.xen.heap.alloc().ok()).collect();
+    for (spare, handle, what) in
+        [(0, 1, "no heap frame"), (1, 2, "no NPT root"), (2, 3, "no table")]
+    {
+        while dst.xen.heap.free_count() < spare {
+            dst.xen.heap.free(taken.pop().unwrap()).unwrap();
+        }
+        let refused = migrate_in(&mut dst, &package);
+        assert_eq!(refused, Err(XenError::Hw(HwError::OutOfFrames)), "{what}");
+        assert_nothing_left(&dst, pool, Handle(handle), what);
+        if spare < 2 {
+            assert!(dst.xen.domains.is_empty(), "{what}: a refused create_domain burns no id");
+            assert_eq!(dst.xen.heap.free_count(), spare, "{what}: heap frames leaked");
+        }
+    }
+
+    // No refusal burned the session nonce: once the heap is back, the same
+    // package lands.
+    for frame in taken {
+        dst.xen.heap.free(frame).unwrap();
+    }
+    let arrived = migrate_in(&mut dst, &package).unwrap();
+    assert_eq!(arrived, DomainId(2));
+    let mut back = [0u8; 17];
+    dst.gpa_read(arrived, HEAP, &mut back, true).unwrap();
+    assert_eq!(&back, b"outlives the wait");
 }

@@ -7,10 +7,13 @@
 //! makes it, lands on the one audit trail: one `Denial` event, counted
 //! once under its audit kind.
 
+use fidelius::attacks::SevEsSim;
 use fidelius::hw::inject::{FaultAction, FaultInjector, InjectPoint};
+use fidelius::hw::vmcb::VmcbField;
 use fidelius::prelude::*;
 use fidelius::telemetry::{AuditKind, CycleCategory, DenialReason, Event, GateKind};
 use fidelius::xen::grants::GrantEntry;
+use fidelius::xen::layout::direct_map;
 use fidelius::xen::{GuardError, XenError};
 use fidelius_crypto::modes::SECTOR_SIZE;
 
@@ -145,9 +148,20 @@ impl FaultInjector for FireOnce {
     }
 }
 
+/// Enters `dom`, exits on HLT, and has the hypervisor rewrite the guest's
+/// RIP in the VMCB before the next entry.
+fn tamper_rip_after_exit(sys: &mut System, dom: DomainId) {
+    sys.ensure_guest(dom).unwrap();
+    sys.ensure_host().unwrap();
+    let rip = sys.xen.domain(dom).unwrap().vmcb_pa.add(8 * VmcbField::Rip as u64);
+    sys.plat.machine.host_write_u64(direct_map(rip), 0xDEAD_0000).unwrap();
+}
+
 /// One refusal from each booking site — a policy refusal inside Fidelius,
-/// a fail-closed block drain, a truncated migration stream and a replayed
-/// launch session — each lands on the trace once, under its audit kind.
+/// a fail-closed block drain, a shadow-verify refusal, a truncated
+/// migration stream, a replayed launch session, vanilla Xen's refusal of
+/// the pre-sharing op and the SEV-ES model's VMCB check — each lands on
+/// the trace once, under its audit kind.
 #[test]
 fn every_refusal_site_books_one_denial() {
     let mut sys = System::new(32 * 1024 * 1024, 11, Box::new(Fidelius::new())).unwrap();
@@ -183,6 +197,13 @@ fn every_refusal_site_books_one_denial() {
     });
     sys.plat.machine.inject.clear();
 
+    // A VMCB field rewritten between an exit and the next entry.
+    tamper_rip_after_exit(&mut sys, dom);
+    assert_booked_once(&mut sys, DenialReason::VmcbFieldTampered, |sys| {
+        let err = sys.enter(dom).map_err(|e| e.denial());
+        assert_eq!(err, Err(Some(DenialReason::VmcbFieldTampered)));
+    });
+
     // A migration stream truncated in transit.
     let mut dst = System::new(32 * 1024 * 1024, 13, Box::new(Fidelius::new())).unwrap();
     let mut package = migrate_out(&mut sys, dom, &dst.plat.firmware.pdh_public()).unwrap();
@@ -196,5 +217,21 @@ fn every_refusal_site_books_one_denial() {
     assert_booked_once(&mut sys, DenialReason::LaunchMeasurementReplayed, |sys| {
         let err = boot_encrypted_guest(sys, &image, 192);
         assert!(matches!(err, Err(XenError::FailClosed(DenialReason::LaunchMeasurementReplayed))));
+    });
+
+    // Vanilla Xen has no pre-sharing op.
+    let mut xen = System::new(32 * 1024 * 1024, 14, Box::new(Unprotected::new())).unwrap();
+    assert_booked_once(&mut xen, DenialReason::PreSharingUnsupported, |xen| {
+        let err = xen.guardian.pre_sharing(&mut xen.plat, DomainId(1), DomainId::DOM0, 0, 1, true);
+        assert_eq!(err, Err(GuardError::Denied(DenialReason::PreSharingUnsupported)));
+    });
+
+    // SEV-ES checks the VMCB against its encrypted save area.
+    let mut es = System::new(32 * 1024 * 1024, 15, Box::new(SevEsSim::new())).unwrap();
+    let guest = es.create_guest(GuestConfig::default()).unwrap();
+    tamper_rip_after_exit(&mut es, guest);
+    assert_booked_once(&mut es, DenialReason::SevEsVmcbTampered, |es| {
+        let err = es.enter(guest).map_err(|e| e.denial());
+        assert_eq!(err, Err(Some(DenialReason::SevEsVmcbTampered)));
     });
 }

@@ -59,7 +59,10 @@ const COVERED_LABELS: &[&str] = &[
     "migrate:send_pages",
     "migrate:send_finish",
     "migrate:receive_start",
-    "migrate:receive_body",
+    "migrate:create_domain",
+    "migrate:receive_update",
+    "migrate:finish_activate",
+    "migrate:seal",
 ];
 
 fn hex(bytes: &[u8]) -> String {
