@@ -21,6 +21,7 @@ use fidelius_crypto::sha256::Sha256;
 use fidelius_hw::cpu::PrivOp;
 use fidelius_hw::cycles::CycleCategory;
 use fidelius_hw::error::{AccessKind, FaultReason};
+use fidelius_hw::fxhash::FxBuildHasher;
 use fidelius_hw::memctrl::EncSel;
 use fidelius_hw::paging::{Mapper, PhysPtAccess, PtAccess, Pte, PTE_NX, PTE_PRESENT, PTE_WRITABLE};
 use fidelius_hw::regs::Cr4;
@@ -65,11 +66,12 @@ struct DomMeta {
 /// `RemapPopulatedGpa`, a second GPA for a frame is `InDomainPageShuffle`
 /// or `FrameAlreadyBacksGpa`. So the inverse answers "does this frame back
 /// another GPA?" in one lookup, where a scan of the forward map made
-/// populating a guest quadratic in its size.
+/// populating a guest quadratic in its size. The inverse is keyed by pfn,
+/// not by the page-aligned `Hpa` (see [`fidelius_hw::fxhash`]).
 #[derive(Debug, Default)]
 struct Assignments {
-    by_gpa: HashMap<u64, Hpa>,
-    by_frame: HashMap<Hpa, u64>,
+    by_gpa: HashMap<u64, Hpa, FxBuildHasher>,
+    by_frame: HashMap<u64, u64, FxBuildHasher>,
 }
 
 impl Assignments {
@@ -79,7 +81,7 @@ impl Assignments {
 
     /// Whether `frame` already backs a GPA page other than `gpa_page`.
     fn backs_other_gpa(&self, gpa_page: u64, frame: Hpa) -> bool {
-        self.by_frame.get(&frame).is_some_and(|&g| g != gpa_page)
+        self.by_frame.get(&frame.pfn()).is_some_and(|&g| g != gpa_page)
     }
 
     /// Records `gpa_page → frame`; the only insert, so both directions
@@ -87,7 +89,7 @@ impl Assignments {
     fn claim(&mut self, gpa_page: u64, frame: Hpa) {
         debug_assert!(self.frame_of(gpa_page).is_none() && !self.backs_other_gpa(gpa_page, frame));
         self.by_gpa.insert(gpa_page, frame);
-        self.by_frame.insert(frame, gpa_page);
+        self.by_frame.insert(frame.pfn(), gpa_page);
     }
 }
 
@@ -103,11 +105,11 @@ pub struct Fidelius {
     git: Git,
     gates: Option<Gates>,
     once: OncePolicy,
-    shadows: HashMap<DomainId, ShadowCtx>,
-    assignments: HashMap<DomainId, Assignments>,
-    npt_pages: HashMap<u64, NptPageInfo>, // keyed by pfn
-    doms: HashMap<DomainId, DomMeta>,
-    sev_meta: HashMap<DomainId, SevMeta>,
+    shadows: HashMap<DomainId, ShadowCtx, FxBuildHasher>,
+    assignments: HashMap<DomainId, Assignments, FxBuildHasher>,
+    npt_pages: HashMap<u64, NptPageInfo, FxBuildHasher>, // keyed by pfn
+    doms: HashMap<DomainId, DomMeta, FxBuildHasher>,
+    sev_meta: HashMap<DomainId, SevMeta, FxBuildHasher>,
     host_pt_root: Hpa,
     grant_table_pa: Hpa,
     xen_code_measurement: [u8; 32],
@@ -134,11 +136,11 @@ impl Fidelius {
             git: Git::new(),
             gates: None,
             once: OncePolicy::new(),
-            shadows: HashMap::new(),
-            assignments: HashMap::new(),
-            npt_pages: HashMap::new(),
-            doms: HashMap::new(),
-            sev_meta: HashMap::new(),
+            shadows: HashMap::default(),
+            assignments: HashMap::default(),
+            npt_pages: HashMap::default(),
+            doms: HashMap::default(),
+            sev_meta: HashMap::default(),
             host_pt_root: Hpa(0),
             grant_table_pa: Hpa(0),
             xen_code_measurement: [0; 32],
@@ -1188,7 +1190,7 @@ mod tests {
         for (dom, a) in &fid.assignments {
             assert_eq!(a.by_frame.len(), a.by_gpa.len(), "{dom:?}");
             for (&gpa, &frame) in &a.by_gpa {
-                assert_eq!(a.by_frame.get(&frame), Some(&gpa), "{dom:?}");
+                assert_eq!(a.by_frame.get(&frame.pfn()), Some(&gpa), "{dom:?}");
             }
         }
     }

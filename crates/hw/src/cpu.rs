@@ -1091,7 +1091,8 @@ impl Machine {
     /// Writes `data` as back-to-back [`Machine::guest_write_gpa`] calls of
     /// `chunk` bytes each (the last may be shorter), in one call: the
     /// guest-side entry point for a run of small fields, as
-    /// [`Machine::host_write_stream`] is for host runs. Unlike that one,
+    /// [`Machine::host_write_stream`] is for host runs. Unlike its
+    /// coalescing counterpart [`Machine::guest_write_gpa_coalesced`],
     /// chunks never coalesce with each other: each takes its own
     /// translations and engine charges and commits as its own run, exactly
     /// as a separate call would, so an armed recorder books one
@@ -1115,6 +1116,32 @@ impl Machine {
             self.stream(at, Buf::Write(piece), NO_CHUNKING, true)?;
         }
         Ok(())
+    }
+
+    /// Writes `data` in `chunk`-byte pieces, each charged as its own
+    /// [`Machine::guest_write_gpa`] call would be (one translation with its
+    /// TLB lookup and `mem_access` charge, one engine charge), while
+    /// host-contiguous pieces under one key coalesce into one
+    /// memory-controller run, as [`Machine::host_write_stream`] does for
+    /// host runs. The bytes and modeled counts equal the separate calls';
+    /// only an armed recorder sees one `mem-stream:write` instant per run
+    /// instead of one per piece. Under [`Fidelity::Reference`] every piece
+    /// keeps its own transfer.
+    ///
+    /// # Errors
+    ///
+    /// NPT faults propagate; the pieces before the faulting one are
+    /// committed, as separate calls would have left them.
+    pub fn guest_write_gpa_coalesced(
+        &mut self,
+        gpa: Gpa,
+        data: &[u8],
+        encrypted: bool,
+        chunk: usize,
+    ) -> Result<(), Fault> {
+        assert_eq!(self.cpu.mode, Mode::Guest);
+        assert!(chunk > 0, "stream chunk must be non-zero");
+        self.stream(Addr::GuestPhys(gpa, encrypted), Buf::Write(data), chunk, true)
     }
 
     /// Guest virtual read through the guest's own page tables, then the

@@ -1,4 +1,4 @@
-//! A tiny multiply-xor hasher for the simulator's hot lookup structures.
+//! A tiny multiply-xor hasher for the simulator's lookup structures.
 //!
 //! The TLB probes up to three `HashMap`s on *every* simulated memory
 //! access, and the memory controller resolves a per-ASID key on every
@@ -8,9 +8,18 @@
 //! multiply-rotate-xor scheme (as used by rustc's FxHash): one fold per
 //! 64-bit word, no finalizer.
 //!
-//! It is **not** DoS-resistant. That is fine here: every key hashed with
-//! it (page-frame numbers, [`crate::tlb::Space`] discriminants, ASIDs) is
-//! produced by the simulation itself, never by untrusted input.
+//! It is **not** DoS-resistant. The rule for using it: a map may take it
+//! only when the simulation makes every key itself. That covers
+//! page-frame numbers, [`crate::tlb::Space`] discriminants, ASIDs,
+//! domain ids, event-channel ports and firmware handles, all of which the
+//! model allocates. A map
+//! keyed by bytes that arrive from outside (a session nonce dom0 relays
+//! to the firmware) keeps the standard hasher.
+//!
+//! Key pages by frame number, never by page-aligned address. With no
+//! finalizer, a key's zero low bits stay zero in its hash, and
+//! `HashMap` picks buckets by the hash's low bits: every `Hpa` of a page
+//! would start its probe in one of a handful of buckets.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

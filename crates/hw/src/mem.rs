@@ -142,28 +142,6 @@ impl FrameAllocator {
         Ok(Hpa::from_pfn(self.base_pfn + i as u64))
     }
 
-    /// Allocates `count` (not necessarily contiguous) frames.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`HwError::OutOfFrames`] when exhausted; already-granted
-    /// frames are released again on failure.
-    pub fn alloc_many(&mut self, count: u64) -> Result<Vec<Hpa>, HwError> {
-        let mut frames = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            match self.alloc() {
-                Ok(f) => frames.push(f),
-                Err(e) => {
-                    for f in frames {
-                        let _ = self.free(f);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(frames)
-    }
-
     /// Returns a frame to the pool.
     ///
     /// # Errors
@@ -268,18 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn alloc_many_rolls_back_on_failure() {
-        let mut fa = FrameAllocator::new(Hpa(0), 3);
-        assert!(fa.alloc_many(4).is_err());
-        assert_eq!(fa.free_count(), 3, "failed alloc_many must roll back");
-        let frames = fa.alloc_many(3).unwrap();
-        assert_eq!(frames.len(), 3);
-    }
-
-    #[test]
     fn free_makes_the_next_alloc_return_the_lowest_free_frame() {
         let mut fa = FrameAllocator::new(Hpa(0x4000), 8);
-        let frames = fa.alloc_many(6).unwrap();
+        let frames: Vec<Hpa> = (0..6).map(|_| fa.alloc().unwrap()).collect();
         assert_eq!(frames, (0..6).map(|i| Hpa(0x4000 + i * PAGE_SIZE)).collect::<Vec<_>>());
         fa.free(frames[4]).unwrap();
         fa.free(frames[1]).unwrap();
@@ -291,16 +260,5 @@ mod tests {
             fa.free(f).unwrap();
         }
         assert_eq!(fa.alloc().unwrap(), frames[0]);
-    }
-
-    #[test]
-    fn alloc_many_rollback_returns_the_lowest_frames() {
-        let mut fa = FrameAllocator::new(Hpa(0), 4);
-        let kept = fa.alloc().unwrap();
-        assert!(fa.alloc_many(4).is_err());
-        assert_eq!(fa.free_count(), 3, "failed alloc_many must roll back");
-        assert_eq!(fa.alloc_many(2).unwrap(), vec![Hpa(PAGE_SIZE), Hpa(2 * PAGE_SIZE)]);
-        fa.free(kept).unwrap();
-        assert_eq!(fa.alloc().unwrap(), kept);
     }
 }

@@ -195,6 +195,20 @@ pub trait PtAccess {
     /// Implementation-defined; CPU-mediated accessors return page faults
     /// when the page-table-page is write-protected.
     fn write_entry(&mut self, pa: Hpa, value: u64) -> Result<(), HwError>;
+
+    /// Zeroes the 4 KiB table at `table`: 512 [`PtAccess::write_entry`]
+    /// calls unless an implementation has a cheaper equivalent.
+    ///
+    /// # Errors
+    ///
+    /// As [`PtAccess::write_entry`]; the entries before the failing one
+    /// stay zeroed.
+    fn zero_table(&mut self, table: Hpa) -> Result<(), HwError> {
+        for i in 0..512u64 {
+            self.write_entry(table.add(i * 8), 0)?;
+        }
+        Ok(())
+    }
 }
 
 /// Raw physical page-table access (no permission checks) with a fixed
@@ -266,7 +280,7 @@ impl Mapper {
     /// Fails when out of frames or on access errors.
     pub fn create(access: &mut dyn PtAccess, alloc: &mut FrameAllocator) -> Result<Self, HwError> {
         let root = alloc.alloc()?;
-        zero_table(access, root)?;
+        access.zero_table(root)?;
         Ok(Mapper { root })
     }
 
@@ -304,7 +318,7 @@ impl Mapper {
                 table = pte.addr();
             } else {
                 let new_table = alloc.alloc()?;
-                zero_table(access, new_table)?;
+                access.zero_table(new_table)?;
                 access.write_entry(
                     entry_pa,
                     Pte::new(new_table, PTE_PRESENT | PTE_WRITABLE | PTE_USER).0,
@@ -394,31 +408,6 @@ impl Mapper {
         }
     }
 
-    /// Rewrites the leaf entry for `va` with `f(old)`. Returns `false` if
-    /// the mapping does not exist.
-    ///
-    /// # Errors
-    ///
-    /// Propagates access faults.
-    pub fn update_leaf(
-        &self,
-        access: &mut dyn PtAccess,
-        va: u64,
-        f: impl FnOnce(Pte) -> Pte,
-    ) -> Result<bool, HwError> {
-        match self.leaf_entry_pa(access, va)? {
-            None => Ok(false),
-            Some(pa) => {
-                let pte = Pte(access.read_entry(pa)?);
-                if !pte.present() {
-                    return Ok(false);
-                }
-                access.write_entry(pa, f(pte).0)?;
-                Ok(true)
-            }
-        }
-    }
-
     /// Collects the physical addresses of every page-table-page reachable
     /// from the root (including the root itself). Fidelius uses this to
     /// write-protect the hypervisor's page-table-pages wholesale.
@@ -451,13 +440,6 @@ impl Mapper {
         }
         Ok(())
     }
-}
-
-fn zero_table(access: &mut dyn PtAccess, table: Hpa) -> Result<(), HwError> {
-    for i in 0..512u64 {
-        access.write_entry(table.add(i * 8), 0)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -544,15 +526,12 @@ mod tests {
     }
 
     #[test]
-    fn unmap_and_update_leaf() {
+    fn unmap_clears_the_leaf() {
         let (mut mc, mut alloc) = setup();
         let mut acc = PhysPtAccess::new(&mut mc, EncSel::None);
         let mapper = Mapper::create(&mut acc, &mut alloc).unwrap();
         mapper.map(&mut acc, &mut alloc, 0x7000, Hpa(0x5000), PTE_WRITABLE).unwrap();
-        assert!(mapper.lookup(&mut acc, 0x7000).unwrap().is_some());
-        // Drop the writable bit.
-        assert!(mapper.update_leaf(&mut acc, 0x7000, |p| p.without_flags(PTE_WRITABLE)).unwrap());
-        assert!(!mapper.lookup(&mut acc, 0x7000).unwrap().unwrap().writable());
+        assert!(mapper.lookup(&mut acc, 0x7000).unwrap().unwrap().writable());
         let old = mapper.unmap(&mut acc, 0x7000).unwrap().unwrap();
         assert_eq!(old.addr(), Hpa(0x5000));
         assert!(mapper.lookup(&mut acc, 0x7000).unwrap().is_none());

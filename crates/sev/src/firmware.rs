@@ -11,6 +11,7 @@ use fidelius_crypto::x25519::KeyPair;
 use fidelius_crypto::Key128;
 use fidelius_hw::cpu::{scope, Machine, Site};
 use fidelius_hw::cycles::CycleCategory;
+use fidelius_hw::fxhash::FxBuildHasher;
 use fidelius_hw::{Asid, Hpa, PAGE_SIZE};
 use fidelius_trace::{ArgValue, SpanKind};
 use std::collections::{HashMap, HashSet};
@@ -195,17 +196,54 @@ struct IoCiphers {
     tek: Option<Aes128>,
 }
 
+/// How many peers' PDH agreements [`Pdh`] keeps.
+const PDH_MEMO: usize = 4;
+
+/// The platform's Diffie-Hellman key with its most recent agreements. A
+/// platform pair derives the same master secret at every `SEND_START` and
+/// `RECEIVE_START` between them, so each peer's secret is computed once
+/// while it stays among the [`PDH_MEMO`] most recently used peers.
+struct Pdh {
+    keys: KeyPair,
+    /// `(peer public key, shared secret)`, least recently used first.
+    memo: Vec<([u8; 32], [u8; 32])>,
+}
+
+impl Pdh {
+    fn new(keys: KeyPair) -> Self {
+        Pdh { keys, memo: Vec::with_capacity(PDH_MEMO) }
+    }
+
+    /// [`KeyPair::agree`] with `peer`, from the memo when it holds `peer`;
+    /// otherwise computed, evicting the least recently used entry.
+    fn agree(&mut self, peer: &[u8; 32]) -> [u8; 32] {
+        let secret = match self.memo.iter().position(|(p, _)| p == peer) {
+            Some(i) => self.memo.remove(i).1,
+            None => {
+                if self.memo.len() == PDH_MEMO {
+                    self.memo.remove(0);
+                }
+                self.keys.agree(peer)
+            }
+        };
+        self.memo.push((*peer, secret));
+        secret
+    }
+}
+
 /// The SEV firmware. See the crate docs for the trust model.
 pub struct Firmware {
     state: PlatformState,
     mode: FwMode,
-    pdh: KeyPair,
+    pdh: Pdh,
     attest_key: Key128,
-    guests: HashMap<Handle, GuestContext>,
+    guests: HashMap<Handle, GuestContext, FxBuildHasher>,
     /// Session nonces consumed by a *successful* receive (retrofit only).
+    /// Keyed by bytes dom0 relays, so it keeps the standard hasher (see
+    /// [`fidelius_hw::fxhash`]).
     seen_nonces: HashSet<[u8; 32]>,
     /// Per-helper expanded I/O key schedules (see [`IoCiphers`]).
-    io_ciphers: HashMap<Handle, IoCiphers>,
+    io_ciphers: HashMap<Handle, IoCiphers, FxBuildHasher>,
     /// The I/O commands' staging buffer, reused across calls. It holds a
     /// run's plaintext between the two passes and never leaves the
     /// firmware.
@@ -248,11 +286,11 @@ impl Firmware {
         Firmware {
             state: PlatformState::Uninitialized,
             mode,
-            pdh,
+            pdh: Pdh::new(pdh),
             attest_key,
-            guests: HashMap::new(),
+            guests: HashMap::default(),
             seen_nonces: HashSet::new(),
-            io_ciphers: HashMap::new(),
+            io_ciphers: HashMap::default(),
             io_scratch: Vec::new(),
             next_handle: 1,
             rng,
@@ -285,7 +323,7 @@ impl Firmware {
     /// The platform Diffie-Hellman public key (PDH), used by guest owners
     /// to target this machine.
     pub fn pdh_public(&self) -> [u8; 32] {
-        *self.pdh.public()
+        *self.pdh.keys.public()
     }
 
     /// Attestation: tags `evidence` with the platform's attestation key.
@@ -481,7 +519,7 @@ impl Firmware {
         target_pdh: &[u8; 32],
     ) -> Result<SessionBlob, SevError> {
         self.require_init()?;
-        let origin_pdh = *self.pdh.public();
+        let origin_pdh = *self.pdh.keys.public();
         let shared = self.pdh.agree(target_pdh);
         let nonce = self.rng.next_bytes32();
         let tek = self.rng.next_key128();
@@ -844,6 +882,28 @@ mod tests {
         assert_eq!(fw.platform_state(), PlatformState::Uninitialized);
         fw.init().unwrap();
         assert!(matches!(fw.init(), Err(SevError::InvalidPlatformState { .. })));
+    }
+
+    #[test]
+    fn pdh_memo_matches_fresh_agreement() {
+        let mut fw = Firmware::new(3);
+        let peers: Vec<[u8; 32]> =
+            (1..=6u8).map(|i| *KeyPair::from_seed([i; 32]).public()).collect();
+        // Six distinct peers with repeats: hits, evictions, and peers
+        // asked for again after their eviction.
+        for i in [0, 1, 0, 2, 3, 4, 1, 5, 0, 0, 2, 5, 4, 3, 1] {
+            let want = fw.pdh.keys.agree(&peers[i]);
+            assert_eq!(fw.pdh.agree(&peers[i]), want, "peer {i}");
+            assert!(fw.pdh.memo.len() <= PDH_MEMO);
+        }
+        // The least recently used peer is the one evicted: after 0..=3
+        // fill the memo and 0 is used again, 4 evicts 1, not 0.
+        let mut fw = Firmware::new(3);
+        for i in [0, 1, 2, 3, 0, 4] {
+            fw.pdh.agree(&peers[i]);
+        }
+        let held: Vec<[u8; 32]> = fw.pdh.memo.iter().map(|(p, _)| *p).collect();
+        assert_eq!(held, [2, 3, 0, 4].map(|i| peers[i]));
     }
 
     #[test]

@@ -18,6 +18,7 @@ use fidelius_crypto::modes::Ctr128;
 use fidelius_crypto::rng::Xoshiro256;
 use fidelius_crypto::Key128;
 use fidelius_hw::cpu::Machine;
+use fidelius_hw::fxhash::FxBuildHasher;
 use fidelius_hw::Hpa;
 use std::collections::HashMap;
 
@@ -31,7 +32,7 @@ pub struct GekHandle(pub u32);
 /// the shipping SEV API; a platform with the §8 extension instantiates
 /// both.
 pub struct GekEngine {
-    keys: HashMap<GekHandle, (Handle, Key128)>,
+    keys: HashMap<GekHandle, (Handle, Key128), FxBuildHasher>,
     next: u32,
     rng: Xoshiro256,
 }
@@ -45,7 +46,7 @@ impl std::fmt::Debug for GekEngine {
 impl GekEngine {
     /// A fresh engine (deterministic from the seed).
     pub fn new(seed: u64) -> Self {
-        GekEngine { keys: HashMap::new(), next: 1, rng: Xoshiro256::new(seed ^ 0x6E4B) }
+        GekEngine { keys: HashMap::default(), next: 1, rng: Xoshiro256::new(seed ^ 0x6E4B) }
     }
 
     /// `SETENC_GEK`: generates a customized key bound to an existing guest

@@ -109,7 +109,7 @@ pub enum BlkStatus {
 
 /// The statuses one drain published, as `(ring index, status)` in ring
 /// order.
-pub type Published = Vec<(u64, BlkStatus)>;
+pub type Published = [(u64, BlkStatus)];
 
 /// Byte offset of slot `i` within the ring page.
 pub fn slot_offset(i: u64) -> u64 {
@@ -145,16 +145,49 @@ struct ReqPlan {
     status: BlkStatus,
 }
 
+/// The undo journal of one batched drain: the disk bytes each write run
+/// overwrote, saved back to back in one arena.
+#[derive(Debug, Default)]
+struct Journal {
+    saved: Vec<u8>,
+    /// `(disk offset, start in saved, length)` per run, in write order.
+    runs: Vec<(usize, usize, usize)>,
+}
+
+impl Journal {
+    fn clear(&mut self) {
+        self.saved.clear();
+        self.runs.clear();
+    }
+
+    /// Saves `old`, the bytes about to be overwritten at `disk_off`.
+    fn save(&mut self, disk_off: usize, old: &[u8]) {
+        self.runs.push((disk_off, self.saved.len(), old.len()));
+        self.saved.extend_from_slice(old);
+    }
+}
+
 /// The dom0 block back-end. It holds the disk image and its *mapped*
 /// views of the guest's granted pages (frames it obtained via
 /// `map_grant_ref`), one set per queue.
+///
+/// Every per-window buffer (the plans, the published statuses, the undo
+/// journal and the write scratch) lives here and is cleared, not rebuilt,
+/// per window, so a warm drain does not allocate.
 #[derive(Debug, Default)]
 pub struct BlockBackend {
     disk: Vec<u8>,
     queues: Vec<QueueState>,
     /// Where a write request's run lands before it is copied into the
-    /// disk; reused across requests.
+    /// disk.
     scratch: Vec<u8>,
+    /// The batched drain's validated snapshot of its window.
+    plans: Vec<ReqPlan>,
+    /// What the last drain published; [`BlockBackend::process_queue`]
+    /// lends it out.
+    published: Vec<(u64, BlkStatus)>,
+    /// The batched drain's undo journal.
+    undo: Journal,
 }
 
 impl BlockBackend {
@@ -265,7 +298,7 @@ impl BlockBackend {
     }
 
     /// Processes all outstanding requests on queue `q`. Returns the status
-    /// it published for each.
+    /// it published for each, valid until the next drain.
     ///
     /// The back-end runs in dom0 / host context: it accesses the shared
     /// pages through its own mappings of the granted frames.
@@ -274,14 +307,17 @@ impl BlockBackend {
     ///
     /// Access faults (e.g. if protection revoked the mapping) and typed
     /// fail-closed refusals.
-    pub fn process_queue(&mut self, plat: &mut Platform, q: usize) -> Result<Published, XenError> {
+    pub fn process_queue(&mut self, plat: &mut Platform, q: usize) -> Result<&Published, XenError> {
+        self.published.clear();
+        let fidelity = plat.machine.fidelity();
         let args = [("queue", ArgValue::U64(q as u64))];
         scope(plat, Site::new(SpanKind::BlkifDrain, "blkif:drain").args(&args), |plat| {
-            match plat.machine.fidelity() {
+            match fidelity {
                 Fidelity::Fast => self.drain_batched(plat, q),
                 Fidelity::Reference => self.drain_reference(plat, q),
             }
-        })
+        })?;
+        Ok(&self.published)
     }
 
     /// Sanity window on a freshly read producer index; a consumer cursor
@@ -316,9 +352,8 @@ impl BlockBackend {
 
     // ----- the seed's one-request-at-a-time reference drain -------------
 
-    fn drain_reference(&mut self, plat: &mut Platform, qi: usize) -> Result<Published, XenError> {
+    fn drain_reference(&mut self, plat: &mut Platform, qi: usize) -> Result<(), XenError> {
         let (ring, req_prod) = self.open_window(plat, qi)?;
-        let mut published = Vec::new();
         while self.queues[qi].req_cons < req_prod {
             let index = self.queues[qi].req_cons;
             let slot = slot_offset(index);
@@ -333,12 +368,12 @@ impl BlockBackend {
             })?;
             plat.machine.host_write_u64(direct_map(ring.add(slot + 40)), status as u64)?;
             self.queues[qi].req_cons += 1;
-            published.push((index, status));
+            self.published.push((index, status));
         }
         // Publish responses.
         plat.machine
             .host_write_u64(direct_map(ring.add(OFF_RSP_PROD)), self.queues[qi].req_cons)?;
-        Ok(published)
+        Ok(())
     }
 
     /// Runs `body` under one request's `blkif:{read,write,unknown}` span.
@@ -448,25 +483,25 @@ impl BlockBackend {
         plat: &mut Platform,
         qi: usize,
         req_prod: u64,
-        undo: Vec<(usize, Vec<u8>)>,
         reason: DenialReason,
         kind: FaultKind,
     ) -> XenError {
-        for (off, old) in undo.into_iter().rev() {
-            self.disk[off..off + old.len()].copy_from_slice(&old);
+        for &(off, start, len) in self.undo.runs.iter().rev() {
+            self.disk[off..off + len].copy_from_slice(&self.undo.saved[start..start + len]);
         }
         self.queues[qi].req_cons = req_prod;
         XenError::FailClosed(plat.machine.fail_closed(reason, kind))
     }
 
-    fn drain_batched(&mut self, plat: &mut Platform, qi: usize) -> Result<Published, XenError> {
+    fn drain_batched(&mut self, plat: &mut Platform, qi: usize) -> Result<(), XenError> {
         // Snapshot the window. Everything the reference drain charges per
         // request is charged here too, just hoisted: the multiset of
         // translated accesses (and therefore modeled cycles and TLB
         // counters) is identical.
         let (ring, req_prod) = self.open_window(plat, qi)?;
         let req_cons = self.queues[qi].req_cons;
-        let mut plans = Vec::with_capacity((req_prod - req_cons) as usize);
+        self.plans.clear();
+        self.undo.clear();
         for i in req_cons..req_prod {
             let slot = slot_offset(i);
             let [_id, op, sector, count, buf_page] =
@@ -475,13 +510,13 @@ impl BlockBackend {
                 Some(pages) => (pages, BlkStatus::Pending),
                 None => (0..0, BlkStatus::Error),
             };
-            plans.push(ReqPlan { slot, op, sector, count, pages, status });
+            self.plans.push(ReqPlan { slot, op, sector, count, pages, status });
         }
         // Validate the whole window as one unit (grant checks amortized
         // across the drain). A request that is structurally bad — or whose
         // grant was already gone before the batch was dispatched — fails
         // *that request* with a status, exactly as the reference drain does.
-        for plan in plans.iter_mut().filter(|p| p.status == BlkStatus::Pending) {
+        for plan in self.plans.iter_mut().filter(|p| p.status == BlkStatus::Pending) {
             if !Self::plan_grants_ok(plat, &self.queues[qi], plan) {
                 plat.machine
                     .fail_closed(DenialReason::GrantRevokedMidIo, FaultKind::GrantRevokeMidIo);
@@ -490,8 +525,8 @@ impl BlockBackend {
         }
         // Data phase, in request order. Disk writes are journaled so a
         // mid-drain refusal can roll the whole batch back.
-        let mut undo: Vec<(usize, Vec<u8>)> = Vec::new();
-        for plan in &mut plans {
+        for i in 0..self.plans.len() {
+            let plan = self.plans[i].clone();
             // The adversary may act at every request boundary of the
             // drain; anything it revoked after window validation fails the
             // *whole* drain closed. Without an injection, a pending
@@ -506,12 +541,11 @@ impl BlockBackend {
                 }
                 None => plan.status == BlkStatus::Pending,
             };
-            if recheck && !Self::plan_grants_ok(plat, &self.queues[qi], plan) {
+            if recheck && !Self::plan_grants_ok(plat, &self.queues[qi], &plan) {
                 return Err(self.fail_window(
                     plat,
                     qi,
                     req_prod,
-                    undo,
                     DenialReason::GrantRevokedMidIo,
                     FaultKind::GrantRevokeMidDrain,
                 ));
@@ -523,9 +557,9 @@ impl BlockBackend {
                 continue;
             }
             Self::request_scope(plat, plan.op, plan.sector, plan.count, |plat| {
-                self.move_request_data(plat, qi, plan, &mut undo)
+                self.move_request_data(plat, qi, &plan)
             })?;
-            plan.status = BlkStatus::Ok;
+            self.plans[i].status = BlkStatus::Ok;
         }
         // Commit: the shadow-index check. The producer index we validated
         // must still be what the ring says (virtio's shadow-avail idiom);
@@ -540,19 +574,19 @@ impl BlockBackend {
                 plat,
                 qi,
                 req_prod,
-                undo,
                 DenialReason::RingIndexTampered,
                 FaultKind::RingIndexCorrupt,
             ));
         }
         // Publish every status, then the response producer.
-        for plan in &plans {
+        for plan in &self.plans {
             plat.machine
                 .host_write_u64(direct_map(ring.add(plan.slot + 40)), plan.status as u64)?;
         }
         self.queues[qi].req_cons = req_prod;
         plat.machine.host_write_u64(direct_map(ring.add(OFF_RSP_PROD)), req_prod)?;
-        Ok((req_cons..).zip(plans.iter().map(|p| p.status)).collect())
+        self.published.extend((req_cons..).zip(self.plans.iter().map(|p| p.status)));
+        Ok(())
     }
 
     /// Moves one validated request's data between the disk image and the
@@ -561,13 +595,12 @@ impl BlockBackend {
     /// sector, exactly like the reference drain's per-sector calls). A
     /// read streams straight out of the disk image; a write lands in the
     /// back-end's reused scratch buffer first, so the disk changes only
-    /// after the whole run was read.
+    /// after the whole run was read and journaled.
     fn move_request_data(
         &mut self,
         plat: &mut Platform,
         qi: usize,
         plan: &ReqPlan,
-        undo: &mut Vec<(usize, Vec<u8>)>,
     ) -> Result<(), XenError> {
         let mut s = 0u64;
         while s < plan.count {
@@ -589,8 +622,9 @@ impl BlockBackend {
                 x if x == BlkOp::Write as u64 => {
                     self.scratch.resize(run_bytes, 0);
                     plat.machine.host_read_stream(run_va, &mut self.scratch, SECTOR_SIZE)?;
-                    undo.push((disk_off, self.disk[disk_off..disk_off + run_bytes].to_vec()));
-                    self.disk[disk_off..disk_off + run_bytes].copy_from_slice(&self.scratch);
+                    let span = disk_off..disk_off + run_bytes;
+                    self.undo.save(disk_off, &self.disk[span.clone()]);
+                    self.disk[span].copy_from_slice(&self.scratch);
                 }
                 _ => unreachable!("validated ops only"),
             }

@@ -5,6 +5,7 @@
 //! direction (front-end kicks the back-end and vice versa).
 
 use crate::domain::DomainId;
+use fidelius_hw::fxhash::FxBuildHasher;
 use std::collections::HashMap;
 
 /// An event-channel port number.
@@ -13,8 +14,8 @@ pub type Port = u32;
 /// The event-channel switchboard.
 #[derive(Debug, Default)]
 pub struct EventChannels {
-    bindings: HashMap<(DomainId, Port), DomainId>,
-    pending: HashMap<DomainId, Vec<Port>>,
+    bindings: HashMap<(DomainId, Port), DomainId, FxBuildHasher>,
+    pending: HashMap<DomainId, Vec<Port>, FxBuildHasher>,
     next_port: Port,
 }
 

@@ -330,6 +330,15 @@ impl PtAccess for GuestPtAccess<'_> {
             .guest_write_gpa(Gpa(pa.0), &value.to_le_bytes(), self.encrypted)
             .map_err(HwError::Fault)
     }
+
+    /// One coalescing stream over a zero page in entry-sized pieces: the
+    /// 512 entries' charges, with the bytes moved in one controller run.
+    fn zero_table(&mut self, table: Hpa) -> Result<(), HwError> {
+        static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+        self.machine
+            .guest_write_gpa_coalesced(Gpa(table.0), &ZERO_PAGE, self.encrypted, 8)
+            .map_err(HwError::Fault)
+    }
 }
 
 #[cfg(test)]

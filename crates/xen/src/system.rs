@@ -22,6 +22,7 @@ use crate::XenError;
 use fidelius_crypto::modes::SECTOR_SIZE;
 use fidelius_crypto::Key128;
 use fidelius_hw::cpu::{scope, Fidelity, Machine, Site};
+use fidelius_hw::fxhash::FxBuildHasher;
 use fidelius_hw::inject::{FaultAction, InjectPoint};
 use fidelius_hw::mem::FrameAllocator;
 use fidelius_hw::paging::{Mapper, PTE_C_BIT, PTE_WRITABLE};
@@ -72,10 +73,10 @@ pub struct System {
     /// The protection layer (vanilla or Fidelius).
     pub guardian: Box<dyn Guardian>,
     /// Per-domain front-end driver state.
-    pub frontends: HashMap<DomainId, FrontEnd>,
+    pub frontends: HashMap<DomainId, FrontEnd, FxBuildHasher>,
     /// Per-domain I/O queue plan: the queues the guest was booted for
     /// (see [`System::queue_plan`]).
-    queue_plan: HashMap<DomainId, u64>,
+    queue_plan: HashMap<DomainId, u64, FxBuildHasher>,
     current_guest: Option<DomainId>,
 }
 
@@ -159,8 +160,8 @@ impl System {
             plat,
             xen,
             guardian,
-            frontends: HashMap::new(),
-            queue_plan: HashMap::new(),
+            frontends: HashMap::default(),
+            queue_plan: HashMap::default(),
             current_guest: None,
         })
     }
@@ -884,14 +885,14 @@ impl System {
                     cursor,
                 )?,
             };
-            slots.push((slot, cursor));
+            slots.push((slot, cursor, false));
             cursor += op.sector_count().div_ceil(SECTORS_PER_PAGE);
         }
         let port = fe.port(q);
         self.notify_backend(dom, port)?;
         self.ensure_host()?;
         if uses_md {
-            for (op, (_, buf_page)) in ops.iter().zip(&slots) {
+            for (op, (_, buf_page, _)) in ops.iter().zip(&slots) {
                 if let BatchOp::Write { sector, .. } = op {
                     self.sev_io_transform_at(
                         dom,
@@ -904,13 +905,16 @@ impl System {
             }
         }
         let published = self.xen.backend_mut(dom)?.process_queue(&mut self.plat, q as usize)?;
+        for (slot, _, answered_ok) in &mut slots {
+            *answered_ok = published.contains(&(*slot, BlkStatus::Ok));
+        }
         if uses_md {
             // Only a read the back-end answered `Ok` has data in the shared
             // buffer; transforming a refused one would overwrite `Md` with
             // the buffer's stale contents.
-            for (op, (slot, buf_page)) in ops.iter().zip(&slots) {
+            for (op, (_, buf_page, answered_ok)) in ops.iter().zip(&slots) {
                 if let BatchOp::Read { sector, count } = op {
-                    if !published.contains(&(*slot, BlkStatus::Ok)) {
+                    if !answered_ok {
                         continue;
                     }
                     self.sev_io_transform_at(
@@ -926,7 +930,7 @@ impl System {
         self.ensure_guest(dom)?;
         let fe = self.frontends.get_mut(&dom).ok_or(XenError::BadBlockRequest)?;
         let mut results = Vec::with_capacity(ops.len());
-        for (op, (slot, buf_page)) in ops.iter().zip(&slots) {
+        for (op, (slot, buf_page, _)) in ops.iter().zip(&slots) {
             let status = fe.slot_status_on(q, &mut self.plat.machine, *slot)?;
             let data = match op {
                 BatchOp::Read { sector, count } if status == BlkStatus::Ok => {
@@ -984,6 +988,54 @@ mod tests {
         sys.gpa_read(dom, Gpa(gplayout::HEAP_PAGE * PAGE_SIZE), &mut buf, false).unwrap();
         assert_eq!(&buf, b"hello guest");
         sys.shutdown_guest(dom).unwrap();
+    }
+
+    #[test]
+    fn guest_table_zeroing_books_what_per_entry_writes_book() {
+        use fidelius_hw::paging::PtAccess;
+        let table = Hpa(gplayout::HEAP_PAGE * PAGE_SIZE);
+        // A dirty guest page zeroed as a page table, through the override
+        // (`stream`) or through 512 `write_entry` calls.
+        let zeroed = |fidelity: Fidelity, encrypted: bool, stream: bool| {
+            let mut sys = vanilla();
+            sys.plat.machine.set_fidelity(fidelity);
+            let dom = sys
+                .create_guest(GuestConfig { mem_pages: 192, sev: true, kernel: b"k".to_vec() })
+                .unwrap();
+            sys.gpa_write(dom, Gpa(table.0), &[0xA5; PAGE_SIZE as usize], encrypted).unwrap();
+            sys.ensure_guest(dom).unwrap();
+            let mut acc = GuestPtAccess::new(&mut sys.plat.machine, encrypted);
+            if stream {
+                acc.zero_table(table).unwrap();
+            } else {
+                for i in 0..512 {
+                    acc.write_entry(table.add(i * 8), 0).unwrap();
+                }
+            }
+            sys
+        };
+        for fidelity in [Fidelity::Fast, Fidelity::Reference] {
+            for encrypted in [true, false] {
+                let case = format!("{fidelity:?}, encrypted {encrypted}");
+                let mut streamed = zeroed(fidelity, encrypted, true);
+                let per_entry = zeroed(fidelity, encrypted, false);
+                let (a, b) = (&streamed.plat.machine, &per_entry.plat.machine);
+                let (dram_a, dram_b) = (a.mc.dram(), b.mc.dram());
+                let whole = DRAM as usize;
+                assert!(
+                    dram_a.raw_span(Hpa(0), whole).unwrap()
+                        == dram_b.raw_span(Hpa(0), whole).unwrap(),
+                    "DRAM bytes differ ({case})"
+                );
+                assert_eq!(a.tlb.counters(), b.tlb.counters(), "{case}");
+                // Cycles per category, crypto bytes and runs, and every
+                // event count.
+                assert_eq!(a.telemetry_snapshot(), b.telemetry_snapshot(), "{case}");
+                let mut page = [0xFFu8; PAGE_SIZE as usize];
+                streamed.plat.machine.guest_read_gpa(Gpa(table.0), &mut page, encrypted).unwrap();
+                assert!(page.iter().all(|&b| b == 0), "table not zeroed ({case})");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! exactly zero times.
 //!
 //! A warm block-I/O window is pinned the same way, to the allocations
-//! its API hands back or keeps (see
+//! its API hands back (see
 //! `warm_disk_windows_allocate_only_for_the_api`).
 //!
 //! The count lives in a `const`-initialised thread-local, so tests
@@ -173,21 +173,17 @@ fn window(sys: &mut System, dom: DomainId, ops: &[BatchOp]) {
     assert!(results.iter().all(|(status, _)| *status == BlkStatus::Ok), "{results:?}");
 }
 
-/// A warm `disk_batch` window allocates only for its API: what it
-/// returns and what it must keep while the drain can still be refused.
-/// Per window, with `w` writes, `r` reads and `n = w + r` requests:
+/// A warm `disk_batch` window allocates only for its API. Per window,
+/// with `r` reads:
 ///
-/// - 4 vectors of `n`: the results it returns, the front-end's `slots`,
-///   the back-end's `plans` and its published statuses;
-/// - `r`: each read's returned data;
-/// - `w` + growth: the undo journal, one saved run per write (each
-///   request here is one host-contiguous run) in a vector that grows
-///   from empty to capacity 4, then 8.
+/// - 2 vectors: the results it returns and the front-end's `slots`;
+/// - `r`: each read's returned data.
 ///
 /// Nothing else allocates: descriptor reads and pushes work on the
-/// stack, the back-end's data moves, the front-end's staging and the
-/// firmware's SEV-API re-encryption reuse their buffers, and a crossing
-/// allocates nothing (above).
+/// stack; the back-end's plans, published statuses, undo journal and
+/// data moves, the front-end's staging and the firmware's SEV-API
+/// re-encryption reuse their buffers; and a crossing allocates nothing
+/// (above).
 #[test]
 fn warm_disk_windows_allocate_only_for_the_api() {
     const WARM: u64 = 20;
@@ -220,7 +216,7 @@ fn warm_disk_windows_allocate_only_for_the_api() {
 
     assert_eq!(
         (aes_writes, aes_reads, sev_mixed),
-        (4 + 8 + 2, 4 + 8, 4 + 4 + 4 + 1),
+        (2, 2 + 8, 2 + 4),
         "heap allocations in one warm window: 8 x 4 KiB AES-NI writes, 8 x 4 KiB AES-NI \
          reads, 4 + 4 x 512 B on the SEV-API path"
     );
